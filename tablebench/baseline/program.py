@@ -1,0 +1,174 @@
+"""Datalog programs: tabled declarations, clauses, and ground facts.
+
+Clauses are stored pre-flattened: every argument is a packed token, either a
+ground value (int/atom) or a variable token whose index is clause-local in
+first-occurrence order over head then body.  Both the engine and the
+reference solver consume this shape; they share nothing else.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from .errors import ProgramError
+from .terms import (
+    TAG_VAR,
+    Atom,
+    Compound,
+    Int,
+    Term,
+    Var,
+    symbol_name,
+    tok_str,
+    var_tok,
+)
+
+Pred = tuple[int, int]  # (symbol id, arity)
+
+
+def pred_str(pred: Pred) -> str:
+    return f"{symbol_name(pred[0])}/{pred[1]}"
+
+
+@dataclass(frozen=True)
+class Literal:
+    pred: Pred
+    args: tuple[int, ...]
+
+    def __str__(self) -> str:
+        if not self.args:
+            return symbol_name(self.pred[0])
+        return f"{symbol_name(self.pred[0])}({', '.join(tok_str(a) for a in self.args)})"
+
+
+@dataclass(frozen=True)
+class Clause:
+    head: Literal
+    body: tuple[Literal, ...]
+    nvars: int
+
+    def __str__(self) -> str:
+        if not self.body:
+            return f"{self.head}."
+        return f"{self.head} :- {', '.join(map(str, self.body))}."
+
+
+def _flat_arg(t: Term, varmap: dict[int, int]) -> int:
+    if isinstance(t, Var):
+        idx = varmap.get(t.vid)
+        if idx is None:
+            idx = len(varmap)
+            varmap[t.vid] = idx
+        return var_tok(idx)
+    if isinstance(t, Int):
+        return t.value << 3 | 1
+    if isinstance(t, Atom):
+        return t.sym << 3 | 2
+    raise ProgramError(f"non-flat argument {t}; only atoms, integers and variables allowed")
+
+
+def literal_of(t: Term, varmap: dict[int, int]) -> Literal:
+    if isinstance(t, Atom):
+        return Literal((t.sym, 0), ())
+    if isinstance(t, Compound):
+        return Literal((t.functor, len(t.args)),
+                       tuple(_flat_arg(a, varmap) for a in t.args))
+    raise ProgramError(f"not a valid literal: {t}")
+
+
+def clause_of(head: Term, body: list[Term]) -> Clause:
+    varmap: dict[int, int] = {}
+    h = literal_of(head, varmap)
+    b = tuple(literal_of(lit, varmap) for lit in body)
+    return Clause(h, b, len(varmap))
+
+
+@dataclass
+class Program:
+    tabled: frozenset[Pred] = field(default_factory=frozenset)
+    clauses: dict[Pred, list[Clause]] = field(default_factory=dict)
+    facts: dict[Pred, list[tuple[int, ...]]] = field(default_factory=dict)
+
+    def add_clause(self, head: Term, body: list[Term]) -> None:
+        cl = clause_of(head, body)
+        if not body:
+            # a ground bodyless clause is a fact; for tabled predicates it
+            # still goes through the clause path so evaluation derives it
+            if any(tok & 7 == TAG_VAR for tok in cl.head.args):
+                raise ProgramError(f"non-ground fact: {head}")
+            if cl.head.pred not in self.tabled:
+                self.facts.setdefault(cl.head.pred, []).append(cl.head.args)
+                return
+        self.clauses.setdefault(cl.head.pred, []).append(cl)
+
+    def add_fact(self, fact: Term) -> None:
+        self.add_clause(fact, [])
+
+    def predicates(self) -> set[Pred]:
+        out = set(self.tabled)
+        out.update(self.clauses)
+        out.update(self.facts)
+        return out
+
+    def validate(self) -> None:
+        """Reject non-range-restricted clauses and non-tabled recursion."""
+        for pred, clauses in self.clauses.items():
+            for cl in clauses:
+                head_vars = {a for a in cl.head.args if a & 7 == TAG_VAR}
+                body_vars = {a for lit in cl.body for a in lit.args if a & 7 == TAG_VAR}
+                missing = head_vars - body_vars
+                if missing:
+                    raise ProgramError(
+                        f"clause for {pred_str(pred)} is not range-restricted: "
+                        f"head variable {tok_str(sorted(missing)[0])} never occurs in the body"
+                    )
+        for scc in self._pred_sccs():
+            recursive = len(scc) > 1 or self._self_loop(next(iter(scc)))
+            if not recursive:
+                continue
+            for pred in scc:
+                if pred not in self.tabled and pred in self.clauses:
+                    raise ProgramError(
+                        f"recursive predicate {pred_str(pred)} must be tabled"
+                    )
+
+    def _deps(self) -> dict[Pred, set[Pred]]:
+        return {
+            pred: {lit.pred for cl in clauses for lit in cl.body}
+            for pred, clauses in self.clauses.items()
+        }
+
+    def _self_loop(self, pred: Pred) -> bool:
+        return any(lit.pred == pred
+                   for cl in self.clauses.get(pred, ())
+                   for lit in cl.body)
+
+    def _pred_sccs(self) -> list[set[Pred]]:
+        deps = self._deps()
+        index: dict[Pred, int] = {}
+        stack: list[Pred] = []
+        boundaries: list[int] = []
+        done: set[Pred] = set()
+        sccs: list[set[Pred]] = []
+
+        def dfs(v: Pred) -> None:
+            index[v] = len(stack)
+            stack.append(v)
+            boundaries.append(index[v])
+            for w in deps.get(v, ()):
+                if w not in index:
+                    dfs(w)
+                elif w not in done:
+                    while index[w] < boundaries[-1]:
+                        boundaries.pop()
+            if boundaries[-1] == index[v]:
+                boundaries.pop()
+                scc = set(stack[index[v]:])
+                del stack[index[v]:]
+                done.update(scc)
+                sccs.append(scc)
+
+        for v in list(deps):
+            if v not in index:
+                dfs(v)
+        return sccs

@@ -1,0 +1,398 @@
+"""The table space: table entries, subgoal tries, frames, and the three designs.
+
+NS (No-Sharing)      - every thread gets private subgoal tries, frames and
+                       answer tries; the table entry holds a bucket array of
+                       per-thread subgoal-trie roots.
+SS (Subgoal-Sharing) - one shared subgoal trie; each leaf carries a bucket
+                       array of per-thread frames, each with a private
+                       answer trie.
+FS (Full-Sharing)    - one shared subgoal trie; each leaf carries a shared
+                       subgoal entry holding the single shared answer trie
+                       and a bucket array of per-thread frames.
+
+Structure allocations are tallied per kind in `MemoryCounters` so the
+per-design memory laws can be checked as exact counts.  Trie root nodes are
+anchors owned by their enclosing structure and are not tallied; the laws
+are unaffected because the convention is applied uniformly.
+"""
+
+from __future__ import annotations
+
+import threading
+from dataclasses import dataclass
+from enum import Enum
+
+from . import trie
+from .buckets import DEFAULT_DIRECT, DEFAULT_INDIRECT, BucketArray
+from .errors import ConfigurationError, EvaluationError
+from .terms import (
+    Term,
+    TokenSeq,
+    canonicalize_variant,
+    decode_tuple,
+    encode_term,
+    encode_tuple,
+)
+from .trie import SyncMode, TrieNode
+
+EVALUATING = 0
+COMPLETE = 1
+
+
+class Design(Enum):
+    NS = "ns"
+    SS = "ss"
+    FS = "fs"
+
+
+@dataclass(frozen=True)
+class CountersSnapshot:
+    te: int
+    ba: int
+    sts: int
+    sf: int
+    se: int
+    ats: int
+    freed_ba: int = 0
+    freed_sts: int = 0
+    freed_sf: int = 0
+    freed_ats: int = 0
+
+    def as_dict(self) -> dict[str, int]:
+        return {
+            "te": self.te, "ba": self.ba, "sts": self.sts,
+            "sf": self.sf, "se": self.se, "ats": self.ats,
+        }
+
+
+class MemoryCounters:
+    """Monotonic per-kind allocation tallies, plus freed tallies for the
+    private structures that are logically reclaimed at thread exit."""
+
+    __slots__ = ("te", "ba", "sts", "sf", "se", "ats",
+                 "freed_ba", "freed_sts", "freed_sf", "freed_ats", "_lock")
+
+    def __init__(self):
+        self.te = 0
+        self.ba = 0
+        self.sts = 0
+        self.sf = 0
+        self.se = 0
+        self.ats = 0
+        self.freed_ba = 0
+        self.freed_sts = 0
+        self.freed_sf = 0
+        self.freed_ats = 0
+        self._lock = threading.Lock()
+
+    def bump(self, kind: str, n: int = 1) -> None:
+        with self._lock:
+            setattr(self, kind, getattr(self, kind) + n)
+
+    def snapshot(self) -> CountersSnapshot:
+        with self._lock:
+            return CountersSnapshot(
+                self.te, self.ba, self.sts, self.sf, self.se, self.ats,
+                self.freed_ba, self.freed_sts, self.freed_sf, self.freed_ats,
+            )
+
+
+class SubgoalFrame:
+    """Per-thread control record for one subgoal call.
+
+    NS/SS frames own a private answer trie and answer log.  FS frames reach
+    the shared answer trie through their subgoal entry and keep only a
+    private ledger of answers this thread has derived, used for fixpoint
+    detection and never for storage.
+
+    `dfn`, `leader_dfn`, `stack_pos` and `on_stack` are scheduling fields
+    used by the evaluation engine's dependency stack.
+    """
+
+    __slots__ = ("pred", "tokens", "tid", "state", "entry",
+                 "answer_root", "answers", "ledger",
+                 "dfn", "leader_dfn", "stack_pos", "on_stack", "acts")
+
+    def __init__(self, pred, tokens, tid, entry=None):
+        self.pred = pred
+        self.tokens = tokens
+        self.tid = tid
+        self.state = EVALUATING
+        self.entry: SubgoalEntry | None = entry
+        if entry is None:
+            self.answer_root: TrieNode | None = trie.new_root()
+            self.answers: list[TokenSeq] = []
+            self.ledger: set[TokenSeq] | None = None
+        else:
+            self.answer_root = None
+            self.answers = entry.answers
+            self.ledger = set()
+        self.dfn = -1
+        self.leader_dfn = -1
+        self.stack_pos = -1
+        self.on_stack = False
+        self.acts = None  # per-clause activation cache, owned by the engine
+
+    @property
+    def complete(self) -> bool:
+        return self.state == COMPLETE
+
+    def answer_trie_root(self) -> TrieNode:
+        if self.entry is not None:
+            return self.entry.answer_root
+        return self.answer_root
+
+
+class SubgoalEntry:
+    """FS-only shared record for one subgoal call: the shared answer trie,
+    its arrival-ordered answer log, and the bucket array of per-thread
+    frames.  Creation is serialized on the subgoal-trie leaf's lock."""
+
+    __slots__ = ("answer_root", "answers", "frames")
+
+    def __init__(self, s: int, u: int):
+        self.answer_root = trie.new_root()
+        self.answers: list[TokenSeq] = []
+        self.frames = BucketArray(s, u)
+
+
+class TableEntry:
+    """One per tabled predicate; every call enters the table space here."""
+
+    __slots__ = ("pred", "strategy", "roots", "root")
+
+    def __init__(self, pred, design: Design, s: int, u: int):
+        self.pred = pred
+        self.strategy = "local"
+        if design is Design.NS:
+            self.roots = BucketArray(s, u)
+            self.root = None
+        else:
+            self.roots = None
+            self.root = trie.new_root()
+
+
+class Table:
+    """A table space with a fixed design and lock mode for one engine run."""
+
+    def __init__(self, tabled_preds, design: Design,
+                 sync: SyncMode = SyncMode.TRYLOCK,
+                 s: int = DEFAULT_DIRECT, u: int = DEFAULT_INDIRECT,
+                 max_threads: int = 1024):
+        if design is not Design.NS and sync is SyncMode.NONE:
+            raise ConfigurationError(
+                f"{design.value} shares tries between threads and needs lock or trylock"
+            )
+        if max_threads > s + u * u:
+            raise ConfigurationError("max_threads exceeds bucket-array capacity")
+        self.design = design
+        self.s = s
+        self.u = u
+        self.max_threads = max_threads
+        # shared-structure modes: NS tries are all single-owner
+        self.subgoal_mode = SyncMode.NONE if design is Design.NS else sync
+        self.answer_mode = sync if design is Design.FS else SyncMode.NONE
+        self.counters = MemoryCounters()
+        self.entries: dict = {}
+        for pred in tabled_preds:
+            self.entries[pred] = TableEntry(pred, design, s, u)
+            self.counters.bump("te")
+            if design is Design.NS:
+                self.counters.bump("ba")
+
+    def entry(self, pred) -> TableEntry:
+        te = self.entries.get(pred)
+        if te is None:
+            raise EvaluationError(f"predicate {pred} is not tabled")
+        return te
+
+    def check_tid(self, tid: int) -> None:
+        if tid < 0 or tid >= self.max_threads:
+            raise ConfigurationError(f"thread id {tid} outside 0..{self.max_threads - 1}")
+
+    # ------------------------------------------------------------------
+    # tabled subgoal call
+
+    def subgoal_call(self, te: TableEntry, toks: TokenSeq, tid: int) -> SubgoalFrame:
+        """Resolve the design-appropriate root, check/insert the subgoal path,
+        and get-or-create this thread's frame at the leaf.  Idempotent per
+        (subgoal, thread)."""
+        design = self.design
+        counters = self.counters
+        if design is Design.NS:
+            root, _, made_level = te.roots.get_or_create(tid, trie.new_root)
+            if made_level:
+                counters.bump("ba")
+            leaf, created, _ = trie.check_insert_path_counted(root, toks, SyncMode.NONE)
+            if created:
+                counters.bump("sts", created)
+            frame = leaf.payload
+            if frame is None:
+                frame = SubgoalFrame(te.pred, toks, tid)
+                leaf.payload = frame
+                counters.bump("sf")
+            return frame
+
+        leaf, created, _ = trie.check_insert_path_counted(te.root, toks, self.subgoal_mode)
+        if created:
+            counters.bump("sts", created)
+
+        if design is Design.SS:
+            ba, made = trie.get_or_create_payload(
+                leaf, lambda: BucketArray(self.s, self.u), locked=True)
+            if made:
+                counters.bump("ba")
+            frame, made_frame, made_level = ba.get_or_create(
+                tid, lambda: SubgoalFrame(te.pred, toks, tid))
+            if made_level:
+                counters.bump("ba")
+            if made_frame:
+                counters.bump("sf")
+            return frame
+
+        # FS: leaf -> subgoal entry -> per-thread frame
+        entry, made = trie.get_or_create_payload(
+            leaf, lambda: SubgoalEntry(self.s, self.u), locked=True)
+        if made:
+            counters.bump("se")
+            counters.bump("ba")  # the entry's bucket array
+        frame, made_frame, made_level = entry.frames.get_or_create(
+            tid, lambda: SubgoalFrame(te.pred, toks, tid, entry=entry))
+        if made_level:
+            counters.bump("ba")
+        if made_frame:
+            counters.bump("sf")
+        return frame
+
+    def tabled_subgoal_call(self, te: TableEntry, subgoal: Term, tid: int) -> SubgoalFrame:
+        """Term-level wrapper: canonicalizes and encodes, then calls in."""
+        self.check_tid(tid)
+        toks = encode_term(canonicalize_variant(subgoal))
+        return self.subgoal_call(te, toks, tid)
+
+    # ------------------------------------------------------------------
+    # answers
+
+    def new_answer_tokens(self, frame: SubgoalFrame, toks: TokenSeq) -> bool:
+        """Check/insert one answer; returns whether it is new for this thread.
+
+        The caller's resolution must keep backtracking regardless of the
+        result; the return value only feeds fixpoint detection.
+        """
+        if frame.state != EVALUATING:
+            raise EvaluationError("new_answer on a completed subgoal")
+        if frame.entry is not None:  # FS: shared trie, private ledger
+            entry = frame.entry
+            _, created, is_new_path = trie.check_insert_path_counted(
+                entry.answer_root, toks, self.answer_mode)
+            if created:
+                self.counters.bump("ats", created)
+            if is_new_path:
+                entry.answers.append(toks)
+            ledger = frame.ledger
+            if toks in ledger:
+                return False
+            ledger.add(toks)
+            return True
+        _, created, is_new_path = trie.check_insert_path_counted(
+            frame.answer_root, toks, SyncMode.NONE)
+        if created:
+            self.counters.bump("ats", created)
+        if is_new_path:
+            frame.answers.append(toks)
+        return is_new_path
+
+    def new_answer(self, frame: SubgoalFrame, ans: tuple[Term, ...]) -> bool:
+        return self.new_answer_tokens(frame, encode_tuple(ans))
+
+    def mark_complete(self, frames) -> None:
+        for frame in frames:
+            if frame.state == COMPLETE:
+                raise EvaluationError("subgoal completed twice")
+            frame.state = COMPLETE
+
+    def answers_of(self, frame: SubgoalFrame) -> list[tuple[Term, ...]]:
+        """Enumerate the answer trie of a completed frame as term tuples.
+
+        Safe in FS even while other threads still evaluate the same
+        subgoal: a completed frame implies the shared trie already holds
+        the full answer set, so concurrent check/inserts only traverse.
+        The result may include answers derived by other threads, which is
+        the same set by definition.
+        """
+        if frame.state != COMPLETE:
+            raise EvaluationError("answers_of on an incomplete subgoal")
+        return [decode_tuple(toks) for toks in trie.enumerate_paths(frame.answer_trie_root())]
+
+    def answer_tokens_of(self, frame: SubgoalFrame) -> set[TokenSeq]:
+        if frame.state != COMPLETE:
+            raise EvaluationError("answers_of on an incomplete subgoal")
+        return set(trie.enumerate_paths(frame.answer_trie_root()))
+
+    # ------------------------------------------------------------------
+    # accounting
+
+    def snapshot_counters(self) -> CountersSnapshot:
+        return self.counters.snapshot()
+
+    def release_thread(self, tid: int) -> None:
+        """Logically reclaim a finished thread's private structures.
+
+        NS: the whole per-thread subgoal trie with its frames and answer
+        tries.  SS: the thread's frame and answer trie under each shared
+        leaf.  FS keeps everything until the table itself is dropped.
+        Reclaimed structures are tallied, not physically freed mid-run.
+        """
+        counters = self.counters
+        if self.design is Design.NS:
+            for te in self.entries.values():
+                root = te.roots.get(tid)
+                if root is None:
+                    continue
+                freed_sts = trie.node_count(root)
+                self._free_frames_under(root)
+                if freed_sts:
+                    counters.bump("freed_sts", freed_sts)
+                te.roots.clear(tid)
+        elif self.design is Design.SS:
+            for te in self.entries.values():
+                for leaf in self._leaves(te.root):
+                    ba = leaf.payload
+                    if ba is None:
+                        continue
+                    frame = ba.get(tid)
+                    if frame is None:
+                        continue
+                    counters.bump("freed_sf")
+                    freed = trie.node_count(frame.answer_root)
+                    if freed:
+                        counters.bump("freed_ats", freed)
+                    ba.clear(tid)
+
+    def _free_frames_under(self, root: TrieNode) -> None:
+        counters = self.counters
+        stack = [root.first_child]
+        while stack:
+            node = stack.pop()
+            while node is not None:
+                if node.payload is not None:
+                    frame = node.payload
+                    counters.bump("freed_sf")
+                    freed = trie.node_count(frame.answer_root)
+                    if freed:
+                        counters.bump("freed_ats", freed)
+                if node.first_child is not None:
+                    stack.append(node.first_child)
+                node = node.sibling
+
+    @staticmethod
+    def _leaves(root: TrieNode):
+        stack = [root.first_child]
+        while stack:
+            node = stack.pop()
+            while node is not None:
+                if node.first_child is None:
+                    yield node
+                else:
+                    stack.append(node.first_child)
+                node = node.sibling
