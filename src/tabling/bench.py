@@ -24,7 +24,7 @@ from enum import Enum
 
 from .errors import ConfigurationError
 from .program import Program
-from .terms import Int, Term, Var, atom, compound, intern_symbol
+from .terms import Int, Term, Var, compound, intern_symbol
 
 
 class GraphKind(Enum):
@@ -176,9 +176,4 @@ def parse_bench_spec(spec: str) -> BenchInstance:
 def desk_instances() -> list[BenchInstance]:
     """The eight desk-scale instances: both recursions over every family."""
     return [BenchInstance(rec, EdgeConfig(kind, DESK_DEPTHS[kind]))
-            for rec in Recursion for kind in GraphKind]
-
-
-def paper_instances() -> list[BenchInstance]:
-    return [BenchInstance(rec, EdgeConfig(kind, PAPER_DEPTHS[kind]))
             for rec in Recursion for kind in GraphKind]

@@ -1,7 +1,8 @@
 """Command-line front end: run queries and benchmarks, emit CSV or JSON rows.
 
-Exit codes: 0 ok, 1 usage or configuration error, 2 parse error,
-3 verification failure (per-thread mismatch or oracle mismatch).
+Exit codes: 0 ok, 1 usage, configuration or evaluation error (such as the
+recursion depth limit), 2 parse error, 3 verification failure (per-thread
+mismatch or oracle mismatch).
 """
 
 from __future__ import annotations
@@ -161,8 +162,11 @@ def run_command(argv) -> int:
                     for _ in range(max(1, args.repeat)):
                         result = solve_parallel(program, query, cfg)
                         times.append(result.wall_ms)
-                except TablingError as exc:
+                except ConfigurationError as exc:
                     print(f"configuration error: {exc}", file=sys.stderr)
+                    return 1
+                except TablingError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
                     return 1
                 hashes = {answer_set_hash(a) for a in result.answer_sets}
                 if len(hashes) != 1:

@@ -1,8 +1,17 @@
 """Local-evaluation tabled Datalog solver and the multi-thread driver.
 
 Every thread is the generator of all its own subgoal calls: workers share
-only whatever table structures the active design designates as shared, and
-never wait on each other outside trie lock fields.
+only whatever table structures the active design designates as shared.
+They wait on each other only at trie lock fields, at the lock of the
+table's allocation counters, and, under FS, for another thread to log an
+answer it has just inserted into the shared answer trie.
+
+Non-tabled predicates defined by rules are unfolded at compile time: each
+call of one in a tabled clause is replaced by the bodies of its clauses
+(and kept as a call of its facts when it also has facts), so every clause
+the solver resolves is made of tabled and fact literals only.  Unfolding
+multiplies clauses: a body with several such calls gets one clause per
+combination of their clauses.
 
 Scheduling follows classic local evaluation.  A new tabled call pushes a
 generator frame on the thread's dependency stack and resolves its clauses
@@ -25,11 +34,12 @@ from __future__ import annotations
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 from .buckets import MAX_THREADS
 from .errors import ConfigurationError, EvaluationError, ProgramError
-from .program import Clause, Pred, Program, pred_str
+from .program import Clause, Literal, Pred, Program, pred_str
 from .tablespace import COMPLETE, CountersSnapshot, Design, SubgoalFrame, Table
 from .terms import (
     TAG_ATOM,
@@ -79,15 +89,14 @@ class _Lit:
     """One body literal under a clause activation: ordered arg specs plus
     split-out constant and slot positions for matching."""
 
-    __slots__ = ("pred", "specs", "consts", "svars", "kind", "head_tok")
-    TABLED, FACTS, DERIVED = 0, 1, 2
+    __slots__ = ("pred", "specs", "consts", "svars", "tabled", "head_tok")
 
-    def __init__(self, pred, specs, consts, svars, kind):
+    def __init__(self, pred, specs, consts, svars, tabled):
         self.pred = pred
         self.specs = specs      # ordered: (False, value tok) | (True, slot)
         self.consts = consts    # ((argpos, value tok), ...)
         self.svars = svars      # ((argpos, slot), ...)
-        self.kind = kind
+        self.tabled = tabled    # else resolved against the fact rows
         self.head_tok = functor_tok(*pred) if pred[1] else (pred[0] << 3 | TAG_ATOM)
 
 
@@ -117,23 +126,85 @@ class _Rel:
                 d.setdefault(row[pos], []).append(row)
             self.index.append({k: tuple(v) for k, v in d.items()})
 
-    def match(self, pattern):
-        for row in self.rows:
-            if all(p is None or p == v for p, v in zip(pattern, row)):
-                yield row
+
+def _resolve(cl: Clause, i: int, d: Clause) -> Clause | None:
+    """Replace body literal `i` of `cl` by the body of `d`, unified with
+    d's head; None when the literal and the head do not unify."""
+    n = cl.nvars
+
+    def shift(lit: Literal) -> Literal:  # rename d's variables apart
+        return Literal(lit.pred, tuple(var_tok((a >> 3) + n) if a & 7 == TAG_VAR
+                                       else a for a in lit.args))
+
+    subst: dict[int, int] = {}
+
+    def walk(t: int) -> int:
+        while t in subst:
+            t = subst[t]
+        return t
+
+    for a, b in zip(cl.body[i].args, shift(d.head).args):
+        a, b = walk(a), walk(b)
+        if a == b:
+            continue
+        if a & 7 == TAG_VAR:
+            subst[a] = b
+        elif b & 7 == TAG_VAR:
+            subst[b] = a
+        else:
+            return None
+    renum: dict[int, int] = {}  # first occurrence over head then body
+
+    def rebuild(lit: Literal) -> Literal:
+        args = []
+        for t in lit.args:
+            t = walk(t)
+            if t & 7 == TAG_VAR:
+                t = renum.setdefault(t, var_tok(len(renum)))
+            args.append(t)
+        return Literal(lit.pred, tuple(args))
+
+    head = rebuild(cl.head)
+    body = cl.body[:i] + tuple(shift(lit) for lit in d.body) + cl.body[i + 1:]
+    return Clause(head, tuple(rebuild(lit) for lit in body), len(renum))
+
+
+def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
+    """Every tabled clause with each call of a non-tabled predicate defined
+    by clauses replaced by the bodies of those clauses, and kept as one more
+    variant when the predicate also has facts.  Terminates because
+    validation rejects recursion through non-tabled predicates."""
+    rules = {pred: cls for pred, cls in program.clauses.items()
+             if pred not in program.tabled}
+
+    def expand(cl: Clause, start: int):
+        for i in range(start, len(cl.body)):
+            defs = rules.get(cl.body[i].pred)
+            if defs is None:
+                continue
+            if cl.body[i].pred in program.facts:
+                yield from expand(cl, i + 1)
+            for d in defs:
+                merged = _resolve(cl, i, d)
+                if merged is not None:
+                    yield from expand(merged, i)
+            return
+        yield cl
+
+    return {pred: tuple(c for cl in cls for c in expand(cl, 0))
+            for pred, cls in program.clauses.items() if pred in program.tabled}
 
 
 class _Context:
-    """Per-run immutable compilation of a program: fact relations, clause
-    lists, and the tabled-literal positions used by delta rounds.  Shared
-    read-only across worker threads."""
+    """Per-run immutable compilation of a program: fact relations, unfolded
+    tabled clauses, and the tabled-literal positions used by delta rounds.
+    Shared read-only across worker threads."""
 
     def __init__(self, program: Program, table: Table):
-        self.program = program
         self.table = table
         self.tabled = program.tabled
         self.rels = {pred: _Rel(rows, pred[1]) for pred, rows in program.facts.items()}
-        self.clauses = {pred: tuple(cls) for pred, cls in program.clauses.items()}
+        self.clauses = _unfold(program)
         self.delta_clauses: dict[Pred, tuple] = {}
         for pred, cls in self.clauses.items():
             entries = []
@@ -258,6 +329,7 @@ class _Eval:
         self.table.mark_complete(scc)
         for f in scc:
             f.on_stack = False
+            f.acts = None  # a complete frame is never resolved again
         del stack[base:]
         if self.trace is not None:
             self.trace(("complete", tuple(scc)))
@@ -341,13 +413,7 @@ class _Eval:
                           for a in lit.args)
             consts = tuple((i, p) for i, (is_slot, p) in enumerate(specs) if not is_slot)
             svars = tuple((i, p) for i, (is_slot, p) in enumerate(specs) if is_slot)
-            if lit.pred in ctx.tabled:
-                kind = _Lit.TABLED
-            elif lit.pred in ctx.clauses:
-                kind = _Lit.DERIVED
-            else:
-                kind = _Lit.FACTS
-            body.append(_Lit(lit.pred, specs, consts, svars, kind))
+            body.append(_Lit(lit.pred, specs, consts, svars, lit.pred in ctx.tabled))
         extract = tuple(resolve(nvars + j) for j in range(nsub))
         return _Act(tuple(body), extract, len(slots))
 
@@ -359,18 +425,10 @@ class _Eval:
             self._derive(frame, act, env)
             return
         lit = act.body[i]
-        if lit.kind == _Lit.TABLED:
+        if lit.tabled:
             self._tabled_lit(frame, act, i, env, lit)
-        elif lit.kind == _Lit.FACTS:
-            self._fact_lit(frame, act, i, env, lit)
         else:
-            pattern = tuple(env[p] if is_slot else p for is_slot, p in lit.specs)
-            for row in self._derived_rows(lit.pred, pattern):
-                written = self._bind_row(lit, row, env)
-                if written is not None:
-                    self._body(frame, act, i + 1, env)
-                    for slot in written:
-                        env[slot] = None
+            self._fact_lit(frame, act, i, env, lit)
 
     def _derive(self, frame: SubgoalFrame, act: _Act, env: list) -> None:
         ans = tuple(env[p] if is_slot else p for is_slot, p in act.extract)
@@ -472,92 +530,6 @@ class _Eval:
                 return None
         return written
 
-    # ------------------------------------------------------------------
-    # non-tabled predicates defined by clauses (resolved without tables)
-
-    def _derived_rows(self, pred: Pred, pattern):
-        rel = self.ctx.rels.get(pred)
-        if rel is not None:
-            yield from rel.match(pattern)
-        for clause in self.ctx.clauses.get(pred, ()):
-            env: list = [None] * clause.nvars
-            ok = True
-            for a, p in zip(clause.head.args, pattern):
-                if p is None:
-                    continue
-                if a & 7 == TAG_VAR:
-                    s = a >> 3
-                    if env[s] is None:
-                        env[s] = p
-                    elif env[s] != p:
-                        ok = False
-                        break
-                elif a != p:
-                    ok = False
-                    break
-            if ok:
-                yield from self._derived_body(clause, 0, env)
-
-    def _derived_body(self, clause: Clause, i: int, env: list):
-        if i == len(clause.body):
-            yield tuple(env[a >> 3] if a & 7 == TAG_VAR else a
-                        for a in clause.head.args)
-            return
-        lit = clause.body[i]
-        ctx = self.ctx
-        if lit.pred in ctx.tabled:
-            head_tok = functor_tok(*lit.pred) if lit.pred[1] else (lit.pred[0] << 3 | TAG_ATOM)
-            toks = [head_tok]
-            var_of: dict[int, int] = {}
-            unbound: list[tuple[int, int]] = []
-            for a in lit.args:
-                if a & 7 == TAG_VAR:
-                    v = env[a >> 3]
-                    if v is not None:
-                        toks.append(v)
-                        continue
-                    j = var_of.get(a >> 3)
-                    if j is None:
-                        j = len(var_of)
-                        var_of[a >> 3] = j
-                        unbound.append((a >> 3, j))
-                    toks.append(var_tok(j))
-                else:
-                    toks.append(a)
-            g = self._call(None, lit.pred, tuple(toks))
-            if g.state != COMPLETE:
-                # a non-tabled clause may only use finished tables; recursion
-                # through non-tabled predicates is rejected at validation
-                raise EvaluationError(
-                    "non-tabled clause consumed an incomplete table")
-            if self.trace is not None:
-                self.trace(("consume", g, g.state, g.on_stack))
-            for ans in list(g.answers):
-                for slot, j in unbound:
-                    env[slot] = ans[j]
-                yield from self._derived_body(clause, i + 1, env)
-            for slot, _ in unbound:
-                env[slot] = None
-        else:
-            sub = tuple(env[a >> 3] if a & 7 == TAG_VAR else a for a in lit.args)
-            pattern = tuple(p if p is not None else None for p in sub)
-            for row in self._derived_rows(lit.pred, pattern):
-                written = []
-                ok = True
-                for a, v in zip(lit.args, row):
-                    if a & 7 == TAG_VAR:
-                        s = a >> 3
-                        if env[s] is None:
-                            env[s] = v
-                            written.append(s)
-                        elif env[s] != v:
-                            ok = False
-                            break
-                if ok:
-                    yield from self._derived_body(clause, i + 1, env)
-                for s in written:
-                    env[s] = None
-
 
 # ----------------------------------------------------------------------
 
@@ -567,8 +539,25 @@ def _prepare(program: Program, cfg: EvalConfig, table: Table | None) -> _Context
     cfg.validate()
     if table is None:
         table = Table(program.tabled, cfg.design, cfg.sync)
-    sys.setrecursionlimit(max(sys.getrecursionlimit(), _RECURSION_LIMIT))
     return _Context(program, table)
+
+
+@contextmanager
+def _deep_recursion():
+    """Raise the interpreter's recursion limit for one evaluation and put it
+    back afterwards; running out of it becomes an EvaluationError."""
+    old = sys.getrecursionlimit()
+    limit = max(old, _RECURSION_LIMIT)
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    except RecursionError:
+        raise EvaluationError(
+            f"evaluation exceeded the recursion limit of {limit} frames: "
+            "each nested tabled call takes several, so a chain of dependent "
+            "calls this deep cannot be evaluated") from None
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def solve_thread(program: Program, query: Term, tid: int = 0,
@@ -580,7 +569,8 @@ def solve_thread(program: Program, query: Term, tid: int = 0,
                          sync=table.answer_mode if table is not None
                          and table.design is Design.FS else SyncMode.TRYLOCK)
     ctx = _prepare(program, cfg, table)
-    return _Eval(ctx, tid, trace, max_rounds).solve(query)
+    with _deep_recursion():
+        return _Eval(ctx, tid, trace, max_rounds).solve(query)
 
 
 def solve_parallel(program: Program, query: Term | None = None,
@@ -618,24 +608,25 @@ def solve_parallel(program: Program, query: Term | None = None,
         pass
     if n > 1:
         sys.setswitchinterval(_SWITCH_INTERVAL)
-    try:
-        workers = [threading.Thread(target=work, args=(tid,), name=f"tab-{tid}")
-                   for tid in range(n)]
-        t0 = time.perf_counter()
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-    finally:
-        sys.setswitchinterval(old_interval)
+    with _deep_recursion():
         try:
-            threading.stack_size(old_stack)
-        except (ValueError, RuntimeError):
-            pass
-    if failures:
-        tid, exc = failures[0]
-        raise exc
+            workers = [threading.Thread(target=work, args=(tid,), name=f"tab-{tid}")
+                       for tid in range(n)]
+            t0 = time.perf_counter()
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join()
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+        finally:
+            sys.setswitchinterval(old_interval)
+            try:
+                threading.stack_size(old_stack)
+            except (ValueError, RuntimeError):
+                pass
+        if failures:
+            tid, exc = failures[0]
+            raise exc
     if release:
         for tid in range(n):
             ctx.table.release_thread(tid)

@@ -19,6 +19,7 @@ are unaffected because the convention is applied uniformly.
 from __future__ import annotations
 
 import threading
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -146,7 +147,8 @@ class SubgoalFrame:
 class SubgoalEntry:
     """FS-only shared record for one subgoal call: the shared answer trie,
     its arrival-ordered answer log, and the bucket array of per-thread
-    frames.  Creation is serialized on the subgoal-trie leaf's lock."""
+    frames.  Creation is serialized on the subgoal-trie leaf's lock.  An
+    answer-trie leaf gets a payload once its answer is in the log."""
 
     __slots__ = ("answer_root", "answers", "frames")
 
@@ -159,11 +161,10 @@ class SubgoalEntry:
 class TableEntry:
     """One per tabled predicate; every call enters the table space here."""
 
-    __slots__ = ("pred", "strategy", "roots", "root")
+    __slots__ = ("pred", "roots", "root")
 
     def __init__(self, pred, design: Design, s: int, u: int):
         self.pred = pred
-        self.strategy = "local"
         if design is Design.NS:
             self.roots = BucketArray(s, u)
             self.root = None
@@ -283,16 +284,21 @@ class Table:
             raise EvaluationError("new_answer on a completed subgoal")
         if frame.entry is not None:  # FS: shared trie, private ledger
             entry = frame.entry
-            _, created, is_new_path = trie.check_insert_path_counted(
+            leaf, created, is_new_path = trie.check_insert_path_counted(
                 entry.answer_root, toks, self.answer_mode)
             if created:
                 self.counters.bump("ats", created)
             if is_new_path:
                 entry.answers.append(toks)
+                leaf.payload = True  # logged; answer leaves carry nothing else
             ledger = frame.ledger
             if toks in ledger:
                 return False
             ledger.add(toks)
+            # the inserting thread may not have logged the answer yet; a
+            # round that counted it new must be able to consume it
+            while leaf.payload is None:
+                time.sleep(0)
             return True
         _, created, is_new_path = trie.check_insert_path_counted(
             frame.answer_root, toks, SyncMode.NONE)
@@ -323,11 +329,6 @@ class Table:
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")
         return [decode_tuple(toks) for toks in trie.enumerate_paths(frame.answer_trie_root())]
-
-    def answer_tokens_of(self, frame: SubgoalFrame) -> set[TokenSeq]:
-        if frame.state != COMPLETE:
-            raise EvaluationError("answers_of on an incomplete subgoal")
-        return set(trie.enumerate_paths(frame.answer_trie_root()))
 
     # ------------------------------------------------------------------
     # accounting

@@ -273,29 +273,3 @@ def encode_tuple(terms: tuple[Term, ...]) -> TokenSeq:
     for t in terms:
         out.extend(encode_term(t))
     return tuple(out)
-
-
-def term_vars(t: Term) -> list[int]:
-    """Variable ids in first-occurrence order."""
-    seen: list[int] = []
-    marked: set[int] = set()
-
-    def walk(x: Term) -> None:
-        if isinstance(x, Var):
-            if x.vid not in marked:
-                marked.add(x.vid)
-                seen.append(x.vid)
-        elif isinstance(x, Compound):
-            for a in x.args:
-                walk(a)
-
-    walk(t)
-    return seen
-
-
-def is_ground(t: Term) -> bool:
-    if isinstance(t, Var):
-        return False
-    if isinstance(t, Compound):
-        return all(is_ground(a) for a in t.args)
-    return True

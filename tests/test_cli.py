@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tabling import cli
+from tabling import cli, engine
 from tabling.cli import CSV_COLUMNS, run_command
 from tabling.engine import ParallelResult, solve_parallel
 
@@ -144,3 +144,17 @@ def test_spec_flow_cycle100_fs_trylock_16(capsys):
     rows = rows_of(capsys)
     assert len(rows) == 1
     assert rows[0][5] == "10000"
+
+
+def test_evaluation_error_exits_1_without_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "_RECURSION_LIMIT", 2000)
+    path = tmp_path / "chain.pl"
+    path.write_text(":- table path/2.\n"
+                    "path(X,Z) :- edge(X,Y), path(Y,Z).\n"
+                    "path(X,Z) :- edge(X,Z).\n"
+                    + "".join(f"edge({i},{i + 1}).\n" for i in range(1, 3001)))
+    code = run_command(["--program", str(path), "--query", "path(1,Y)",
+                        "--design", "ns", "--repeat", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "recursion limit" in err and "Traceback" not in err

@@ -1,5 +1,9 @@
+import random
+import sys
+
 import pytest
 
+from tabling import engine
 from tabling.bench import default_query, make_program, parse_bench_spec
 from tabling.engine import EvalConfig, solve_parallel, solve_thread
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
@@ -73,6 +77,20 @@ def test_parallel_answer_sets_match_oracle(design, sync):
     assert all(a == want for a in result.answer_sets)
 
 
+def test_fs_preempted_answer_inserts_lose_nothing(monkeypatch):
+    # a switch every microsecond preempts threads between an answer-trie
+    # insert and the append to the shared answer log
+    monkeypatch.setattr(engine, "_SWITCH_INTERVAL", 1e-6)
+    for spec in ("pathleft:cycle:30", "pathleft:pyramid:30"):
+        program, query = bench_program(spec)
+        want = oracle_solve(program, query)
+        for _ in range(10):
+            for sync in (SyncMode.LOCK, SyncMode.TRYLOCK):
+                result = solve_parallel(program, query, EvalConfig(
+                    design=Design.FS, sync=sync, threads=4))
+                assert all(a == want for a in result.answer_sets), (spec, sync)
+
+
 def test_fs_ats_stays_flat_while_ns_scales():
     program, query = bench_program("pathright:cycle:20")
     base_ns = solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1))
@@ -108,7 +126,8 @@ def test_nontabled_predicate_with_clauses():
     query = parse_query("reach(1,X)")
     want = oracle_solve(program, query)
     assert want == frozenset({(Int(2),), (Int(3),), (Int(4),)})
-    assert solve_thread(program, query, cfg=EvalConfig(design=Design.NS)) == want
+    for design in Design:
+        assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
 
 
 def test_ground_and_repeated_var_queries():
@@ -238,3 +257,102 @@ def test_scc_leadership_lost_mid_rounds():
     assert want == frozenset({(Int(1),), (Int(2),), (Int(3),)})
     for design in Design:
         assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
+
+
+def test_unfolding_constants_and_repeated_head_vars():
+    # h/2 has facts and clauses; its heads carry a constant and a repeated
+    # variable, one call of it carries a constant no head has, and k/2
+    # reaches the tabled r/2 only through h/2
+    program = parse_program(
+        ":- table p/2.\n:- table r/2.\n"
+        "r(X,Y) :- e(X,Y).\n"
+        "h(X,hub) :- e(X,Y), g(Y).\n"
+        "h(X,X) :- g(X).\n"
+        "h(X,Y) :- r(X,Y).\n"
+        "k(X,Z) :- h(X,Y), h(Y,Z).\n"
+        "p(X,Y) :- k(X,Y).\n"
+        "p(X,X) :- h(X,X).\n"
+        "p(X,hub) :- h(X,3).\n"
+        "h(5,5). e(1,2). e(2,3). g(2). g(5).")
+    for text in ("p(X,Y)", "p(X,X)", "p(1,Y)", "p(X,hub)", "p(5,5)"):
+        query = parse_query(text)
+        want = oracle_solve(program, query)
+        for design in Design:
+            got = solve_thread(program, query, cfg=EvalConfig(design=design))
+            assert got == want, (text, design)
+
+
+_RANDOM_RULES = {
+    # tabled; r/2 depends on facts only, p/2 and q/2 are mutually recursive
+    "r": ["r(X,Y) :- f(X,Y).", "r(X,Z) :- r(X,Y), f(Y,Z)."],
+    "p": ["p(X,Y) :- h(X,Y).", "p(X,Z) :- p(X,Y), k(Y,Z).",
+          "p(X,Z) :- m(X,Y), q(Y,Z).", "p(X,Y) :- k(X,Y), m(Y,Y).",
+          "p(X,Y) :- h(X,{c}), e(X,Y)."],
+    "q": ["q(X,Y) :- e(X,Y).", "q(X,Z) :- e(X,Y), p(Y,Z).",
+          "q(X,X) :- k(X,X)."],
+    # non-tabled: h/2 reads facts, k/2 calls h/2, m/2 calls the tabled r/2
+    "h": ["h(X,Y) :- e(X,Y).", "h(X,{c}) :- f(X,Y), g(Y).",
+          "h(X,X) :- g(X).", "h({c},Y) :- e(Y,{c})."],
+    "k": ["k(X,Z) :- h(X,Y), h(Y,Z).", "k(X,Y) :- h(X,Y), g(Y).",
+          "k(X,X) :- h(X,{c})."],
+    "m": ["m(X,Y) :- r(X,Y).", "m(X,Z) :- r(X,Y), h(Y,Z).",
+          "m(X,X) :- r(X,X)."],
+}
+
+
+def _random_program(rng):
+    consts = ["1", "2", "3", "4", "hub"]
+    lines = [":- table p/2.", ":- table q/2.", ":- table r/2."]
+    for rules in _RANDOM_RULES.values():
+        picked = [r for r in rules if rng.random() < 0.6] or [rules[0]]
+        lines += [r.format(c=rng.choice(consts)) for r in picked]
+    for pred in ("e", "f", "h", "k"):
+        lines += [f"{pred}({a},{b})." for a in range(1, 5) for b in range(1, 5)
+                  if rng.random() < (0.4 if pred in "ef" else 0.15)]
+    lines += [f"g({a})." for a in consts if rng.random() < 0.5]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("design", list(Design))
+def test_random_programs_with_nontabled_rules_match_oracle(design, threads):
+    rng = random.Random(20121009)
+    queries = [parse_query(q) for q in
+               ("p(X,Y)", "p(1,Y)", "p(X,X)", "q(X,hub)", "q(2,3)", "r(X,Y)")]
+    for _ in range(12):
+        text = _random_program(rng)
+        program = parse_program(text)
+        for query in queries:
+            want = oracle_solve(program, query)
+            result = solve_parallel(program, query,
+                                    EvalConfig(design=design, threads=threads))
+            assert all(a == want for a in result.answer_sets), text
+
+
+def test_recursion_limit_is_restored():
+    before = sys.getrecursionlimit()
+    program, query = bench_program("pathright:cycle:6")
+    solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
+    assert sys.getrecursionlimit() == before
+    solve_parallel(program, query, EvalConfig(design=Design.FS, threads=2))
+    assert sys.getrecursionlimit() == before
+
+
+def test_deep_chain_raises_evaluation_error(monkeypatch):
+    monkeypatch.setattr(engine, "_RECURSION_LIMIT", 2000)
+    before = sys.getrecursionlimit()
+    # every nested tabled call takes several frames, so a chain as long as
+    # the limit is far past it
+    n = max(before, 2000)
+    program = parse_program(
+        ":- table path/2.\n"
+        "path(X,Z) :- edge(X,Y), path(Y,Z).\n"
+        "path(X,Z) :- edge(X,Z).\n"
+        + "\n".join(f"edge({i},{i + 1})." for i in range(1, n + 1)))
+    query = parse_query("path(1,Y)")
+    with pytest.raises(EvaluationError, match="recursion limit"):
+        solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
+    assert sys.getrecursionlimit() == before
+    with pytest.raises(EvaluationError, match="recursion limit"):
+        solve_parallel(program, query, EvalConfig(design=Design.FS, threads=2))
+    assert sys.getrecursionlimit() == before

@@ -4,7 +4,7 @@ import pytest
 
 from tabling.errors import ConfigurationError, EvaluationError
 from tabling.tablespace import Design, Table
-from tabling.terms import Int, Var, compound, intern_symbol
+from tabling.terms import Int, Var, compound, encode_tuple, intern_symbol
 from tabling.trie import SyncMode
 
 P = (intern_symbol("p"), 2)
@@ -222,3 +222,43 @@ def test_thread_id_capacity():
     table = make_table(Design.NS)
     with pytest.raises(ConfigurationError):
         table.tabled_subgoal_call(table.entry(P), SUBGOAL, 1024)
+
+
+def test_fs_new_answer_waits_until_the_answer_is_logged():
+    # thread A is held between its answer-trie insert and its append to the
+    # shared answer log; thread B derives the same answer meanwhile and must
+    # not report it new before a round of B's can consume it from the log
+    table = make_table(Design.FS)
+    te = table.entry(P)
+    fa = table.tabled_subgoal_call(te, SUBGOAL, 0)
+    entered, release = threading.Event(), threading.Event()
+
+    class HeldLog(list):
+        def append(self, item):
+            entered.set()
+            release.wait(10)
+            super().append(item)
+
+    entry = fa.entry
+    entry.answers = fa.answers = HeldLog()
+    fb = table.tabled_subgoal_call(te, SUBGOAL, 1)
+    toks = encode_tuple((Int(1), Int(2)))
+    a = threading.Thread(target=table.new_answer_tokens, args=(fa, toks))
+    a.start()
+    assert entered.wait(10)
+    seen = []
+
+    def derive_in_b():
+        was_new = table.new_answer_tokens(fb, toks)
+        seen.append((was_new, toks in entry.answers))
+
+    b = threading.Thread(target=derive_in_b)
+    b.start()
+    b.join(0.2)
+    waited = b.is_alive()
+    release.set()
+    a.join(10)
+    b.join(10)
+    assert not a.is_alive() and not b.is_alive()
+    assert seen == [(True, True)]
+    assert waited
