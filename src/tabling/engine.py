@@ -25,8 +25,11 @@ engine asserts that discipline on every consumption.
 
 Fixpoint rounds are delta-driven: each frame's answer log is consumed
 through per-round watermarks, so a round only re-joins answers that arrived
-since the previous round.  A round that consumes nothing new and derives
-nothing new for this thread ends the SCC.
+since the previous round.  A round ends the SCC when no member's log grew
+past the watermark the round started from and no frame was pushed.  This
+one test serves every design: an answer new to a frame is appended to a
+log, and an FS answer another thread logged first is either below the
+watermark, so already consumed, or above it, so the log grew.
 """
 
 from __future__ import annotations
@@ -227,7 +230,6 @@ class _Eval:
         self.max_rounds = max_rounds
         self.stack: list[SubgoalFrame] = []
         self.next_dfn = 0
-        self.round_new = False
         self.delta_pos = -1
         self.windows: dict[SubgoalFrame, tuple[int, int]] = {}
 
@@ -292,7 +294,7 @@ class _Eval:
         ctx = self.ctx
         base = leader.stack_pos
         consumed: dict[SubgoalFrame, int] = {}
-        saved_flag, saved_pos, saved_windows = self.round_new, self.delta_pos, self.windows
+        saved_pos, saved_windows = self.delta_pos, self.windows
         rounds = 0
         while True:
             rounds += 1
@@ -303,7 +305,6 @@ class _Eval:
             for f in members:
                 windows[f] = (consumed.get(f, 0), len(f.answers))
             self.windows = windows
-            self.round_new = False
             for f in members:
                 entries = ctx.delta_clauses.get(f.pred, ())
                 for ci, positions in entries:
@@ -317,11 +318,9 @@ class _Eval:
             for f in members:
                 consumed[f] = windows[f][1]
             if leader.leader_dfn != leader.dfn:
-                self.round_new, self.delta_pos, self.windows = \
-                    saved_flag, saved_pos, saved_windows
+                self.delta_pos, self.windows = saved_pos, saved_windows
                 return False
-            progress = (self.round_new
-                        or len(stack) > base + len(members)
+            progress = (len(stack) > base + len(members)
                         or any(len(f.answers) > windows[f][1] for f in members))
             if not progress:
                 break
@@ -333,7 +332,7 @@ class _Eval:
         del stack[base:]
         if self.trace is not None:
             self.trace(("complete", tuple(scc)))
-        self.round_new, self.delta_pos, self.windows = saved_flag, saved_pos, saved_windows
+        self.delta_pos, self.windows = saved_pos, saved_windows
         return True
 
     # ------------------------------------------------------------------
@@ -433,12 +432,10 @@ class _Eval:
     def _derive(self, frame: SubgoalFrame, act: _Act, env: list) -> None:
         ans = tuple(env[p] if is_slot else p for is_slot, p in act.extract)
         was_new = self.table.new_answer_tokens(frame, ans if ans else (TRUE_TOK,))
+        # local evaluation: the derivation "fails" and resolution backtracks;
+        # fixpoint detection reads the answer logs, not this flag
         if self.trace is not None:
             self.trace(("new_answer", frame, was_new))
-        # local evaluation: the derivation "fails" and resolution backtracks;
-        # the flag feeds fixpoint detection only
-        if was_new:
-            self.round_new = True
 
     def _tabled_lit(self, frame, act, i, env, lit) -> None:
         toks = [lit.head_tok]

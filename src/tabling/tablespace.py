@@ -54,10 +54,6 @@ class CountersSnapshot:
     sf: int
     se: int
     ats: int
-    freed_ba: int = 0
-    freed_sts: int = 0
-    freed_sf: int = 0
-    freed_ats: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -67,11 +63,11 @@ class CountersSnapshot:
 
 
 class MemoryCounters:
-    """Monotonic per-kind allocation tallies, plus freed tallies for the
-    private structures that are logically reclaimed at thread exit."""
+    """Monotonic per-kind allocation tallies.  Nothing is ever subtracted:
+    structures a finished thread drops stay counted, so a snapshot reads the
+    total allocated over the table's life."""
 
-    __slots__ = ("te", "ba", "sts", "sf", "se", "ats",
-                 "freed_ba", "freed_sts", "freed_sf", "freed_ats", "_lock")
+    __slots__ = ("te", "ba", "sts", "sf", "se", "ats", "_lock")
 
     def __init__(self):
         self.te = 0
@@ -80,10 +76,6 @@ class MemoryCounters:
         self.sf = 0
         self.se = 0
         self.ats = 0
-        self.freed_ba = 0
-        self.freed_sts = 0
-        self.freed_sf = 0
-        self.freed_ats = 0
         self._lock = threading.Lock()
 
     def bump(self, kind: str, n: int = 1) -> None:
@@ -92,26 +84,24 @@ class MemoryCounters:
 
     def snapshot(self) -> CountersSnapshot:
         with self._lock:
-            return CountersSnapshot(
-                self.te, self.ba, self.sts, self.sf, self.se, self.ats,
-                self.freed_ba, self.freed_sts, self.freed_sf, self.freed_ats,
-            )
+            return CountersSnapshot(self.te, self.ba, self.sts, self.sf, self.se, self.ats)
 
 
 class SubgoalFrame:
     """Per-thread control record for one subgoal call.
 
     NS/SS frames own a private answer trie and answer log.  FS frames reach
-    the shared answer trie through their subgoal entry and keep only a
-    private ledger of answers this thread has derived, used for fixpoint
-    detection and never for storage.
+    the shared answer trie and log through their subgoal entry and hold no
+    answer state of their own: an answer is new to an FS frame only when it
+    is new to the shared table, and that newness only feeds tracing, since
+    the engine ends a fixpoint by watching the answer log alone.
 
     `dfn`, `leader_dfn`, `stack_pos` and `on_stack` are scheduling fields
     used by the evaluation engine's dependency stack.
     """
 
     __slots__ = ("pred", "tokens", "tid", "state", "entry",
-                 "answer_root", "answers", "ledger",
+                 "answer_root", "answers",
                  "dfn", "leader_dfn", "stack_pos", "on_stack", "acts")
 
     def __init__(self, pred, tokens, tid, entry=None):
@@ -123,11 +113,9 @@ class SubgoalFrame:
         if entry is None:
             self.answer_root: TrieNode | None = trie.new_root()
             self.answers: list[TokenSeq] = []
-            self.ledger: set[TokenSeq] | None = None
         else:
             self.answer_root = None
             self.answers = entry.answers
-            self.ledger = set()
         self.dfn = -1
         self.leader_dfn = -1
         self.stack_pos = -1
@@ -148,7 +136,9 @@ class SubgoalEntry:
     """FS-only shared record for one subgoal call: the shared answer trie,
     its arrival-ordered answer log, and the bucket array of per-thread
     frames.  Creation is serialized on the subgoal-trie leaf's lock.  An
-    answer-trie leaf gets a payload once its answer is in the log."""
+    answer-trie leaf gets a payload once its answer is in the log.  Every
+    thread's frame reads this one log, so an answer is new at most once
+    table-wide, whichever thread derives it first."""
 
     __slots__ = ("answer_root", "answers", "frames")
 
@@ -275,38 +265,29 @@ class Table:
     # answers
 
     def new_answer_tokens(self, frame: SubgoalFrame, toks: TokenSeq) -> bool:
-        """Check/insert one answer; returns whether it is new for this thread.
+        """Check/insert one answer and log it if new; returns whether it was
+        new to the frame's answer trie, under FS the shared one.
 
         The caller's resolution must keep backtracking regardless of the
-        result; the return value only feeds fixpoint detection.
+        result; the return value only feeds tracing.  Fixpoint detection
+        watches the answer logs instead, so when the path already existed the
+        call returns only once the answer is in the log.
         """
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
-        if frame.entry is not None:  # FS: shared trie, private ledger
-            entry = frame.entry
-            leaf, created, is_new_path = trie.check_insert_path_counted(
-                entry.answer_root, toks, self.answer_mode)
-            if created:
-                self.counters.bump("ats", created)
-            if is_new_path:
-                entry.answers.append(toks)
-                leaf.payload = True  # logged; answer leaves carry nothing else
-            ledger = frame.ledger
-            if toks in ledger:
-                return False
-            ledger.add(toks)
-            # the inserting thread may not have logged the answer yet; a
-            # round that counted it new must be able to consume it
-            while leaf.payload is None:
-                time.sleep(0)
-            return True
-        _, created, is_new_path = trie.check_insert_path_counted(
-            frame.answer_root, toks, SyncMode.NONE)
+        leaf, created, is_new_path = trie.check_insert_path_counted(
+            frame.answer_trie_root(), toks, self.answer_mode)
         if created:
             self.counters.bump("ats", created)
         if is_new_path:
-            frame.answers.append(toks)
-        return is_new_path
+            frame.answers.append(toks)  # under FS, the entry's shared log
+            leaf.payload = True  # logged; answer leaves carry nothing else
+            return True
+        # under FS the inserting thread may not have logged the answer yet;
+        # a round that ended before the log held it would never consume it
+        while leaf.payload is None:
+            time.sleep(0)
+        return False
 
     def new_answer(self, frame: SubgoalFrame, ans: tuple[Term, ...]) -> bool:
         return self.new_answer_tokens(frame, encode_tuple(ans))
@@ -337,54 +318,21 @@ class Table:
         return self.counters.snapshot()
 
     def release_thread(self, tid: int) -> None:
-        """Logically reclaim a finished thread's private structures.
+        """Drop a finished thread's private structures from the table space.
 
-        NS: the whole per-thread subgoal trie with its frames and answer
-        tries.  SS: the thread's frame and answer trie under each shared
-        leaf.  FS keeps everything until the table itself is dropped.
-        Reclaimed structures are tallied, not physically freed mid-run.
+        NS: the thread's subgoal-trie root cell, and with it its frames and
+        answer tries.  SS: the thread's frame cell under each shared leaf.
+        FS keeps everything until the table itself is dropped.  The
+        allocation counters are monotonic and do not change.
         """
-        counters = self.counters
         if self.design is Design.NS:
             for te in self.entries.values():
-                root = te.roots.get(tid)
-                if root is None:
-                    continue
-                freed_sts = trie.node_count(root)
-                self._free_frames_under(root)
-                if freed_sts:
-                    counters.bump("freed_sts", freed_sts)
                 te.roots.clear(tid)
         elif self.design is Design.SS:
             for te in self.entries.values():
                 for leaf in self._leaves(te.root):
-                    ba = leaf.payload
-                    if ba is None:
-                        continue
-                    frame = ba.get(tid)
-                    if frame is None:
-                        continue
-                    counters.bump("freed_sf")
-                    freed = trie.node_count(frame.answer_root)
-                    if freed:
-                        counters.bump("freed_ats", freed)
-                    ba.clear(tid)
-
-    def _free_frames_under(self, root: TrieNode) -> None:
-        counters = self.counters
-        stack = [root.first_child]
-        while stack:
-            node = stack.pop()
-            while node is not None:
-                if node.payload is not None:
-                    frame = node.payload
-                    counters.bump("freed_sf")
-                    freed = trie.node_count(frame.answer_root)
-                    if freed:
-                        counters.bump("freed_ats", freed)
-                if node.first_child is not None:
-                    stack.append(node.first_child)
-                node = node.sibling
+                    if leaf.payload is not None:
+                        leaf.payload.clear(tid)
 
     @staticmethod
     def _leaves(root: TrieNode):

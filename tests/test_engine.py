@@ -313,7 +313,7 @@ def _random_program(rng):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("design", list(Design))
 def test_random_programs_with_nontabled_rules_match_oracle(design, threads):
     rng = random.Random(20121009)
