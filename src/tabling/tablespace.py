@@ -135,10 +135,11 @@ class SubgoalFrame:
 class SubgoalEntry:
     """FS-only shared record for one subgoal call: the shared answer trie,
     its arrival-ordered answer log, and the bucket array of per-thread
-    frames.  Creation is serialized on the subgoal-trie leaf's lock.  An
-    answer-trie leaf gets a payload once its answer is in the log.  Every
-    thread's frame reads this one log, so an answer is new at most once
-    table-wide, whichever thread derives it first."""
+    frames.  Creation is serialized on the table's write lock that the
+    subgoal-trie leaf selects.  An answer-trie leaf gets a payload once its
+    answer is in the log.  Every thread's frame reads this one log, so an
+    answer is new at most once table-wide, whichever thread derives it
+    first."""
 
     __slots__ = ("answer_root", "answers", "frames")
 
@@ -183,6 +184,8 @@ class Table:
         # shared-structure modes: NS tries are all single-owner
         self.subgoal_mode = SyncMode.NONE if design is Design.NS else sync
         self.answer_mode = sync if design is Design.FS else SyncMode.NONE
+        # the write locks of every shared trie; NS tries are never locked
+        self.locks = None if design is Design.NS else trie.new_locks()
         self.counters = MemoryCounters()
         self.entries: dict = {}
         for pred in tabled_preds:
@@ -224,13 +227,14 @@ class Table:
                 counters.bump("sf")
             return frame
 
-        leaf, created, _ = trie.check_insert_path_counted(te.root, toks, self.subgoal_mode)
+        leaf, created, _ = trie.check_insert_path_counted(
+            te.root, toks, self.subgoal_mode, self.locks)
         if created:
             counters.bump("sts", created)
 
         if design is Design.SS:
             ba, made = trie.get_or_create_payload(
-                leaf, lambda: BucketArray(self.s, self.u), locked=True)
+                leaf, lambda: BucketArray(self.s, self.u), self.locks)
             if made:
                 counters.bump("ba")
             frame, made_frame, made_level = ba.get_or_create(
@@ -243,7 +247,7 @@ class Table:
 
         # FS: leaf -> subgoal entry -> per-thread frame
         entry, made = trie.get_or_create_payload(
-            leaf, lambda: SubgoalEntry(self.s, self.u), locked=True)
+            leaf, lambda: SubgoalEntry(self.s, self.u), self.locks)
         if made:
             counters.bump("se")
             counters.bump("ba")  # the entry's bucket array
@@ -276,7 +280,7 @@ class Table:
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
         leaf, created, is_new_path = trie.check_insert_path_counted(
-            frame.answer_trie_root(), toks, self.answer_mode)
+            frame.answer_trie_root(), toks, self.answer_mode, self.locks)
         if created:
             self.counters.bump("ats", created)
         if is_new_path:

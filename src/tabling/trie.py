@@ -1,32 +1,48 @@
-"""Sibling-chained trie with a lock field per node.
+"""Sibling-chained trie with hashed long chains and striped write locks.
 
 Children of a node form a singly linked list (`first_child` ... `sibling`);
 insertion is always at the head of the chain and a node's `sibling` link
 never changes once the node is reachable, so readers can traverse
 concurrently with writers and always see a consistent chain.
 
+Once a parent's chain reaches `HASH_THRESHOLD` children it also gets an
+`index`, a dict from token to child, as in YapTab.  The chain stays intact
+beside it.  The writer that links the threshold-th child builds the whole
+index and then publishes it with one assignment; every later insert links
+the chain first and then adds the index entry.  Readers look a token up
+through the index when there is one and scan the chain otherwise, without
+any lock.
+
 `check_insert_node` supports three synchronization modes:
 
-* NONE     - caller owns the trie; plain scan and insert, no locking.
-* LOCK     - scan without the lock; if the token is absent, block on the
-             parent's lock, re-scan only the nodes inserted in the
-             meantime, then insert.
+* NONE     - caller owns the trie; plain lookup and insert, no locking.
+* LOCK     - look up without the lock; if the token is absent, block on the
+             parent's lock, re-check only what was inserted in the meantime
+             (the new head segment of the chain, or the index once it
+             exists), then insert.
 * TRYLOCK  - like LOCK but never blocks while the token might already be
-             present: each failed lock attempt is followed by a re-scan of
+             present: each failed lock attempt is followed by a re-check of
              the newly inserted head segment, bounded by the first child
-             seen in the previous round.
+             seen in the previous round, or of the index once it exists.
 
-In LOCK/TRYLOCK modes the parent's lock serializes writers of one sibling
-chain; different chains (different parents) never contend.
+Write locks are not per node: a table makes one small array of locks with
+`new_locks`, and a parent's writers take the lock `hash(parent)` selects
+from it (`get_or_create_payload` takes the leaf's).  All writers of one
+sibling chain thus share a lock, and two chains rarely do.  No code path
+holds two of these locks at once, so a shared lock costs a wait, never a
+deadlock.
 """
 
 from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, Sequence
 
 from .terms import TokenSeq
+
+HASH_THRESHOLD = 8  # children at which a chain gets its index (YapTab's value)
+N_LOCKS = 16        # write locks per table
 
 
 class SyncMode(Enum):
@@ -39,13 +55,13 @@ ROOT_TOKEN = 0  # packed tokens always have a nonzero tag, so 0 never collides
 
 
 class TrieNode:
-    __slots__ = ("token", "first_child", "sibling", "lock", "payload")
+    __slots__ = ("token", "first_child", "sibling", "index", "payload")
 
-    def __init__(self, token: int):
+    def __init__(self, token: int, sibling: TrieNode | None = None):
         self.token = token
         self.first_child: TrieNode | None = None
-        self.sibling: TrieNode | None = None
-        self.lock = threading.Lock()
+        self.sibling = sibling
+        self.index: dict[int, TrieNode] | None = None
         self.payload: Any = None
 
     def __repr__(self) -> str:  # debugging aid only
@@ -56,67 +72,123 @@ def new_root() -> TrieNode:
     return TrieNode(ROOT_TOKEN)
 
 
-def _check_insert_none(parent: TrieNode, tok: int) -> tuple[TrieNode, bool]:
+def new_locks() -> list:
+    """The write locks of one table's tries."""
+    return [threading.Lock() for _ in range(N_LOCKS)]
+
+
+_LOCKS = new_locks()  # for callers that bring no locks of their own
+_BELOW_THRESHOLD = range(HASH_THRESHOLD - 1)
+
+
+def _hash_chain(parent: TrieNode) -> None:
+    index = {}
     child = parent.first_child
     while child is not None:
-        if child.token == tok:
-            return child, False
+        index[child.token] = child
         child = child.sibling
-    child = TrieNode(tok)
-    child.sibling = parent.first_child
-    parent.first_child = child
-    return child, True
+    parent.index = index
 
 
-def _check_insert_lock(parent: TrieNode, tok: int) -> tuple[TrieNode, bool]:
-    first = parent.first_child
-    child = first
-    while child is not None:
-        if child.token == tok:
+def _link(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
+    """Insert `tok` at the head of a chain known not to hold it; the caller
+    owns the chain or holds its lock."""
+    child = parent.first_child = TrieNode(tok, parent.first_child)
+    if index is not None:
+        index[tok] = child
+        return child
+    # an unhashed chain is shorter than the threshold: hash it if it is
+    # exactly that long now
+    node = child
+    for _ in _BELOW_THRESHOLD:
+        node = node.sibling
+        if node is None:
+            return child
+    _hash_chain(parent)
+    return child
+
+
+def _check_insert_none(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, bool]:
+    index = parent.index
+    if index is not None:
+        child = index.get(tok)
+        if child is not None:
             return child, False
-        child = child.sibling
-    lock = parent.lock
-    lock.acquire()
-    # the chain may have grown while we waited; only the new head segment
-    # (nodes before `first`) needs to be re-checked
-    child = parent.first_child
-    while child is not first:
-        if child.token == tok:
-            lock.release()
-            return child, False
-        child = child.sibling
-    child = TrieNode(tok)
-    child.sibling = parent.first_child
-    parent.first_child = child
-    lock.release()
-    return child, True
-
-
-def _check_insert_trylock(parent: TrieNode, tok: int) -> tuple[TrieNode, bool]:
-    lock = parent.lock
-    last_child: TrieNode | None = None
-    while True:
-        first = parent.first_child
-        child = first
-        while child is not last_child:
+    else:
+        child = parent.first_child
+        while child is not None:
             if child.token == tok:
                 return child, False
             child = child.sibling
-        last_child = first
+    return _link(parent, tok, index), True
+
+
+def _check_insert_lock(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, bool]:
+    index = parent.index
+    first = None
+    if index is not None:
+        child = index.get(tok)
+        if child is not None:
+            return child, False
+    else:
+        first = child = parent.first_child
+        while child is not None:
+            if child.token == tok:
+                return child, False
+            child = child.sibling
+    with locks[hash(parent) % len(locks)]:
+        # the trie may have grown while we waited; only what was inserted
+        # since our scan (the head segment before `first`) needs a re-check
+        index = parent.index
+        if index is not None:
+            child = index.get(tok)
+            if child is not None:
+                return child, False
+        else:
+            child = parent.first_child
+            while child is not first:
+                if child.token == tok:
+                    return child, False
+                child = child.sibling
+        return _link(parent, tok, index), True
+
+
+def _check_insert_trylock(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, bool]:
+    lock = None
+    last_child: TrieNode | None = None
+    while True:
+        index = parent.index
+        if index is not None:
+            child = index.get(tok)
+            if child is not None:
+                return child, False
+        else:
+            first = child = parent.first_child
+            while child is not last_child:
+                if child.token == tok:
+                    return child, False
+                child = child.sibling
+            last_child = first
+        if lock is None:
+            lock = locks[hash(parent) % len(locks)]
         if lock.acquire(False):
             break
-    # critical region: re-check anything inserted since our last scan
-    child = parent.first_child
-    while child is not last_child:
-        if child.token == tok:
-            lock.release()
-            return child, False
-        child = child.sibling
-    child = TrieNode(tok)
-    child.sibling = parent.first_child
-    parent.first_child = child
-    lock.release()
-    return child, True
+    # critical region: re-check anything inserted since our last look
+    try:
+        index = parent.index
+        if index is not None:
+            child = index.get(tok)
+            if child is not None:
+                return child, False
+        else:
+            child = parent.first_child
+            while child is not last_child:
+                if child.token == tok:
+                    return child, False
+                child = child.sibling
+        return _link(parent, tok, index), True
+    finally:
+        lock.release()
 
 
 _INSERT = {
@@ -126,18 +198,20 @@ _INSERT = {
 }
 
 
-def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode) -> TrieNode:
+def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode,
+                      locks: Sequence = _LOCKS) -> TrieNode:
     """Return the unique child of `parent` carrying `tok`, inserting it if absent."""
-    return _INSERT[mode](parent, tok)[0]
+    return _INSERT[mode](parent, tok, locks)[0]
 
 
-def check_insert_path(root: TrieNode, toks: TokenSeq, mode: SyncMode) -> TrieNode:
+def check_insert_path(root: TrieNode, toks: TokenSeq, mode: SyncMode,
+                      locks: Sequence = _LOCKS) -> TrieNode:
     """Fold check_insert_node over a token sequence; returns the leaf node."""
-    return check_insert_path_counted(root, toks, mode)[0]
+    return check_insert_path_counted(root, toks, mode, locks)[0]
 
 
 def check_insert_path_counted(
-    root: TrieNode, toks: TokenSeq, mode: SyncMode
+    root: TrieNode, toks: TokenSeq, mode: SyncMode, locks: Sequence = _LOCKS
 ) -> tuple[TrieNode, int, bool]:
     """Like check_insert_path, also reporting (created node count, leaf created).
 
@@ -151,29 +225,24 @@ def check_insert_path_counted(
     created = 0
     made = False
     for tok in toks:
-        node, made = insert(node, tok)
+        node, made = insert(node, tok, locks)
         if made:
             created += 1
     return node, created, made
 
 
 def get_or_create_payload(
-    leaf: TrieNode, factory: Callable[[], Any], locked: bool
+    leaf: TrieNode, factory: Callable[[], Any], locks: Sequence
 ) -> tuple[Any, bool]:
-    """Get-or-create the opaque leaf attachment.
+    """Get-or-create the opaque attachment of a shared leaf.
 
-    With `locked`, creation is serialized on the leaf's own lock so that
-    concurrent callers agree on a single payload; without it the caller
-    must be the trie's sole owner.
+    Creation is serialized on the leaf's lock from `locks`, so concurrent
+    callers agree on a single payload.
     """
     payload = leaf.payload
     if payload is not None:
         return payload, False
-    if not locked:
-        payload = factory()
-        leaf.payload = payload
-        return payload, True
-    with leaf.lock:
+    with locks[hash(leaf) % len(locks)]:
         payload = leaf.payload
         if payload is None:
             payload = factory()
@@ -235,6 +304,7 @@ def child_tokens(parent: TrieNode) -> list[int]:
 
 
 def find_child(parent: TrieNode, tok: int) -> TrieNode | None:
+    """The child carrying `tok`, found by a scan of the chain alone."""
     child = parent.first_child
     while child is not None:
         if child.token == tok:

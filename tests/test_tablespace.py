@@ -1,7 +1,9 @@
 import threading
+from types import SimpleNamespace
 
 import pytest
 
+from tabling import trie
 from tabling.errors import ConfigurationError, EvaluationError
 from tabling.tablespace import Design, Table
 from tabling.terms import Int, Var, compound, encode_tuple, intern_symbol
@@ -24,6 +26,57 @@ def test_ns_first_call_allocates_path_and_frame():
     assert c.sts - before.sts == 3  # functor + two variable tokens
     assert c.sf - before.sf == 1
     assert frame.tid == 0
+
+
+class _CountingLock:
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.acquires = 0
+
+    def acquire(self, blocking=True, timeout=-1):
+        got = self._lock.acquire(blocking, timeout)
+        if got:
+            self.acquires += 1
+        return got
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("design", [Design.SS, Design.FS])
+def test_shared_tries_take_the_tables_own_locks(monkeypatch, design, sync):
+    monkeypatch.setattr(trie, "threading", SimpleNamespace(Lock=_CountingLock))
+    table = make_table(design, sync)
+    assert len(table.locks) == trie.N_LOCKS
+    te = table.entry(P)
+
+    def work(tid):
+        frame = table.tabled_subgoal_call(te, SUBGOAL, tid)
+        for i in range(20):
+            table.new_answer(frame, (Int(i), Int(tid)))
+
+    threads = [threading.Thread(target=work, args=(tid,)) for tid in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    # the subgoal path and its payload, and under FS every answer node
+    taken = sum(lock.acquires for lock in table.locks)
+    assert taken >= 4
+    if design is Design.FS:
+        assert taken >= 4 + table.snapshot_counters().ats
+
+
+def test_ns_table_makes_no_locks():
+    assert make_table(Design.NS).locks is None
 
 
 @pytest.mark.parametrize("design", list(Design))

@@ -1,10 +1,13 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 
 from tabling.terms import atom_tok, functor_tok, int_tok, intern_symbol
 from tabling.trie import (
+    HASH_THRESHOLD,
     SyncMode,
     check_insert_node,
     check_insert_path,
@@ -12,6 +15,8 @@ from tabling.trie import (
     child_tokens,
     enumerate_paths,
     find_child,
+    get_or_create_payload,
+    new_locks,
     new_root,
     node_count,
 )
@@ -33,6 +38,46 @@ def test_insert_idempotent(mode):
     second = check_insert_node(root, A, mode)
     assert first is second
     assert child_tokens(root) == [A]
+
+
+def _chain(parent):
+    nodes = []
+    child = parent.first_child
+    while child is not None:
+        nodes.append(child)
+        child = child.sibling
+    return nodes
+
+
+def _assert_indexes(root):
+    """Every parent has an index exactly when its chain reached the
+    threshold, and the index maps the chain's tokens to the chain's nodes."""
+    stack = [root]
+    while stack:
+        parent = stack.pop()
+        chain = _chain(parent)
+        if len(chain) < HASH_THRESHOLD:
+            assert parent.index is None
+        else:
+            assert parent.index is not None
+            assert len(parent.index) == len(chain)
+            assert all(parent.index[node.token] is node for node in chain)
+        stack.extend(chain)
+
+
+@pytest.mark.parametrize("mode", list(SyncMode))
+def test_index_appears_at_the_threshold(mode):
+    root = new_root()
+    tokens = [int_tok(i) for i in range(HASH_THRESHOLD + 3)]
+    for n, tok in enumerate(tokens, 1):
+        node = check_insert_node(root, tok, mode)
+        assert (root.index is not None) == (n >= HASH_THRESHOLD)
+        assert check_insert_node(root, tok, mode) is node
+        _assert_indexes(root)
+    # the chain stays intact beside the index, newest first
+    assert child_tokens(root) == tokens[::-1]
+    assert all(find_child(root, tok).token == tok for tok in tokens)
+    assert find_child(root, int_tok(999)) is None
 
 
 def _stress(mode, nthreads, tokens, repeats_per_thread=1, seed=0):
@@ -70,6 +115,8 @@ def test_sixteen_threads_same_tokens(mode):
         node = find_child(root, tok)
         assert node is not None
         assert {rec[tok] for rec in recorded} == {id(node)}
+    assert len(tokens) > HASH_THRESHOLD and root.index is not None
+    _assert_indexes(root)
 
 
 @pytest.mark.parametrize("mode", [SyncMode.LOCK, SyncMode.TRYLOCK])
@@ -84,6 +131,7 @@ def test_uniqueness_under_concurrency(mode, nthreads):
     for tok in set(tokens):
         node = find_child(root, tok)
         assert {rec[tok] for rec in recorded} == {id(node)}
+    _assert_indexes(root)
 
 
 def test_path_fresh_and_shared_prefix():
@@ -169,3 +217,120 @@ def test_concurrent_path_insertion_shares_nodes():
     prefixes = {path[:i] for path in all_paths for i in range(1, 4)}
     assert node_count(root) == len(prefixes)
     assert set(enumerate_paths(root)) == set(all_paths)
+    _assert_indexes(root)
+
+
+@pytest.mark.parametrize("mode", [SyncMode.LOCK, SyncMode.TRYLOCK])
+def test_two_parents_on_one_lock(mode):
+    # a one-lock array puts both parents' writers on the same lock
+    locks = [threading.Lock()]
+    parents = [new_root(), new_root()]
+    tokens = [int_tok(i) for i in range(40)]
+    barrier = threading.Barrier(8)
+    recorded = [dict() for _ in range(8)]
+
+    def work(tid):
+        rng = random.Random(tid)
+        mine = [(p, tok) for p in range(2) for tok in tokens]
+        rng.shuffle(mine)
+        barrier.wait()
+        for p, tok in mine:
+            recorded[tid][p, tok] = check_insert_node(parents[p], tok, mode, locks)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # preempt often, also inside critical regions
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "workers sharing one lock did not terminate"
+    assert not locks[0].locked()
+    for p, parent in enumerate(parents):
+        assert sorted(child_tokens(parent)) == sorted(tokens)
+        _assert_indexes(parent)
+        for tok in tokens:
+            assert {id(rec[p, tok]) for rec in recorded} == {id(find_child(parent, tok))}
+
+
+class _Interloper:
+    """A one-lock array whose first request first inserts `tok` under
+    `parent` itself, as if another writer got in between the caller's
+    lock-free look-up and its lock; a refused trylock then fails once."""
+
+    def __init__(self, parent, tok, refuse):
+        self._lock = threading.Lock()
+        self.parent, self.tok, self.refuse = parent, tok, refuse
+        self.node = None
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, i):
+        return self
+
+    def acquire(self, blocking=True):
+        if self.node is None:
+            self.node = check_insert_node(self.parent, self.tok, SyncMode.NONE)
+            if self.refuse:
+                return False
+        return self._lock.acquire(blocking)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+@pytest.mark.parametrize("mode, refuse", [(SyncMode.LOCK, False),
+                                          (SyncMode.TRYLOCK, False),
+                                          (SyncMode.TRYLOCK, True)])
+@pytest.mark.parametrize("children", [3, HASH_THRESHOLD - 1, HASH_THRESHOLD + 2])
+def test_recheck_finds_a_child_inserted_before_the_lock(mode, refuse, children):
+    # with THRESHOLD - 1 children the other writer's insert builds the index,
+    # so the re-check goes through an index the look-up did not see
+    root = new_root()
+    for i in range(children):
+        check_insert_node(root, int_tok(i), SyncMode.NONE)
+    locks = _Interloper(root, int_tok(999), refuse)
+    node = check_insert_node(root, int_tok(999), mode, locks)
+    assert node is locks.node
+    assert child_tokens(root).count(int_tok(999)) == 1
+    assert not locks._lock.locked()
+    _assert_indexes(root)
+
+
+def test_shared_leaf_payload_is_created_once():
+    leaf = check_insert_path(new_root(), (A,), SyncMode.LOCK)
+    locks = new_locks()
+    made = []
+    results = [None] * 16
+    barrier = threading.Barrier(16)
+
+    def factory():
+        payload = object()
+        made.append(payload)
+        time.sleep(0.001)  # widen the window for a second creator
+        return payload
+
+    def work(tid):
+        barrier.wait()
+        results[tid] = get_or_create_payload(leaf, factory, locks)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(16)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert len(made) == 1
+    assert {id(payload) for payload, _ in results} == {id(made[0])}
+    assert sum(created for _, created in results) == 1
+    assert leaf.payload is made[0]
