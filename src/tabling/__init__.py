@@ -32,10 +32,7 @@ from .terms import (
     Term,
     Var,
     atom,
-    canonicalize_variant,
     compound,
-    decode_term,
-    encode_term,
     intern_symbol,
     term_str,
 )
@@ -50,10 +47,9 @@ __all__ = [
     "MemoryCounters", "ParallelResult", "ParseError", "Program",
     "ProgramError", "Recursion", "SubgoalFrame", "SyncMode", "Table",
     "TablingError", "Term", "TrieNode", "Var",
-    "atom", "bucket_cell", "canonicalize_variant", "check_insert_node",
-    "check_insert_path", "compound", "decode_term", "default_query",
-    "desk_instances", "encode_term", "enumerate_paths", "gen_edges",
-    "intern_symbol", "make_program", "oracle_solve", "parse_bench_spec",
+    "atom", "bucket_cell", "check_insert_node", "check_insert_path",
+    "compound", "default_query", "desk_instances", "enumerate_paths",
+    "gen_edges", "intern_symbol", "make_program", "oracle_solve", "parse_bench_spec",
     "parse_program", "parse_query", "program_text", "solve_parallel",
     "solve_thread", "term_str",
 ]

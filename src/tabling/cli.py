@@ -144,7 +144,11 @@ def run_command(argv) -> int:
 
     oracle_answers = None
     if args.check:
-        oracle_answers = oracle_solve(program, query)
+        try:
+            oracle_answers = oracle_solve(program, query)
+        except TablingError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
     reports: list[RunReport] = []
     for design in designs:

@@ -42,19 +42,9 @@ from dataclasses import dataclass
 
 from .buckets import MAX_THREADS
 from .errors import ConfigurationError, EvaluationError, ProgramError
-from .program import Clause, Literal, Pred, Program, pred_str
+from .program import Clause, Literal, Pred, Program, literal_of, pred_str
 from .tablespace import COMPLETE, CountersSnapshot, Design, SubgoalFrame, Table
-from .terms import (
-    TAG_ATOM,
-    TAG_VAR,
-    TRUE_TOK,
-    Term,
-    canonicalize_variant,
-    encode_term,
-    functor_fields,
-    functor_tok,
-    var_tok,
-)
+from .terms import TAG_VAR, TRUE_TOK, Term, atom_tok, var_tok
 from .trie import SyncMode
 
 _WORKER_STACK = 64 * 1024 * 1024
@@ -100,7 +90,7 @@ class _Lit:
         self.consts = consts    # ((argpos, value tok), ...)
         self.svars = svars      # ((argpos, slot), ...)
         self.tabled = tabled    # else resolved against the fact rows
-        self.head_tok = functor_tok(*pred) if pred[1] else (pred[0] << 3 | TAG_ATOM)
+        self.head_tok = atom_tok(pred[0])
 
 
 class _Act:
@@ -236,16 +226,11 @@ class _Eval:
     # ------------------------------------------------------------------
 
     def solve(self, query: Term) -> frozenset:
-        q = canonicalize_variant(query)
-        toks = encode_term(q)
-        if len(toks) == 1:
-            pred = (toks[0] >> 3, 0)
-        else:
-            pred = functor_fields(toks[0])
-        if pred not in self.ctx.tabled:
-            raise ProgramError(f"query predicate {pred_str(pred)} is not tabled")
-        frame = self._call(None, pred, toks)
-        return frozenset(map(tuple, self.table.answers_of(frame)))
+        lit = literal_of(query, {})
+        if lit.pred not in self.ctx.tabled:
+            raise ProgramError(f"query predicate {pred_str(lit.pred)} is not tabled")
+        frame = self._call(None, lit.pred, (atom_tok(lit.pred[0]),) + lit.args)
+        return frozenset(self.table.answers_of(frame))
 
     # ------------------------------------------------------------------
 
@@ -350,7 +335,7 @@ class _Eval:
         return act
 
     def _make_activation(self, frame: SubgoalFrame, clause: Clause):
-        sub_args = frame.tokens[1:] if len(frame.tokens) > 1 else ()
+        sub_args = frame.tokens[1:]
         nvars = clause.nvars
         nsub = 0
         for a in sub_args:

@@ -8,9 +8,8 @@ the trie-based engine simply do not exist here.
 
 from __future__ import annotations
 
-from .errors import ProgramError
-from .program import Clause, Program
-from .terms import TAG_VAR, Term, Var, canonicalize_variant, decode_tuple, encode_term
+from .program import Clause, Program, literal_of
+from .terms import TAG_VAR, Term, decode_answer
 
 Row = tuple[int, ...]
 Rel = dict[tuple[int, int], set[Row]]
@@ -97,34 +96,11 @@ def oracle_solve(program: Program, query: Term, naive: bool = False) -> frozense
     query yields {()} when provable and the empty set otherwise.
     """
     program.validate()
-    q = canonicalize_variant(query)
-    toks = encode_term(q)
-    if len(toks) == 1:
-        pred, args = (toks[0] >> 3, 0), ()
-    else:
-        from .terms import functor_fields
-        sym, arity = functor_fields(toks[0])
-        pred, args = (sym, arity), toks[1:]
-        if arity + 1 != len(toks):
-            raise ProgramError("query must be a flat literal")
-    nvars = sum(1 for a in set(args) if a & 7 == TAG_VAR)
-    total = _fixpoint(program, naive)
+    lit = literal_of(query, {})
+    nvars = len({a for a in lit.args if a & 7 == TAG_VAR})
     answers = set()
-    for row in total.get(pred, ()):
-        env: dict[int, int] = {}
-        ok = True
-        for a, v in zip(args, row):
-            if a & 7 == TAG_VAR:
-                s = a >> 3
-                bound = env.get(s)
-                if bound is None:
-                    env[s] = v
-                elif bound != v:
-                    ok = False
-                    break
-            elif a != v:
-                ok = False
-                break
-        if ok:
+    for row in _fixpoint(program, naive).get(lit.pred, ()):
+        env = _match(lit.args, row, {})
+        if env is not None:
             answers.add(tuple(env[j] for j in range(nvars)))
-    return frozenset(decode_tuple(row) if row else () for row in answers)
+    return frozenset(map(decode_answer, answers))

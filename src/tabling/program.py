@@ -2,8 +2,9 @@
 
 Clauses are stored pre-flattened: every argument is a packed token, either a
 ground value (int/atom) or a variable token whose index is clause-local in
-first-occurrence order over head then body.  Both the engine and the
-reference solver consume this shape; they share nothing else.
+first-occurrence order over head then body.  Queries take the same shape
+through `literal_of`.  Both the engine and the reference solver consume it;
+they share nothing else.
 """
 
 from __future__ import annotations
@@ -68,6 +69,10 @@ def _flat_arg(t: Term, varmap: dict[int, int]) -> int:
 
 
 def literal_of(t: Term, varmap: dict[int, int]) -> Literal:
+    """Flatten a literal, numbering its variables in first-occurrence order
+    after those already in `varmap`.  With a fresh map this is the variant
+    form of a call: two calls are variants exactly when their literals are
+    equal.  Anything but a flat literal is a ProgramError."""
     if isinstance(t, Atom):
         return Literal((t.sym, 0), ())
     if isinstance(t, Compound):

@@ -10,6 +10,13 @@ FS (Full-Sharing)    - one shared subgoal trie; each leaf carries a shared
                        subgoal entry holding the single shared answer trie
                        and a bucket array of per-thread frames.
 
+Every call reaches the table space as tokens: a subgoal path is the
+predicate's atom token followed by the call's argument tokens, variables
+numbered in first-occurrence order, and an answer path is the tokens of the
+values bound to those variables, or TRUE_TOK for a call without variables.
+Each table entry has its own trie roots, so the leading token does not need
+to tell predicates apart.
+
 Structure allocations are tallied per kind in `MemoryCounters` so the
 per-design memory laws can be checked as exact counts.  Trie root nodes are
 anchors owned by their enclosing structure and are not tallied; the laws
@@ -24,16 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import trie
-from .buckets import DEFAULT_DIRECT, DEFAULT_INDIRECT, BucketArray
+from .buckets import BucketArray
 from .errors import ConfigurationError, EvaluationError
-from .terms import (
-    Term,
-    TokenSeq,
-    canonicalize_variant,
-    decode_tuple,
-    encode_term,
-    encode_tuple,
-)
+from .terms import Term, TokenSeq, decode_answer
 from .trie import SyncMode, TrieNode
 
 EVALUATING = 0
@@ -143,10 +143,10 @@ class SubgoalEntry:
 
     __slots__ = ("answer_root", "answers", "frames")
 
-    def __init__(self, s: int, u: int):
+    def __init__(self):
         self.answer_root = trie.new_root()
         self.answers: list[TokenSeq] = []
-        self.frames = BucketArray(s, u)
+        self.frames = BucketArray()
 
 
 class TableEntry:
@@ -154,10 +154,10 @@ class TableEntry:
 
     __slots__ = ("pred", "roots", "root")
 
-    def __init__(self, pred, design: Design, s: int, u: int):
+    def __init__(self, pred, design: Design):
         self.pred = pred
         if design is Design.NS:
-            self.roots = BucketArray(s, u)
+            self.roots = BucketArray()
             self.root = None
         else:
             self.roots = None
@@ -168,19 +168,12 @@ class Table:
     """A table space with a fixed design and lock mode for one engine run."""
 
     def __init__(self, tabled_preds, design: Design,
-                 sync: SyncMode = SyncMode.TRYLOCK,
-                 s: int = DEFAULT_DIRECT, u: int = DEFAULT_INDIRECT,
-                 max_threads: int = 1024):
+                 sync: SyncMode = SyncMode.TRYLOCK):
         if design is not Design.NS and sync is SyncMode.NONE:
             raise ConfigurationError(
                 f"{design.value} shares tries between threads and needs lock or trylock"
             )
-        if max_threads > s + u * u:
-            raise ConfigurationError("max_threads exceeds bucket-array capacity")
         self.design = design
-        self.s = s
-        self.u = u
-        self.max_threads = max_threads
         # shared-structure modes: NS tries are all single-owner
         self.subgoal_mode = SyncMode.NONE if design is Design.NS else sync
         self.answer_mode = sync if design is Design.FS else SyncMode.NONE
@@ -189,7 +182,7 @@ class Table:
         self.counters = MemoryCounters()
         self.entries: dict = {}
         for pred in tabled_preds:
-            self.entries[pred] = TableEntry(pred, design, s, u)
+            self.entries[pred] = TableEntry(pred, design)
             self.counters.bump("te")
             if design is Design.NS:
                 self.counters.bump("ba")
@@ -199,10 +192,6 @@ class Table:
         if te is None:
             raise EvaluationError(f"predicate {pred} is not tabled")
         return te
-
-    def check_tid(self, tid: int) -> None:
-        if tid < 0 or tid >= self.max_threads:
-            raise ConfigurationError(f"thread id {tid} outside 0..{self.max_threads - 1}")
 
     # ------------------------------------------------------------------
     # tabled subgoal call
@@ -234,7 +223,7 @@ class Table:
 
         if design is Design.SS:
             ba, made = trie.get_or_create_payload(
-                leaf, lambda: BucketArray(self.s, self.u), self.locks)
+                leaf, BucketArray, self.locks)
             if made:
                 counters.bump("ba")
             frame, made_frame, made_level = ba.get_or_create(
@@ -247,7 +236,7 @@ class Table:
 
         # FS: leaf -> subgoal entry -> per-thread frame
         entry, made = trie.get_or_create_payload(
-            leaf, lambda: SubgoalEntry(self.s, self.u), self.locks)
+            leaf, SubgoalEntry, self.locks)
         if made:
             counters.bump("se")
             counters.bump("ba")  # the entry's bucket array
@@ -258,12 +247,6 @@ class Table:
         if made_frame:
             counters.bump("sf")
         return frame
-
-    def tabled_subgoal_call(self, te: TableEntry, subgoal: Term, tid: int) -> SubgoalFrame:
-        """Term-level wrapper: canonicalizes and encodes, then calls in."""
-        self.check_tid(tid)
-        toks = encode_term(canonicalize_variant(subgoal))
-        return self.subgoal_call(te, toks, tid)
 
     # ------------------------------------------------------------------
     # answers
@@ -293,9 +276,6 @@ class Table:
             time.sleep(0)
         return False
 
-    def new_answer(self, frame: SubgoalFrame, ans: tuple[Term, ...]) -> bool:
-        return self.new_answer_tokens(frame, encode_tuple(ans))
-
     def mark_complete(self, frames) -> None:
         for frame in frames:
             if frame.state == COMPLETE:
@@ -313,7 +293,7 @@ class Table:
         """
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")
-        return [decode_tuple(toks) for toks in trie.enumerate_paths(frame.answer_trie_root())]
+        return [decode_answer(toks) for toks in trie.enumerate_paths(frame.answer_trie_root())]
 
     # ------------------------------------------------------------------
     # accounting

@@ -1,10 +1,11 @@
-"""First-order terms, interned symbols, and the flat token encoding used by tries.
+"""Terms, interned symbols, and the flat token encoding used by tries.
 
-Terms are immutable values.  Atoms and functor names are interned to small
-integer ids so equality is id equality.  Tries never store terms directly:
-they store *tokens*, a pre-order linearization where each token is packed
-into a single int (tag in the low 3 bits, payload above).  Packing keeps
-sibling-chain scans and dict lookups on the hot path cheap.
+Terms are immutable values; they exist only between the parser and
+`program.literal_of`, and again when answers leave the table.  Symbol names
+are interned to small integer ids so equality is id equality.  Tries never
+store terms: they store *tokens*, each packed into a single int (tag in the
+low 3 bits, payload above).  Packing keeps sibling-chain scans and dict
+lookups on the hot path cheap.
 """
 
 from __future__ import annotations
@@ -18,8 +19,6 @@ from dataclasses import dataclass
 _intern_lock = threading.Lock()
 _sym_ids: dict[str, int] = {}
 _sym_names: list[str] = []
-_functor_ids: dict[tuple[int, int], int] = {}
-_functor_back: list[tuple[int, int]] = []
 
 
 def intern_symbol(name: str) -> int:
@@ -38,20 +37,6 @@ def intern_symbol(name: str) -> int:
 
 def symbol_name(sym: int) -> str:
     return _sym_names[sym]
-
-
-def _intern_functor(sym: int, arity: int) -> int:
-    key = (sym, arity)
-    fid = _functor_ids.get(key)
-    if fid is not None:
-        return fid
-    with _intern_lock:
-        fid = _functor_ids.get(key)
-        if fid is None:
-            fid = len(_functor_back)
-            _functor_back.append(key)
-            _functor_ids[key] = fid
-        return fid
 
 
 # ---------------------------------------------------------------------------
@@ -95,10 +80,6 @@ class Compound(Term):
         if len(self.args) < 1:
             raise ValueError("compound term needs at least one argument")
 
-    @property
-    def arity(self) -> int:
-        return len(self.args)
-
     def __str__(self) -> str:
         return f"{symbol_name(self.functor)}({', '.join(map(str, self.args))})"
 
@@ -124,7 +105,6 @@ def term_str(t: Term) -> str:
 TAG_INT = 1
 TAG_ATOM = 2
 TAG_VAR = 3
-TAG_FUNCTOR = 4
 TAG_TRUE = 5  # marks the single answer of a variable-free subgoal
 
 Token = int
@@ -145,21 +125,12 @@ def var_tok(index: int) -> Token:
     return index << 3 | TAG_VAR
 
 
-def functor_tok(sym: int, arity: int) -> Token:
-    return _intern_functor(sym, arity) << 3 | TAG_FUNCTOR
-
-
 def tok_tag(tok: Token) -> int:
     return tok & 7
 
 
 def tok_payload(tok: Token) -> int:
     return tok >> 3
-
-
-def functor_fields(tok: Token) -> tuple[int, int]:
-    """(symbol id, arity) of a functor token."""
-    return _functor_back[tok >> 3]
 
 
 def tok_str(tok: Token) -> str:
@@ -170,106 +141,14 @@ def tok_str(tok: Token) -> str:
         return symbol_name(tok >> 3)
     if tag == TAG_VAR:
         return f"V{tok >> 3}"
-    if tag == TAG_FUNCTOR:
-        sym, arity = _functor_back[tok >> 3]
-        return f"{symbol_name(sym)}/{arity}"
     if tag == TAG_TRUE:
         return "true"
     raise ValueError(f"bad token {tok!r}")
 
 
-# ---------------------------------------------------------------------------
-# canonicalization and encoding
-
-
-def canonicalize_variant(t: Term) -> Term:
-    """Rename variables to V0, V1, ... in order of first occurrence.
-
-    Two terms are variants exactly when their canonical forms are equal.
-    """
-    seen: dict[int, int] = {}
-
-    def walk(x: Term) -> Term:
-        if isinstance(x, Var):
-            vid = seen.get(x.vid)
-            if vid is None:
-                vid = len(seen)
-                seen[x.vid] = vid
-            return x if x.vid == vid else Var(vid)
-        if isinstance(x, Compound):
-            return Compound(x.functor, tuple(walk(a) for a in x.args))
-        return x
-
-    return walk(t)
-
-
-def encode_term(t: Term) -> TokenSeq:
-    """Pre-order linearization of a term into tokens."""
-    out: list[int] = []
-
-    def walk(x: Term) -> None:
-        if isinstance(x, Atom):
-            out.append(x.sym << 3 | TAG_ATOM)
-        elif isinstance(x, Int):
-            out.append(x.value << 3 | TAG_INT)
-        elif isinstance(x, Var):
-            out.append(x.vid << 3 | TAG_VAR)
-        elif isinstance(x, Compound):
-            out.append(functor_tok(x.functor, len(x.args)))
-            for a in x.args:
-                walk(a)
-        else:
-            raise TypeError(f"not a term: {x!r}")
-
-    walk(t)
-    return tuple(out)
-
-
-def decode_prefix(toks: TokenSeq, i: int = 0) -> tuple[Term, int]:
-    """Decode one term starting at index i; returns (term, next index)."""
-    tok = toks[i]
-    tag = tok & 7
-    if tag == TAG_INT:
-        return Int(tok >> 3), i + 1
-    if tag == TAG_ATOM:
-        return Atom(tok >> 3), i + 1
-    if tag == TAG_VAR:
-        return Var(tok >> 3), i + 1
-    if tag == TAG_FUNCTOR:
-        sym, arity = _functor_back[tok >> 3]
-        args = []
-        j = i + 1
-        for _ in range(arity):
-            a, j = decode_prefix(toks, j)
-            args.append(a)
-        return Compound(sym, tuple(args)), j
-    raise ValueError(f"cannot decode token {tok!r}")
-
-
-def decode_term(toks: TokenSeq) -> Term:
-    t, j = decode_prefix(toks, 0)
-    if j != len(toks):
-        raise ValueError("trailing tokens after a complete term")
-    return t
-
-
-def decode_tuple(toks: TokenSeq) -> tuple[Term, ...]:
-    """Decode a concatenation of term encodings (an answer substitution)."""
+def decode_answer(toks: TokenSeq) -> tuple[Term, ...]:
+    """The terms of a ground token sequence, one per token; the TRUE_TOK
+    answer of a variable-free subgoal decodes to the empty tuple."""
     if toks == (TRUE_TOK,):
         return ()
-    out = []
-    j = 0
-    while j < len(toks):
-        t, j = decode_prefix(toks, j)
-        out.append(t)
-    return tuple(out)
-
-
-def encode_tuple(terms: tuple[Term, ...]) -> TokenSeq:
-    """Encode an answer substitution; the empty substitution gets TRUE_TOK."""
-    if not terms:
-        return (TRUE_TOK,)
-    out: list[int] = []
-    for t in terms:
-        out.extend(encode_term(t))
-    return tuple(out)
+    return tuple(Int(tok >> 3) if tok & 7 == TAG_INT else Atom(tok >> 3) for tok in toks)

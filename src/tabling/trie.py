@@ -21,9 +21,10 @@ any lock.
              (the new head segment of the chain, or the index once it
              exists), then insert.
 * TRYLOCK  - like LOCK but never blocks while the token might already be
-             present: each failed lock attempt is followed by a re-check of
-             the newly inserted head segment, bounded by the first child
-             seen in the previous round, or of the index once it exists.
+             present: each failed lock attempt yields the interpreter and
+             then re-checks the newly inserted head segment, bounded by the
+             first child seen in the previous round, or the index once it
+             exists.
 
 Write locks are not per node: a table makes one small array of locks with
 `new_locks`, and a parent's writers take the lock `hash(parent)` selects
@@ -36,6 +37,7 @@ deadlock.
 from __future__ import annotations
 
 import threading
+import time
 from enum import Enum
 from typing import Any, Callable, Iterator, Sequence
 
@@ -173,6 +175,8 @@ def _check_insert_trylock(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, 
             lock = locks[hash(parent) % len(locks)]
         if lock.acquire(False):
             break
+        # yield: under the GIL the holder cannot finish while this thread spins
+        time.sleep(0)
     # critical region: re-check anything inserted since our last look
     try:
         index = parent.index

@@ -158,3 +158,14 @@ def test_evaluation_error_exits_1_without_traceback(tmp_path, capsys, monkeypatc
     assert code == 1
     err = capsys.readouterr().err
     assert "recursion limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("check", [[], ["--check"]], ids=["run", "check"])
+@pytest.mark.parametrize("query", ["path(f(1),X)", "7"])
+def test_bad_query_exits_1_without_traceback(query, check, capsys):
+    # with --check the reference solver meets the query first
+    code = run_command(["--bench", "pathleft:btree:3", "--query", query,
+                        "--repeat", "1"] + check)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -148,6 +148,18 @@ def test_query_must_be_tabled():
                      cfg=EvalConfig(design=Design.NS))
 
 
+@pytest.mark.parametrize("text", ["path(f(1),X)", "path(1,f(X))", "7", "X"])
+def test_queries_must_be_flat_literals(text):
+    program, _ = bench_program("pathleft:btree:3")
+    query = parse_query(text)
+    with pytest.raises(ProgramError):
+        solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
+    with pytest.raises(ProgramError):
+        solve_parallel(program, query, EvalConfig(design=Design.FS, threads=2))
+    with pytest.raises(ProgramError):
+        oracle_solve(program, query)
+
+
 def test_round_watchdog_triggers_when_too_small():
     program, query = bench_program("pathleft:cycle:10")
     with pytest.raises(EvaluationError):

@@ -4,26 +4,36 @@ from types import SimpleNamespace
 import pytest
 
 from tabling import trie
+from tabling.buckets import DEFAULT_DIRECT, DEFAULT_INDIRECT
 from tabling.errors import ConfigurationError, EvaluationError
 from tabling.tablespace import Design, Table
-from tabling.terms import Int, Var, compound, encode_tuple, intern_symbol
+from tabling.terms import TRUE_TOK, Int, atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import SyncMode
 
 P = (intern_symbol("p"), 2)
-SUBGOAL = compound("p", Var(0), Var(1))  # canonical open call
+SUBGOAL = (atom_tok(P[0]), var_tok(0), var_tok(1))  # the open call p(V0, V1)
 
 
 def make_table(design, sync=SyncMode.TRYLOCK):
     return Table({P}, design, sync)
 
 
+def call(table, te, tid, toks=SUBGOAL):
+    return table.subgoal_call(te, toks, tid)
+
+
+def answer(table, frame, *values):
+    """Offer the answer binding the call's variables to `values`."""
+    return table.new_answer_tokens(frame, tuple(map(int_tok, values)) or (TRUE_TOK,))
+
+
 def test_ns_first_call_allocates_path_and_frame():
     table = make_table(Design.NS)
     before = table.snapshot_counters()
     assert (before.te, before.ba) == (1, 1)  # entry + its bucket array
-    frame = table.tabled_subgoal_call(table.entry(P), SUBGOAL, 0)
+    frame = call(table, table.entry(P), 0)
     c = table.snapshot_counters()
-    assert c.sts - before.sts == 3  # functor + two variable tokens
+    assert c.sts - before.sts == 3  # predicate atom + two variable tokens
     assert c.sf - before.sf == 1
     assert frame.tid == 0
 
@@ -58,9 +68,9 @@ def test_shared_tries_take_the_tables_own_locks(monkeypatch, design, sync):
     te = table.entry(P)
 
     def work(tid):
-        frame = table.tabled_subgoal_call(te, SUBGOAL, tid)
+        frame = call(table, te, tid)
         for i in range(20):
-            table.new_answer(frame, (Int(i), Int(tid)))
+            answer(table, frame, i, tid)
 
     threads = [threading.Thread(target=work, args=(tid,)) for tid in range(2)]
     for t in threads:
@@ -83,9 +93,9 @@ def test_ns_table_makes_no_locks():
 def test_second_call_is_idempotent(design):
     table = make_table(design)
     te = table.entry(P)
-    f1 = table.tabled_subgoal_call(te, SUBGOAL, 0)
+    f1 = call(table, te, 0)
     snap = table.snapshot_counters()
-    f2 = table.tabled_subgoal_call(te, SUBGOAL, 0)
+    f2 = call(table, te, 0)
     assert f1 is f2
     assert table.snapshot_counters() == snap  # zero new allocations
 
@@ -93,8 +103,8 @@ def test_second_call_is_idempotent(design):
 def test_fs_two_threads_share_entry():
     table = make_table(Design.FS)
     te = table.entry(P)
-    f0 = table.tabled_subgoal_call(te, SUBGOAL, 0)
-    f1 = table.tabled_subgoal_call(te, SUBGOAL, 1)
+    f0 = call(table, te, 0)
+    f1 = call(table, te, 1)
     assert f0 is not f1
     assert f0.entry is f1.entry  # one subgoal entry, one shared answer trie
     c = table.snapshot_counters()
@@ -104,8 +114,8 @@ def test_fs_two_threads_share_entry():
 def test_ss_two_threads_private_answer_tries():
     table = make_table(Design.SS)
     te = table.entry(P)
-    f0 = table.tabled_subgoal_call(te, SUBGOAL, 0)
-    f1 = table.tabled_subgoal_call(te, SUBGOAL, 1)
+    f0 = call(table, te, 0)
+    f1 = call(table, te, 1)
     assert f0 is not f1
     assert f0.answer_root is not f1.answer_root
     c = table.snapshot_counters()
@@ -116,33 +126,33 @@ def test_ss_two_threads_private_answer_tries():
 
 def test_new_answer_fresh_and_duplicate():
     table = make_table(Design.NS)
-    frame = table.tabled_subgoal_call(table.entry(P), SUBGOAL, 0)
+    frame = call(table, table.entry(P), 0)
     before = table.snapshot_counters().ats
-    assert table.new_answer(frame, (Int(1), Int(2))) is True
+    assert answer(table, frame, 1, 2) is True
     assert table.snapshot_counters().ats == before + 2
-    assert table.new_answer(frame, (Int(1), Int(2))) is False
+    assert answer(table, frame, 1, 2) is False
     assert table.snapshot_counters().ats == before + 2
 
 
 def test_fs_cross_thread_newness_and_node_reuse():
     # single-thread reference node count for the same two answers
     ref = make_table(Design.NS)
-    rf = ref.tabled_subgoal_call(ref.entry(P), SUBGOAL, 0)
-    ref.new_answer(rf, (Int(1), Int(2)))
-    ref.new_answer(rf, (Int(1), Int(3)))
+    rf = call(ref, ref.entry(P), 0)
+    answer(ref, rf, 1, 2)
+    answer(ref, rf, 1, 3)
     single = ref.snapshot_counters().ats
 
     table = make_table(Design.FS)
     te = table.entry(P)
-    fa = table.tabled_subgoal_call(te, SUBGOAL, 0)
-    fb = table.tabled_subgoal_call(te, SUBGOAL, 1)
-    assert table.new_answer(fa, (Int(1), Int(2))) is True
-    assert table.new_answer(fa, (Int(1), Int(3))) is True
+    fa = call(table, te, 0)
+    fb = call(table, te, 1)
+    assert answer(table, fa, 1, 2) is True
+    assert answer(table, fa, 1, 3) is True
     base = table.snapshot_counters().ats
     assert base == single
     # thread B derives an answer thread A already stored: the shared trie is
     # unchanged and the answer is not new to the table
-    assert table.new_answer(fb, (Int(1), Int(2))) is False
+    assert answer(table, fb, 1, 2) is False
     assert table.snapshot_counters().ats == base
     assert fb.answers is fa.answers and len(fa.answers) == 2
 
@@ -150,15 +160,15 @@ def test_fs_cross_thread_newness_and_node_reuse():
 def test_fs_interleaved_threads_share_answer_nodes():
     table = make_table(Design.FS)
     te = table.entry(P)
-    answers = [(Int(i), Int(j)) for i in range(10) for j in range(10)]
+    answers = [(i, j) for i in range(10) for j in range(10)]
     barrier = threading.Barrier(2)
     news = [0, 0]
 
     def work(tid, order):
-        frame = table.tabled_subgoal_call(te, SUBGOAL, tid)
+        frame = call(table, te, tid)
         barrier.wait()
         for ans in order:
-            if table.new_answer(frame, ans):
+            if answer(table, frame, *ans):
                 news[tid] += 1
 
     t0 = threading.Thread(target=work, args=(0, answers))
@@ -172,8 +182,8 @@ def test_fs_interleaved_threads_share_answer_nodes():
 
 def test_mark_complete_and_answers_of():
     table = make_table(Design.NS)
-    frame = table.tabled_subgoal_call(table.entry(P), SUBGOAL, 0)
-    table.new_answer(frame, (Int(1), Int(2)))
+    frame = call(table, table.entry(P), 0)
+    answer(table, frame, 1, 2)
     with pytest.raises(EvaluationError):
         table.answers_of(frame)  # not complete yet
     table.mark_complete([frame])
@@ -181,15 +191,15 @@ def test_mark_complete_and_answers_of():
     with pytest.raises(EvaluationError):
         table.mark_complete([frame])  # double completion
     with pytest.raises(EvaluationError):
-        table.new_answer(frame, (Int(9), Int(9)))  # frame already complete
+        answer(table, frame, 9, 9)  # frame already complete
 
 
 def test_empty_substitution_answer():
-    ground = compound("p", Int(1), Int(2))
+    ground = (atom_tok(P[0]), int_tok(1), int_tok(2))
     table = make_table(Design.NS)
-    frame = table.tabled_subgoal_call(table.entry(P), ground, 0)
-    assert table.new_answer(frame, ()) is True
-    assert table.new_answer(frame, ()) is False
+    frame = call(table, table.entry(P), 0, ground)
+    assert answer(table, frame) is True
+    assert answer(table, frame) is False
     table.mark_complete([frame])
     assert table.answers_of(frame) == [()]
 
@@ -197,10 +207,10 @@ def test_empty_substitution_answer():
 def test_fs_threads_enumerate_identical_sets():
     table = make_table(Design.FS)
     te = table.entry(P)
-    fa = table.tabled_subgoal_call(te, SUBGOAL, 0)
-    fb = table.tabled_subgoal_call(te, SUBGOAL, 1)
-    table.new_answer(fa, (Int(1), Int(2)))
-    table.new_answer(fb, (Int(3), Int(4)))
+    fa = call(table, te, 0)
+    fb = call(table, te, 1)
+    answer(table, fa, 1, 2)
+    answer(table, fb, 3, 4)
     table.mark_complete([fa, fb])
     assert set(table.answers_of(fa)) == set(table.answers_of(fb)) == \
         {(Int(1), Int(2)), (Int(3), Int(4))}
@@ -208,9 +218,9 @@ def test_fs_threads_enumerate_identical_sets():
 
 def test_snapshot_example_ns_single_thread():
     table = make_table(Design.NS)
-    frame = table.tabled_subgoal_call(table.entry(P), SUBGOAL, 0)
+    frame = call(table, table.entry(P), 0)
     for j in range(4):
-        table.new_answer(frame, (Int(0), Int(j)))
+        answer(table, frame, 0, j)
     c = table.snapshot_counters()
     assert (c.te, c.ba, c.sts, c.sf, c.se) == (1, 1, 3, 1, 0)
     assert c.ats == 1 + 4  # shared first argument, four leaves
@@ -219,10 +229,10 @@ def test_snapshot_example_ns_single_thread():
 def test_snapshot_example_fs_four_threads():
     table = make_table(Design.FS)
     te = table.entry(P)
-    frames = [table.tabled_subgoal_call(te, SUBGOAL, tid) for tid in range(4)]
+    frames = [call(table, te, tid) for tid in range(4)]
     for frame in frames:
         for j in range(4):
-            table.new_answer(frame, (Int(0), Int(j)))
+            answer(table, frame, 0, j)
     c = table.snapshot_counters()
     assert (c.te, c.se, c.sf, c.sts) == (1, 1, 4, 3)
     assert c.ba == 1           # the subgoal entry's bucket array
@@ -232,10 +242,10 @@ def test_snapshot_example_fs_four_threads():
 def test_snapshot_example_ss_two_threads():
     table = make_table(Design.SS)
     te = table.entry(P)
-    frames = [table.tabled_subgoal_call(te, SUBGOAL, tid) for tid in range(2)]
+    frames = [call(table, te, tid) for tid in range(2)]
     for frame in frames:
         for j in range(4):
-            table.new_answer(frame, (Int(0), Int(j)))
+            answer(table, frame, 0, j)
     c = table.snapshot_counters()
     assert (c.te, c.sts, c.sf, c.se) == (1, 3, 2, 0)
     assert c.ba == 1           # one bucket array per subgoal leaf
@@ -246,23 +256,23 @@ def test_snapshot_example_ss_two_threads():
 def test_release_thread_drops_private_structures(design):
     table = make_table(design)
     te = table.entry(P)
-    frames = [table.tabled_subgoal_call(te, SUBGOAL, tid) for tid in range(2)]
+    frames = [call(table, te, tid) for tid in range(2)]
     for frame in frames:
-        table.new_answer(frame, (Int(1), Int(2)))
+        answer(table, frame, 1, 2)
     totals = table.snapshot_counters()
     table.release_thread(0)
     assert table.snapshot_counters() == totals  # monotone
     if design is Design.NS:
         assert te.roots.get(0) is None  # the thread's root cell is gone
     # a re-registered thread starts fresh; the other thread keeps its frame
-    assert table.tabled_subgoal_call(te, SUBGOAL, 0) is not frames[0]
-    assert table.tabled_subgoal_call(te, SUBGOAL, 1) is frames[1]
+    assert call(table, te, 0) is not frames[0]
+    assert call(table, te, 1) is frames[1]
 
 
 def test_indirect_thread_ids_work():
     table = make_table(Design.FS)
     te = table.entry(P)
-    frame = table.tabled_subgoal_call(te, SUBGOAL, 100)
+    frame = call(table, te, 100)
     assert frame.tid == 100
     c = table.snapshot_counters()
     assert c.ba == 2  # entry bucket array + one second-level array
@@ -276,9 +286,14 @@ def test_shared_design_rejects_none_mode():
 
 
 def test_thread_id_capacity():
-    table = make_table(Design.NS)
-    with pytest.raises(ConfigurationError):
-        table.tabled_subgoal_call(table.entry(P), SUBGOAL, 1024)
+    # the bucket arrays bound thread ids; EvalConfig limits a run's threads
+    capacity = DEFAULT_DIRECT + DEFAULT_INDIRECT * DEFAULT_INDIRECT
+    assert capacity == 1056
+    for design in Design:
+        table = make_table(design)
+        assert call(table, table.entry(P), capacity - 1).tid == capacity - 1
+        with pytest.raises(ConfigurationError):
+            call(table, table.entry(P), capacity)
 
 
 def test_fs_new_answer_waits_until_the_answer_is_logged():
@@ -287,7 +302,7 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
     # not return before the log holds it, or B's round could end without it
     table = make_table(Design.FS)
     te = table.entry(P)
-    fa = table.tabled_subgoal_call(te, SUBGOAL, 0)
+    fa = call(table, te, 0)
     entered, release = threading.Event(), threading.Event()
 
     class HeldLog(list):
@@ -298,8 +313,8 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
 
     entry = fa.entry
     entry.answers = fa.answers = HeldLog()
-    fb = table.tabled_subgoal_call(te, SUBGOAL, 1)
-    toks = encode_tuple((Int(1), Int(2)))
+    fb = call(table, te, 1)
+    toks = (int_tok(1), int_tok(2))
     a = threading.Thread(target=table.new_answer_tokens, args=(fa, toks))
     a.start()
     assert entered.wait(10)

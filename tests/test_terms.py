@@ -2,19 +2,16 @@ import random
 
 import pytest
 
+from tabling.program import Literal, literal_of
 from tabling.terms import (
-    Atom,
+    TRUE_TOK,
     Compound,
     Int,
     Var,
     atom,
     atom_tok,
-    canonicalize_variant,
     compound,
-    decode_term,
-    encode_term,
-    functor_fields,
-    functor_tok,
+    decode_answer,
     int_tok,
     intern_symbol,
     term_str,
@@ -22,7 +19,6 @@ from tabling.terms import (
     tok_tag,
     var_tok,
     TAG_ATOM,
-    TAG_FUNCTOR,
     TAG_INT,
     TAG_VAR,
 )
@@ -31,35 +27,23 @@ from tabling.terms import (
 def test_canonicalize_first_occurrence_order():
     x, y = Var(7), Var(3)
     t = compound("p", x, y, x)
-    assert canonicalize_variant(t) == compound("p", Var(0), Var(1), Var(0))
+    assert literal_of(t, {}).args == (var_tok(0), var_tok(1), var_tok(0))
 
 
 def test_canonicalize_ground_term_unchanged():
     t = compound("p", Int(1), Int(2))
-    assert canonicalize_variant(t) == t
-
-
-def test_canonicalize_nested():
-    y, z = Var(9), Var(4)
-    t = compound("f", y, compound("g", y, z))
-    assert canonicalize_variant(t) == compound("f", Var(0), compound("g", Var(0), Var(1)))
+    assert literal_of(t, {}).args == (int_tok(1), int_tok(2))
 
 
 def test_encode_preorder():
     p = intern_symbol("p")
     t = compound("p", Int(1), Var(0))
-    assert encode_term(t) == (functor_tok(p, 2), int_tok(1), var_tok(0))
+    assert literal_of(t, {}) == Literal((p, 2), (int_tok(1), var_tok(0)))
 
 
 def test_encode_atom():
     a = intern_symbol("a")
-    assert encode_term(atom("a")) == (atom_tok(a),)
-
-
-def test_encode_nested_preorder():
-    f, g, a = intern_symbol("f"), intern_symbol("g"), intern_symbol("a")
-    t = compound("f", compound("g", atom("a")))
-    assert encode_term(t) == (functor_tok(f, 1), functor_tok(g, 1), atom_tok(a))
+    assert literal_of(atom("a"), {}) == Literal((a, 0), ())
 
 
 def test_interned_atoms_equal_iff_same_name():
@@ -79,54 +63,54 @@ def test_token_fields_round_trip():
     sym = intern_symbol("edge")
     assert tok_tag(atom_tok(sym)) == TAG_ATOM and tok_payload(atom_tok(sym)) == sym
     assert tok_tag(var_tok(5)) == TAG_VAR and tok_payload(var_tok(5)) == 5
-    ft = functor_tok(sym, 2)
-    assert tok_tag(ft) == TAG_FUNCTOR and functor_fields(ft) == (sym, 2)
 
 
-def _random_term(rng: random.Random, depth: int = 3):
-    kind = rng.randrange(4 if depth > 0 else 3)
+def _random_arg(rng: random.Random, ground: bool = False):
+    kind = rng.randrange(2 if ground else 3)
     if kind == 0:
         return Int(rng.randrange(-50, 50))
     if kind == 1:
         return atom(rng.choice("abcde"))
-    if kind == 2:
-        return Var(rng.randrange(4))
-    return Compound(intern_symbol(rng.choice("fgh")),
-                    tuple(_random_term(rng, depth - 1)
-                          for _ in range(rng.randrange(1, 4))))
+    return Var(rng.randrange(4))
+
+
+def _random_literal(rng: random.Random, ground: bool = False):
+    args = tuple(_random_arg(rng, ground) for _ in range(rng.randrange(4)))
+    name = rng.choice("fgh")
+    return Compound(intern_symbol(name), args) if args else atom(name)
 
 
 def test_round_trip_random_terms():
     rng = random.Random(42)
     for _ in range(300):
-        t = canonicalize_variant(_random_term(rng))
-        assert decode_term(encode_term(t)) == t
+        t = _random_literal(rng, ground=True)
+        args = t.args if isinstance(t, Compound) else ()
+        assert decode_answer(literal_of(t, {}).args) == args
+    assert decode_answer((TRUE_TOK,)) == ()
+    assert decode_answer((int_tok(-3), atom_tok(intern_symbol("a")))) == (Int(-3), atom("a"))
 
 
 def _rename(t, mapping):
-    if isinstance(t, Var):
-        return Var(mapping[t.vid])
     if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_rename(a, mapping) for a in t.args))
+        return Compound(t.functor, tuple(Var(mapping[a.vid]) if isinstance(a, Var) else a
+                                         for a in t.args))
     return t
 
 
 def test_variants_equal_under_bijective_renaming():
     rng = random.Random(7)
     for _ in range(200):
-        t = _random_term(rng)
+        t = _random_literal(rng)
         perm = list(range(4))
         rng.shuffle(perm)
         renamed = _rename(t, {i: 10 + perm[i] for i in range(4)})
-        assert encode_term(canonicalize_variant(t)) == \
-            encode_term(canonicalize_variant(renamed))
+        assert literal_of(t, {}) == literal_of(renamed, {})
 
 
 def test_variable_merge_breaks_variantness():
     t = compound("p", Var(0), Var(1))
     merged = compound("p", Var(0), Var(0))
-    assert encode_term(canonicalize_variant(t)) != \
-        encode_term(canonicalize_variant(merged))
+    assert literal_of(t, {}) != literal_of(merged, {})
 
 
 def test_term_str():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from tabling.terms import atom_tok, functor_tok, int_tok, intern_symbol
+from tabling.terms import atom_tok, int_tok, intern_symbol
 from tabling.trie import (
     HASH_THRESHOLD,
     SyncMode,
@@ -137,12 +137,12 @@ def test_uniqueness_under_concurrency(mode, nthreads):
 def test_path_fresh_and_shared_prefix():
     p = intern_symbol("p")
     root = new_root()
-    path1 = (functor_tok(p, 2), int_tok(1), int_tok(2))
+    path1 = (atom_tok(p), int_tok(1), int_tok(2))
     leaf1, created, is_new = check_insert_path_counted(root, path1, SyncMode.NONE)
     assert created == 3 and is_new
     assert node_count(root) == 3
     # common prefixes are represented only once
-    path2 = (functor_tok(p, 2), int_tok(1), int_tok(3))
+    path2 = (atom_tok(p), int_tok(1), int_tok(3))
     leaf2, created, is_new = check_insert_path_counted(root, path2, SyncMode.NONE)
     assert created == 1 and is_new
     assert node_count(root) == 4
@@ -162,12 +162,12 @@ def test_enumerate_two_answers():
     p = intern_symbol("p")
     root = new_root()
     for last in (2, 3):
-        check_insert_path(root, (functor_tok(p, 2), int_tok(1), int_tok(last)),
+        check_insert_path(root, (atom_tok(p), int_tok(1), int_tok(last)),
                           SyncMode.NONE)
     paths = list(enumerate_paths(root))
     assert len(paths) == 2
-    assert set(paths) == {(functor_tok(p, 2), int_tok(1), int_tok(2)),
-                          (functor_tok(p, 2), int_tok(1), int_tok(3))}
+    assert set(paths) == {(atom_tok(p), int_tok(1), int_tok(2)),
+                          (atom_tok(p), int_tok(1), int_tok(3))}
 
 
 def test_enumerate_empty():
@@ -197,7 +197,7 @@ def test_concurrent_path_insertion_shares_nodes():
     p = intern_symbol("p")
     root = new_root()
     rng = random.Random(3)
-    all_paths = [(functor_tok(p, 2), int_tok(rng.randrange(20)), int_tok(rng.randrange(20)))
+    all_paths = [(atom_tok(p), int_tok(rng.randrange(20)), int_tok(rng.randrange(20)))
                  for _ in range(300)]
     barrier = threading.Barrier(8)
 
@@ -305,6 +305,45 @@ def test_recheck_finds_a_child_inserted_before_the_lock(mode, refuse, children):
     assert child_tokens(root).count(int_tok(999)) == 1
     assert not locks._lock.locked()
     _assert_indexes(root)
+
+
+class _HeldUntilYield:
+    """A one-lock array whose holder can release it only once the caller
+    yields the interpreter, as a holder that needs the GIL must."""
+
+    def __init__(self):
+        self.held = True
+        self.refusals = 0
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, i):
+        return self
+
+    def acquire(self, blocking=True):
+        if not self.held:
+            return True
+        self.refusals += 1
+        if self.refusals > 1000:
+            raise AssertionError("a failed trylock retried without yielding")
+        return False
+
+    def release(self):
+        pass
+
+
+def test_failed_trylock_yields_before_retrying(monkeypatch):
+    locks = _HeldUntilYield()
+
+    def holder_runs(seconds):
+        locks.held = False
+
+    monkeypatch.setattr(time, "sleep", holder_runs)
+    root = new_root()
+    node = check_insert_node(root, A, SyncMode.TRYLOCK, locks)
+    assert locks.refusals == 1
+    assert child_tokens(root) == [A] and node.token == A
 
 
 def test_shared_leaf_payload_is_created_once():
