@@ -13,7 +13,7 @@ from .bench import (
     program_text,
 )
 from .buckets import BucketArray, Direct, Indirect, bucket_cell
-from .engine import EvalConfig, ParallelResult, solve_parallel, solve_thread
+from .engine import EvalConfig, ParallelResult, solve_parallel
 from .errors import (
     ConfigurationError,
     EvaluationError,
@@ -36,7 +36,7 @@ from .terms import (
     intern_symbol,
     term_str,
 )
-from .trie import SyncMode, TrieNode, check_insert_node, check_insert_path, enumerate_paths
+from .trie import SyncMode, TrieNode, check_insert_node, check_insert_path
 
 __version__ = "0.1.0"
 
@@ -48,8 +48,8 @@ __all__ = [
     "ProgramError", "Recursion", "SubgoalFrame", "SyncMode", "Table",
     "TablingError", "Term", "TrieNode", "Var",
     "atom", "bucket_cell", "check_insert_node", "check_insert_path",
-    "compound", "default_query", "desk_instances", "enumerate_paths",
-    "gen_edges", "intern_symbol", "make_program", "oracle_solve", "parse_bench_spec",
+    "compound", "default_query", "desk_instances", "gen_edges",
+    "intern_symbol", "make_program", "oracle_solve", "parse_bench_spec",
     "parse_program", "parse_query", "program_text", "solve_parallel",
-    "solve_thread", "term_str",
+    "term_str",
 ]

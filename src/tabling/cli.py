@@ -1,8 +1,7 @@
 """Command-line front end: run queries and benchmarks, emit CSV or JSON rows.
 
-Exit codes: 0 ok, 1 usage, configuration or evaluation error (such as the
-recursion depth limit), 2 parse error, 3 verification failure (per-thread
-mismatch or oracle mismatch).
+Exit codes: 0 ok, 1 usage, configuration or evaluation error, 2 parse
+error, 3 verification failure (per-thread mismatch or oracle mismatch).
 """
 
 from __future__ import annotations

@@ -13,15 +13,22 @@ the solver resolves is made of tabled and fact literals only.  Unfolding
 multiplies clauses: a body with several such calls gets one clause per
 combination of their clauses.
 
-Scheduling follows classic local evaluation.  A new tabled call pushes a
-generator frame on the thread's dependency stack and resolves its clauses
-once; calls that hit an in-progress frame link strongly connected
-components by propagating the smallest depth-first number.  When a leader's
-initial pass returns, the SCC is driven to fixpoint by derivation rounds
-and then completed as a whole.  Answers found mid-clause are stored and the
-resolution keeps backtracking (`new_answer` always "fails"); answers cross
-a frame boundary outward only after the frame's SCC is complete, and the
-engine asserts that discipline on every consumption.
+Scheduling follows classic local evaluation, kept on explicit stacks rather
+than the Python call stack.  A new tabled call pushes a generator frame on
+the thread's dependency stack, and `solve` pushes an `_evaluate` generator
+for it on its own list.  `_evaluate` resolves each clause once through
+`_pass`, which backtracks over one row iterator per body position and
+yields every fresh subgoal it meets: the driver pushes the callee's
+generator and resumes the caller when that one is exhausted.  Calls that
+hit an in-progress frame link strongly connected components by propagating
+the smallest depth-first number.  When a leader's initial pass returns, the
+SCC is driven to fixpoint by derivation rounds and then completed as a
+whole.  Answers found mid-clause are stored and the resolution keeps
+backtracking (`new_answer` always "fails"); answers cross a frame boundary
+outward only after the frame's SCC is complete, and the engine asserts that
+discipline on every consumption.  The Python stack stays a few frames deep
+however long the chain of dependent calls, so evaluation changes no
+interpreter setting.
 
 Fixpoint rounds are delta-driven: each frame's answer log is consumed
 through per-round watermarks, so a round only re-joins answers that arrived
@@ -34,11 +41,10 @@ watermark, so already consumed, or above it, so the log grew.
 
 from __future__ import annotations
 
-import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .buckets import MAX_THREADS
 from .errors import ConfigurationError, EvaluationError, ProgramError
@@ -46,13 +52,6 @@ from .program import Clause, Literal, Pred, Program, literal_of, pred_str
 from .tablespace import COMPLETE, CountersSnapshot, Design, SubgoalFrame, Table
 from .terms import TAG_VAR, TRUE_TOK, Term, atom_tok, var_tok
 from .trie import SyncMode
-
-_WORKER_STACK = 64 * 1024 * 1024
-_RECURSION_LIMIT = 200_000
-# CPython preempts CPU-bound threads every 5ms by default, which thrashes
-# multi-worker runs; a longer quantum keeps lock handoffs (which release the
-# GIL) intact while cutting switch overhead severalfold
-_SWITCH_INTERVAL = 0.05
 
 
 @dataclass
@@ -79,30 +78,43 @@ class ParallelResult:
 
 
 class _Lit:
-    """One body literal under a clause activation: ordered arg specs plus
-    split-out constant and slot positions for matching."""
+    """One body literal under a clause activation.  The body order fixes
+    which slots hold a value when resolution reaches the literal, so its
+    call pattern or fact lookup is built once: a row only binds `binds` and
+    passes `checks`, and backtracking never has to unbind."""
 
-    __slots__ = ("pred", "specs", "consts", "svars", "tabled", "head_tok")
+    __slots__ = ("binds", "entry", "call", "rows", "index", "key", "checks")
 
-    def __init__(self, pred, specs, consts, svars, tabled):
-        self.pred = pred
-        self.specs = specs      # ordered: (False, value tok) | (True, slot)
-        self.consts = consts    # ((argpos, value tok), ...)
-        self.svars = svars      # ((argpos, slot), ...)
-        self.tabled = tabled    # else resolved against the fact rows
-        self.head_tok = atom_tok(pred[0])
+    def __init__(self, binds, entry=None, call=None, rows=None, index=None,
+                 key=None, checks=()):
+        self.binds = binds      # ((slot, row position), ...) bound by this literal
+        self.entry = entry      # tabled: its table entry; None for facts
+        self.call = call        # tabled: env -> the call's token path
+        self.rows = rows        # facts: candidate rows, or None to look up
+        self.index = index      # ... as index.get(env[key])
+        self.key = key
+        self.checks = checks    # facts: ((row position, slot), ...) to match
+
+
+def _getter(slots):
+    """The function from an environment to its values at `slots`, a tuple."""
+    if len(slots) == 1:
+        s = slots[0]
+        return lambda env: (env[s],)
+    return itemgetter(*slots)
 
 
 class _Act:
     """A clause specialized against one subgoal: head unification is folded
-    into slot assignments, leaving only body iteration at run time."""
+    into an environment template whose slots hold the clause's constants
+    and its unbound variables, leaving only body iteration at run time."""
 
-    __slots__ = ("body", "extract", "nslots")
+    __slots__ = ("body", "extract", "env")
 
-    def __init__(self, body, extract, nslots):
+    def __init__(self, body, extract, env):
         self.body = body
-        self.extract = extract  # per subgoal var: (False, value tok) | (True, slot)
-        self.nslots = nslots
+        self.extract = extract  # env -> the answer's token path
+        self.env = env
 
 
 class _Rel:
@@ -220,8 +232,6 @@ class _Eval:
         self.max_rounds = max_rounds
         self.stack: list[SubgoalFrame] = []
         self.next_dfn = 0
-        self.delta_pos = -1
-        self.windows: dict[SubgoalFrame, tuple[int, int]] = {}
 
     # ------------------------------------------------------------------
 
@@ -229,22 +239,26 @@ class _Eval:
         lit = literal_of(query, {})
         if lit.pred not in self.ctx.tabled:
             raise ProgramError(f"query predicate {pred_str(lit.pred)} is not tabled")
-        frame = self._call(None, lit.pred, (atom_tok(lit.pred[0]),) + lit.args)
-        return frozenset(self.table.answers_of(frame))
+        table = self.table
+        frame = table.subgoal_call(table.entries[lit.pred],
+                                   (atom_tok(lit.pred[0]),) + lit.args, self.tid)
+        # one generator per fresh call on the dependency stack; the top one
+        # runs until it yields a fresh callee, pushed above it, or finishes
+        gens = [self._evaluate(frame)]
+        while gens:
+            callee = next(gens[-1], None)
+            if callee is None:
+                gens.pop()
+            else:
+                gens.append(self._evaluate(callee))
+        return frozenset(table.answers_of(frame))
 
     # ------------------------------------------------------------------
 
-    def _call(self, caller: SubgoalFrame | None, pred: Pred, toks) -> SubgoalFrame:
-        table = self.table
-        frame = table.subgoal_call(table.entries[pred], toks, self.tid)
-        if frame.state == COMPLETE:
-            return frame
-        if frame.on_stack:
-            # in-progress call by this thread: link the caller's SCC to it
-            if caller is not None and caller.leader_dfn > frame.leader_dfn:
-                caller.leader_dfn = frame.leader_dfn
-            return frame
-        # fresh call: this thread becomes its generator
+    def _evaluate(self, frame: SubgoalFrame):
+        """Make this thread the generator of a fresh call: push its frame,
+        resolve each of its clauses once, and complete its SCC if it leads
+        one, else pass its link on to the frame below it."""
         frame.dfn = frame.leader_dfn = self.next_dfn
         self.next_dfn += 1
         frame.stack_pos = len(self.stack)
@@ -252,24 +266,18 @@ class _Eval:
         self.stack.append(frame)
         if self.trace is not None:
             self.trace(("call", frame))
-        self._initial_pass(frame)
-        completed = frame.leader_dfn == frame.dfn and self._complete_scc(frame)
-        if not completed and frame.stack_pos > 0:
-            parent = self.stack[frame.stack_pos - 1]
-            if parent.leader_dfn > frame.leader_dfn:
-                parent.leader_dfn = frame.leader_dfn
-        return frame
-
-    def _initial_pass(self, frame: SubgoalFrame) -> None:
-        saved = self.delta_pos
-        self.delta_pos = -1
         for ci in range(len(self.ctx.clauses.get(frame.pred, ()))):
             act = self._activation(frame, ci)
             if act is not None:
-                self._body(frame, act, 0, [None] * act.nslots)
-        self.delta_pos = saved
+                yield from self._pass(frame, act, -1, None)
+        if frame.leader_dfn == frame.dfn and (yield from self._complete_scc(frame)):
+            return
+        if frame.stack_pos > 0:
+            parent = self.stack[frame.stack_pos - 1]
+            if parent.leader_dfn > frame.leader_dfn:
+                parent.leader_dfn = frame.leader_dfn
 
-    def _complete_scc(self, leader: SubgoalFrame) -> bool:
+    def _complete_scc(self, leader: SubgoalFrame):
         """Run delta rounds over the SCC led by `leader`; complete and pop it.
 
         Returns False when a round links the SCC to an older frame, in
@@ -279,31 +287,23 @@ class _Eval:
         ctx = self.ctx
         base = leader.stack_pos
         consumed: dict[SubgoalFrame, int] = {}
-        saved_pos, saved_windows = self.delta_pos, self.windows
         rounds = 0
         while True:
             rounds += 1
             if self.max_rounds is not None and rounds > self.max_rounds:
                 raise EvaluationError(f"SCC fixpoint exceeded {self.max_rounds} rounds")
             members = stack[base:]
-            windows = {}
+            windows = {f: (consumed.get(f, 0), len(f.answers)) for f in members}
             for f in members:
-                windows[f] = (consumed.get(f, 0), len(f.answers))
-            self.windows = windows
-            for f in members:
-                entries = ctx.delta_clauses.get(f.pred, ())
-                for ci, positions in entries:
+                for ci, positions in ctx.delta_clauses.get(f.pred, ()):
                     act = self._activation(f, ci)
                     if act is None:
                         continue
                     for p in positions:
-                        self.delta_pos = p
-                        self._body(f, act, 0, [None] * act.nslots)
-            self.delta_pos = -1
+                        yield from self._pass(f, act, p, windows)
             for f in members:
                 consumed[f] = windows[f][1]
             if leader.leader_dfn != leader.dfn:
-                self.delta_pos, self.windows = saved_pos, saved_windows
                 return False
             progress = (len(stack) > base + len(members)
                         or any(len(f.answers) > windows[f][1] for f in members))
@@ -317,8 +317,73 @@ class _Eval:
         del stack[base:]
         if self.trace is not None:
             self.trace(("complete", tuple(scc)))
-        self.delta_pos, self.windows = saved_pos, saved_windows
         return True
+
+    def _pass(self, frame: SubgoalFrame, act: _Act, dpos: int, windows):
+        """Resolve one activation of `frame` by backtracking over one row
+        iterator per body position, storing every solution as an answer.  A
+        tabled literal that meets a fresh subgoal yields it and resumes once
+        it has been evaluated.  At body position `dpos` a tabled literal
+        reads only the answers inside its callee's window of the round."""
+        table = self.table
+        trace = self.trace
+        body = act.body
+        n = len(body)
+        env = act.env.copy()
+        its: list = [None] * n
+        i = 0
+        while True:
+            if i < n:
+                lit = body[i]
+                if lit.entry is None:
+                    rows = lit.rows
+                    if rows is None:
+                        rows = lit.index.get(env[lit.key], ())
+                else:
+                    g = table.subgoal_call(lit.entry, lit.call(env), self.tid)
+                    if g.state != COMPLETE:
+                        if g.on_stack:
+                            # in-progress call by this thread: link the SCCs
+                            if frame.leader_dfn > g.leader_dfn:
+                                frame.leader_dfn = g.leader_dfn
+                        else:
+                            yield g
+                            if g.state != COMPLETE and not g.on_stack:
+                                raise EvaluationError(
+                                    "local-evaluation violation: consuming an incomplete "
+                                    "frame outside the dependency stack")
+                    if trace is not None:
+                        trace(("consume", g, g.state, g.on_stack))
+                    if i != dpos:
+                        rows = g.answers
+                    else:
+                        win = windows.get(g)
+                        # a completed callee has nothing new at this position
+                        rows = () if win is None else g.answers[win[0]:win[1]]
+                its[i] = iter(rows)
+            else:
+                was_new = table.new_answer_tokens(frame, act.extract(env))
+                # local evaluation: the derivation "fails" and resolution
+                # backtracks; fixpoint detection reads the answer logs, not
+                # this flag
+                if trace is not None:
+                    trace(("new_answer", frame, was_new))
+                i -= 1
+            # advance the deepest open position, backtracking past exhausted ones
+            while i >= 0:
+                lit = body[i]
+                for row in its[i]:
+                    for s, k in lit.binds:
+                        env[s] = row[k]
+                    if not lit.checks or all(row[k] == env[s] for k, s in lit.checks):
+                        break
+                else:
+                    i -= 1
+                    continue
+                break
+            else:
+                return
+            i += 1
 
     # ------------------------------------------------------------------
     # clause activation
@@ -378,181 +443,82 @@ class _Eval:
             elif h != s:
                 return None
 
-        slots: dict[int, int] = {}
+        env: list = []  # the template: a constant, or None for a variable
+        const_slots: dict[int, int] = {}
+        var_slots: dict[int, int] = {}
 
-        def resolve(x):
+        def const(tok):
+            s = const_slots.get(tok)
+            if s is None:
+                s = const_slots[tok] = len(env)
+                env.append(tok)
+            return s
+
+        def slot(x):
             r = find(x)
-            v = value[r]
-            if v is not None:
-                return (False, v)
-            slot = slots.get(r)
-            if slot is None:
-                slot = slots[r] = len(slots)
-            return (True, slot)
+            if value[r] is not None:
+                return const(value[r])
+            s = var_slots.get(r)
+            if s is None:
+                s = var_slots[r] = len(env)
+                env.append(None)
+            return s
+
+        bound: set[int] = set()  # variable slots an earlier literal binds
+
+        def known(s):
+            return s in bound or env[s] is not None
 
         ctx = self.ctx
         body = []
         for lit in clause.body:
-            specs = tuple(resolve(a >> 3) if a & 7 == TAG_VAR else (False, a)
-                          for a in lit.args)
-            consts = tuple((i, p) for i, (is_slot, p) in enumerate(specs) if not is_slot)
-            svars = tuple((i, p) for i, (is_slot, p) in enumerate(specs) if is_slot)
-            body.append(_Lit(lit.pred, specs, consts, svars, lit.pred in ctx.tabled))
-        extract = tuple(resolve(nvars + j) for j in range(nsub))
-        return _Act(tuple(body), extract, len(slots))
-
-    # ------------------------------------------------------------------
-    # body resolution
-
-    def _body(self, frame: SubgoalFrame, act: _Act, i: int, env: list) -> None:
-        if i == len(act.body):
-            self._derive(frame, act, env)
-            return
-        lit = act.body[i]
-        if lit.tabled:
-            self._tabled_lit(frame, act, i, env, lit)
-        else:
-            self._fact_lit(frame, act, i, env, lit)
-
-    def _derive(self, frame: SubgoalFrame, act: _Act, env: list) -> None:
-        ans = tuple(env[p] if is_slot else p for is_slot, p in act.extract)
-        was_new = self.table.new_answer_tokens(frame, ans if ans else (TRUE_TOK,))
-        # local evaluation: the derivation "fails" and resolution backtracks;
-        # fixpoint detection reads the answer logs, not this flag
-        if self.trace is not None:
-            self.trace(("new_answer", frame, was_new))
-
-    def _tabled_lit(self, frame, act, i, env, lit) -> None:
-        toks = [lit.head_tok]
-        var_of_slot: dict[int, int] = {}
-        unbound: list[tuple[int, int]] = []  # (slot, position in answer tuple)
-        for is_slot, p in lit.specs:
-            if not is_slot:
-                toks.append(p)
-                continue
-            v = env[p]
-            if v is not None:
-                toks.append(v)
-                continue
-            j = var_of_slot.get(p)
-            if j is None:
-                j = len(var_of_slot)
-                var_of_slot[p] = j
-                unbound.append((p, j))
-            toks.append(var_tok(j))
-        g = self._call(frame, lit.pred, tuple(toks))
-        if g.state != COMPLETE and not g.on_stack:
-            raise EvaluationError(
-                "local-evaluation violation: consuming an incomplete frame "
-                "outside the dependency stack")
-        if self.trace is not None:
-            self.trace(("consume", g, g.state, g.on_stack))
-        if i == self.delta_pos:
-            win = self.windows.get(g)
-            if win is None:
-                return  # completed frame: nothing is new at this position
-            answers = g.answers[win[0]:win[1]]
-        else:
-            answers = g.answers
-        nxt = i + 1
-        if not unbound:
-            # fully bound call: each stored answer is one proof of it
-            for ans in answers:
-                self._body(frame, act, nxt, env)
-            return
-        for ans in answers:
-            for slot, j in unbound:
-                env[slot] = ans[j]
-            self._body(frame, act, nxt, env)
-        for slot, _ in unbound:
-            env[slot] = None
-
-    def _fact_lit(self, frame, act, i, env, lit) -> None:
-        rel = self.ctx.rels.get(lit.pred)
-        if rel is None:
-            return
-        rows = None
-        if lit.consts:
-            pos, val = lit.consts[0]
-            rows = rel.index[pos].get(val)
-            if rows is None:
-                return
-        else:
-            for pos, slot in lit.svars:
-                v = env[slot]
-                if v is not None:
-                    rows = rel.index[pos].get(v)
-                    if rows is None:
-                        return
-                    break
-        if rows is None:
-            rows = rel.rows
-        nxt = i + 1
-        for row in rows:
-            written = self._bind_row(lit, row, env)
-            if written is not None:
-                self._body(frame, act, nxt, env)
-                for slot in written:
-                    env[slot] = None
-
-    @staticmethod
-    def _bind_row(lit: _Lit, row, env) -> list | None:
-        written: list[int] = []
-        for pos, val in lit.consts:
-            if row[pos] != val:
-                return None
-        for pos, slot in lit.svars:
-            v = env[slot]
-            if v is None:
-                env[slot] = row[pos]
-                written.append(slot)
-            elif v != row[pos]:
-                for s in written:
-                    env[s] = None
-                return None
-        return written
+            slots = [slot(a >> 3) if a & 7 == TAG_VAR else const(a) for a in lit.args]
+            binds: list[tuple[int, int]] = []
+            if lit.pred in ctx.tabled:
+                # the variant call: unbound variables numbered in first occurrence
+                call = [const(atom_tok(lit.pred[0]))]
+                fresh: dict[int, int] = {}
+                for s in slots:
+                    if not known(s):
+                        j = fresh.get(s)
+                        if j is None:
+                            j = fresh[s] = len(fresh)
+                            binds.append((s, j))
+                        s = const(var_tok(j))
+                    call.append(s)
+                body.append(_Lit(tuple(binds), self.table.entries[lit.pred], _getter(call)))
+            else:
+                rel = ctx.rels.get(lit.pred)
+                # look rows up by the first constant, else the first bound variable
+                known_at = sorted((k for k, s in enumerate(slots) if known(s)),
+                                  key=lambda k: env[slots[k]] is None)
+                key_at = known_at[0] if known_at else None
+                checks = []
+                for k, s in enumerate(slots):
+                    if k == key_at:
+                        continue
+                    if known(s):
+                        checks.append((k, s))
+                    else:
+                        binds.append((s, k))
+                        bound.add(s)
+                rows, index, key = (), None, None
+                if rel is not None:
+                    rows = rel.rows
+                    if key_at is not None:
+                        key = slots[key_at]
+                        if env[key] is None:
+                            rows, index = None, rel.index[key_at]
+                        else:
+                            rows = rel.index[key_at].get(env[key], ())
+                body.append(_Lit(tuple(binds), rows=rows, index=index, key=key,
+                                 checks=tuple(checks)))
+            bound.update(slots)
+        extract = [slot(nvars + j) for j in range(nsub)] or [const(TRUE_TOK)]
+        return _Act(tuple(body), _getter(extract), env)
 
 
 # ----------------------------------------------------------------------
-
-
-def _prepare(program: Program, cfg: EvalConfig, table: Table | None) -> _Context:
-    program.validate()
-    cfg.validate()
-    if table is None:
-        table = Table(program.tabled, cfg.design, cfg.sync)
-    return _Context(program, table)
-
-
-@contextmanager
-def _deep_recursion():
-    """Raise the interpreter's recursion limit for one evaluation and put it
-    back afterwards; running out of it becomes an EvaluationError."""
-    old = sys.getrecursionlimit()
-    limit = max(old, _RECURSION_LIMIT)
-    sys.setrecursionlimit(limit)
-    try:
-        yield
-    except RecursionError:
-        raise EvaluationError(
-            f"evaluation exceeded the recursion limit of {limit} frames: "
-            "each nested tabled call takes several, so a chain of dependent "
-            "calls this deep cannot be evaluated") from None
-    finally:
-        sys.setrecursionlimit(old)
-
-
-def solve_thread(program: Program, query: Term, tid: int = 0,
-                 cfg: EvalConfig | None = None, table: Table | None = None,
-                 trace=None, max_rounds=None) -> frozenset:
-    """Evaluate the query on one thread; returns its answer set."""
-    if cfg is None:
-        cfg = EvalConfig(design=table.design if table is not None else Design.NS,
-                         sync=table.answer_mode if table is not None
-                         and table.design is Design.FS else SyncMode.TRYLOCK)
-    ctx = _prepare(program, cfg, table)
-    with _deep_recursion():
-        return _Eval(ctx, tid, trace, max_rounds).solve(query)
 
 
 def solve_parallel(program: Program, query: Term | None = None,
@@ -570,45 +536,31 @@ def solve_parallel(program: Program, query: Term | None = None,
         query = cfg.query
     if query is None:
         raise ConfigurationError("no query given")
-    ctx = _prepare(program, cfg, None)
+    program.validate()
+    cfg.validate()
+    ctx = _Context(program, Table(program.tabled, cfg.design, cfg.sync))
     n = cfg.threads
     results: list = [None] * n
     failures: list = []
 
     def work(tid: int) -> None:
-        trace = trace_factory(tid) if trace_factory is not None else None
         try:
+            trace = trace_factory(tid) if trace_factory is not None else None
             results[tid] = _Eval(ctx, tid, trace, max_rounds).solve(query)
         except BaseException as exc:  # propagated after join
             failures.append((tid, exc))
 
-    old_stack = threading.stack_size()
-    old_interval = sys.getswitchinterval()
-    try:
-        threading.stack_size(_WORKER_STACK)
-    except (ValueError, RuntimeError):
-        pass
-    if n > 1:
-        sys.setswitchinterval(_SWITCH_INTERVAL)
-    with _deep_recursion():
-        try:
-            workers = [threading.Thread(target=work, args=(tid,), name=f"tab-{tid}")
-                       for tid in range(n)]
-            t0 = time.perf_counter()
-            for w in workers:
-                w.start()
-            for w in workers:
-                w.join()
-            wall_ms = (time.perf_counter() - t0) * 1000.0
-        finally:
-            sys.setswitchinterval(old_interval)
-            try:
-                threading.stack_size(old_stack)
-            except (ValueError, RuntimeError):
-                pass
-        if failures:
-            tid, exc = failures[0]
-            raise exc
+    workers = [threading.Thread(target=work, args=(tid,), name=f"tab-{tid}")
+               for tid in range(n)]
+    t0 = time.perf_counter()
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    wall_ms = (time.perf_counter() - t0) * 1000.0
+    if failures:
+        tid, exc = failures[0]
+        raise exc
     if release:
         for tid in range(n):
             ctx.table.release_thread(tid)

@@ -78,6 +78,8 @@ def literal_of(t: Term, varmap: dict[int, int]) -> Literal:
     if isinstance(t, Compound):
         return Literal((t.functor, len(t.args)),
                        tuple(_flat_arg(a, varmap) for a in t.args))
+    if isinstance(t, Var):  # its source name is gone; do not print an internal one
+        raise ProgramError("not a valid literal: a variable")
     raise ProgramError(f"not a valid literal: {t}")
 
 

@@ -122,10 +122,6 @@ class SubgoalFrame:
         self.on_stack = False
         self.acts = None  # per-clause activation cache, owned by the engine
 
-    @property
-    def complete(self) -> bool:
-        return self.state == COMPLETE
-
     def answer_trie_root(self) -> TrieNode:
         if self.entry is not None:
             return self.entry.answer_root
@@ -283,17 +279,18 @@ class Table:
             frame.state = COMPLETE
 
     def answers_of(self, frame: SubgoalFrame) -> list[tuple[Term, ...]]:
-        """Enumerate the answer trie of a completed frame as term tuples.
+        """Decode the answer log of a completed frame as term tuples.
 
-        Safe in FS even while other threads still evaluate the same
-        subgoal: a completed frame implies the shared trie already holds
-        the full answer set, so concurrent check/inserts only traverse.
-        The result may include answers derived by other threads, which is
-        the same set by definition.
+        At completion the log holds exactly the answer trie's leaves, once
+        each.  Safe in FS even while other threads still evaluate the same
+        subgoal: the frame's thread derived every answer itself and logged
+        it, or waited until another thread had, so no answer remains to be
+        appended.  The result may include answers derived by other
+        threads, which is the same set by definition.
         """
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")
-        return [decode_answer(toks) for toks in trie.enumerate_paths(frame.answer_trie_root())]
+        return [decode_answer(toks) for toks in frame.answers]
 
     # ------------------------------------------------------------------
     # accounting

@@ -39,7 +39,7 @@ from __future__ import annotations
 import threading
 import time
 from enum import Enum
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Sequence
 
 from .terms import TokenSeq
 
@@ -253,48 +253,6 @@ def get_or_create_payload(
             leaf.payload = payload
             return payload, True
     return payload, False
-
-
-def enumerate_paths(root: TrieNode) -> Iterator[TokenSeq]:
-    """Yield one token sequence per leaf (childless node) path.
-
-    Safe concurrently with append-at-head writers: the traversal sees a
-    prefix-closed snapshot containing at least every path whose insertion
-    completed before the call.
-    """
-    stack: list[int] = []
-
-    def walk(node: TrieNode) -> Iterator[TokenSeq]:
-        child = node.first_child
-        if child is None:
-            yield tuple(stack)
-            return
-        while child is not None:
-            stack.append(child.token)
-            yield from walk(child)
-            stack.pop()
-            child = child.sibling
-
-    child = root.first_child
-    while child is not None:
-        stack.append(child.token)
-        yield from walk(child)
-        stack.pop()
-        child = child.sibling
-
-
-def node_count(root: TrieNode) -> int:
-    """Number of nodes below the root."""
-    total = 0
-    stack = [root.first_child]
-    while stack:
-        node = stack.pop()
-        while node is not None:
-            total += 1
-            if node.first_child is not None:
-                stack.append(node.first_child)
-            node = node.sibling
-    return total
 
 
 def child_tokens(parent: TrieNode) -> list[int]:

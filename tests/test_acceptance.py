@@ -18,7 +18,7 @@ import pytest
 from tabling.bench import default_query, desk_instances, make_program, parse_bench_spec
 from tabling.buckets import Direct, Indirect, bucket_cell
 from tabling.cli import CSV_COLUMNS, run_command
-from tabling.engine import EvalConfig, solve_parallel, solve_thread
+from tabling.engine import EvalConfig, solve_parallel
 from tabling.oracle import oracle_solve
 from tabling.tablespace import COMPLETE, Design
 from tabling.terms import int_tok
@@ -212,8 +212,8 @@ def test_criterion_5_local_evaluation_discipline():
         query = default_query()
         for design in Design:
             events = []
-            solve_thread(program, query, cfg=EvalConfig(design=design),
-                         trace=events.append)
+            solve_parallel(program, query, EvalConfig(design=design, threads=1),
+                           trace_factory=lambda tid: events.append)
             for e in events:
                 if e[0] == "consume":
                     assert e[2] == COMPLETE or e[3], \
@@ -230,8 +230,9 @@ def test_criterion_5_local_evaluation_discipline():
     d = 20
     program = make_program(parse_bench_spec(f"pathleft:cycle:{d}"))
     events = []
-    answers = solve_thread(program, default_query(),
-                           cfg=EvalConfig(design=Design.NS), trace=events.append)
+    answers = solve_parallel(program, default_query(),
+                             EvalConfig(design=Design.NS, threads=1),
+                             trace_factory=lambda tid: events.append).answer_sets[0]
     news = [e for e in events if e[0] == "new_answer"]
     assert len(answers) == d * d
     assert len(news) == d * d + d

@@ -14,7 +14,7 @@ from tabling.bench import (
     parse_bench_spec,
     program_text,
 )
-from tabling.engine import EvalConfig, solve_thread
+from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program
@@ -84,8 +84,8 @@ def test_program_text_round_trips():
     direct = make_program(inst)
     q = default_query()
     assert oracle_solve(parsed, q) == oracle_solve(direct, q)
-    assert solve_thread(parsed, q, cfg=EvalConfig(design=Design.SS)) == \
-        oracle_solve(direct, q)
+    result = solve_parallel(parsed, q, EvalConfig(design=Design.SS, threads=1))
+    assert result.answer_sets[0] == oracle_solve(direct, q)
 
 
 def test_parse_bench_spec():

@@ -1,11 +1,11 @@
 import random
 import sys
+import threading
 
 import pytest
 
-from tabling import engine
 from tabling.bench import default_query, make_program, parse_bench_spec
-from tabling.engine import EvalConfig, solve_parallel, solve_thread
+from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
@@ -21,7 +21,8 @@ def bench_program(spec):
 
 def test_path_left_cycle3_nine_answers():
     program, query = bench_program("pathleft:cycle:3")
-    answers = solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
+    answers = solve_parallel(program, query,
+                             EvalConfig(design=Design.NS, threads=1)).answer_sets[0]
     assert answers == frozenset((Int(a), Int(b)) for a in (1, 2, 3) for b in (1, 2, 3))
     assert answers == oracle_solve(program, query)
 
@@ -29,7 +30,8 @@ def test_path_left_cycle3_nine_answers():
 def test_path_right_btree3_ten_answers():
     # 7-node complete binary tree: proper-descendant counts 6 + 2 + 2
     program, query = bench_program("pathright:btree:3")
-    answers = solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
+    answers = solve_parallel(program, query,
+                             EvalConfig(design=Design.NS, threads=1)).answer_sets[0]
     assert len(answers) == 10
     assert answers == oracle_solve(program, query)
 
@@ -39,8 +41,8 @@ def test_no_matching_facts_completes_empty():
                             "path(X,Z) :- path(X,Y), edge(Y,Z).\n"
                             "path(X,Z) :- edge(X,Z).\n"
                             "edge(7,8).")
-    answers = solve_thread(program, parse_query("path(1,X)"),
-                           cfg=EvalConfig(design=Design.NS))
+    answers = solve_parallel(program, parse_query("path(1,X)"),
+                             EvalConfig(design=Design.NS, threads=1)).answer_sets[0]
     assert answers == frozenset()
 
 
@@ -52,16 +54,14 @@ def test_no_matching_facts_completes_empty():
 def test_all_designs_match_oracle(design, spec):
     program, query = bench_program(spec)
     want = oracle_solve(program, query)
-    got = solve_thread(program, query, cfg=EvalConfig(design=design))
+    got = solve_parallel(program, query,
+                         EvalConfig(design=design, threads=1)).answer_sets[0]
     assert got == want
 
 
-def test_single_thread_parallel_equals_solve_thread():
+def test_single_thread_parallel_repeats_identically():
     program, query = bench_program("pathright:cycle:8")
-    direct_cfg = EvalConfig(design=Design.FS)
-    direct = solve_thread(program, query, cfg=direct_cfg)
     result = solve_parallel(program, query, EvalConfig(design=Design.FS, threads=1))
-    assert result.answer_sets == [direct]
     again = solve_parallel(program, query, EvalConfig(design=Design.FS, threads=1))
     assert again.counters.as_dict() == result.counters.as_dict()
     assert again.answer_sets == result.answer_sets
@@ -77,18 +77,22 @@ def test_parallel_answer_sets_match_oracle(design, sync):
     assert all(a == want for a in result.answer_sets)
 
 
-def test_fs_preempted_answer_inserts_lose_nothing(monkeypatch):
+def test_fs_preempted_answer_inserts_lose_nothing():
     # a switch every microsecond preempts threads between an answer-trie
     # insert and the append to the shared answer log
-    monkeypatch.setattr(engine, "_SWITCH_INTERVAL", 1e-6)
-    for spec in ("pathleft:cycle:30", "pathleft:pyramid:30"):
-        program, query = bench_program(spec)
-        want = oracle_solve(program, query)
-        for _ in range(10):
-            for sync in (SyncMode.LOCK, SyncMode.TRYLOCK):
-                result = solve_parallel(program, query, EvalConfig(
-                    design=Design.FS, sync=sync, threads=4))
-                assert all(a == want for a in result.answer_sets), (spec, sync)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for spec in ("pathleft:cycle:30", "pathleft:pyramid:30"):
+            program, query = bench_program(spec)
+            want = oracle_solve(program, query)
+            for _ in range(10):
+                for sync in (SyncMode.LOCK, SyncMode.TRYLOCK):
+                    result = solve_parallel(program, query, EvalConfig(
+                        design=Design.FS, sync=sync, threads=4))
+                    assert all(a == want for a in result.answer_sets), (spec, sync)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_fs_ats_stays_flat_while_ns_scales():
@@ -112,7 +116,8 @@ def test_mutual_recursion_scc():
     query = parse_query("p(X,Y)")
     want = oracle_solve(program, query)
     for design in Design:
-        assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
+        assert result.answer_sets[0] == want
 
 
 def test_nontabled_predicate_with_clauses():
@@ -127,25 +132,27 @@ def test_nontabled_predicate_with_clauses():
     want = oracle_solve(program, query)
     assert want == frozenset({(Int(2),), (Int(3),), (Int(4),)})
     for design in Design:
-        assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
+        assert result.answer_sets[0] == want
 
 
 def test_ground_and_repeated_var_queries():
     program, _ = bench_program("pathleft:cycle:3")
-    assert solve_thread(program, parse_query("path(1,3)"),
-                        cfg=EvalConfig(design=Design.NS)) == frozenset({()})
-    assert solve_thread(program, parse_query("path(1,5)"),
-                        cfg=EvalConfig(design=Design.NS)) == frozenset()
+    cfg = EvalConfig(design=Design.NS, threads=1)
+    assert solve_parallel(program, parse_query("path(1,3)"),
+                          cfg).answer_sets[0] == frozenset({()})
+    assert solve_parallel(program, parse_query("path(1,5)"),
+                          cfg).answer_sets[0] == frozenset()
     want = oracle_solve(program, parse_query("path(X,X)"))
-    assert solve_thread(program, parse_query("path(X,X)"),
-                        cfg=EvalConfig(design=Design.NS)) == want
+    assert solve_parallel(program, parse_query("path(X,X)"),
+                          cfg).answer_sets[0] == want
 
 
 def test_query_must_be_tabled():
     program, _ = bench_program("pathleft:cycle:3")
     with pytest.raises(ProgramError):
-        solve_thread(program, parse_query("edge(X,Y)"),
-                     cfg=EvalConfig(design=Design.NS))
+        solve_parallel(program, parse_query("edge(X,Y)"),
+                       EvalConfig(design=Design.NS, threads=1))
 
 
 @pytest.mark.parametrize("text", ["path(f(1),X)", "path(1,f(X))", "7", "X"])
@@ -153,7 +160,7 @@ def test_queries_must_be_flat_literals(text):
     program, _ = bench_program("pathleft:btree:3")
     query = parse_query(text)
     with pytest.raises(ProgramError):
-        solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
+        solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1))
     with pytest.raises(ProgramError):
         solve_parallel(program, query, EvalConfig(design=Design.FS, threads=2))
     with pytest.raises(ProgramError):
@@ -163,15 +170,16 @@ def test_queries_must_be_flat_literals(text):
 def test_round_watchdog_triggers_when_too_small():
     program, query = bench_program("pathleft:cycle:10")
     with pytest.raises(EvaluationError):
-        solve_thread(program, query, cfg=EvalConfig(design=Design.NS), max_rounds=2)
+        solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1),
+                       max_rounds=2)
 
 
 def test_round_watchdog_herbrand_bound_never_triggers():
     # |Herbrand base of path/2| + 1 rounds is always enough
     program, query = bench_program("pathright:cycle:12")
     bound = 12 * 12 + 1
-    answers = solve_thread(program, query, cfg=EvalConfig(design=Design.NS),
-                           max_rounds=bound)
+    answers = solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1),
+                             max_rounds=bound).answer_sets[0]
     assert answers == oracle_solve(program, query)
 
 
@@ -197,8 +205,8 @@ def test_determinism_across_runs():
 def test_trace_consume_discipline_and_failing_new_answer():
     program, query = bench_program("pathleft:cycle:20")
     events = []
-    answers = solve_thread(program, query, cfg=EvalConfig(design=Design.NS),
-                           trace=events.append)
+    answers = solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1),
+                             trace_factory=lambda tid: events.append).answer_sets[0]
     assert len(answers) == 400
     news = [e for e in events if e[0] == "new_answer"]
     # clause-level accounting for the left recursion over cycle(d):
@@ -234,7 +242,8 @@ def test_nonlinear_double_recursion():
     want = oracle_solve(program, query)
     assert len(want) == 49
     for design in Design:
-        assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
+        assert result.answer_sets[0] == want
 
 
 def test_member_and_completed_literals_in_one_clause():
@@ -250,7 +259,8 @@ def test_member_and_completed_literals_in_one_clause():
     query = parse_query("p(X,Y)")
     want = oracle_solve(program, query)
     for design in Design:
-        assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
+        assert result.answer_sets[0] == want
 
 
 def test_scc_leadership_lost_mid_rounds():
@@ -268,7 +278,8 @@ def test_scc_leadership_lost_mid_rounds():
     want = oracle_solve(program, query)
     assert want == frozenset({(Int(1),), (Int(2),), (Int(3),)})
     for design in Design:
-        assert solve_thread(program, query, cfg=EvalConfig(design=design)) == want
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
+        assert result.answer_sets[0] == want
 
 
 def test_unfolding_constants_and_repeated_head_vars():
@@ -290,7 +301,8 @@ def test_unfolding_constants_and_repeated_head_vars():
         query = parse_query(text)
         want = oracle_solve(program, query)
         for design in Design:
-            got = solve_thread(program, query, cfg=EvalConfig(design=design))
+            got = solve_parallel(program, query,
+                                 EvalConfig(design=design, threads=1)).answer_sets[0]
             assert got == want, (text, design)
 
 
@@ -341,30 +353,35 @@ def test_random_programs_with_nontabled_rules_match_oracle(design, threads):
             assert all(a == want for a in result.answer_sets), text
 
 
-def test_recursion_limit_is_restored():
-    before = sys.getrecursionlimit()
+def test_evaluation_leaves_interpreter_settings_alone():
+    def settings():
+        return (sys.getrecursionlimit(), threading.stack_size(), sys.getswitchinterval())
+
+    before = settings()
+    inside = []
+
+    def trace_factory(tid):  # runs in the worker, while it evaluates
+        inside.append(settings())
+
     program, query = bench_program("pathright:cycle:6")
-    solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
-    assert sys.getrecursionlimit() == before
-    solve_parallel(program, query, EvalConfig(design=Design.FS, threads=2))
-    assert sys.getrecursionlimit() == before
+    for design, threads in ((Design.NS, 1), (Design.FS, 2)):
+        solve_parallel(program, query, EvalConfig(design=design, threads=threads),
+                       trace_factory=trace_factory)
+        assert settings() == before
+    assert inside == [before] * 3
 
 
-def test_deep_chain_raises_evaluation_error(monkeypatch):
-    monkeypatch.setattr(engine, "_RECURSION_LIMIT", 2000)
-    before = sys.getrecursionlimit()
-    # every nested tabled call takes several frames, so a chain as long as
-    # the limit is far past it
-    n = max(before, 2000)
+def test_sixty_thousand_call_chain_answers():
+    # r(i) is a fresh call met inside a clause of r(i-1), so the dependency
+    # stack grows 60,001 frames deep before the first one completes
+    n = 60_000
     program = parse_program(
-        ":- table path/2.\n"
-        "path(X,Z) :- edge(X,Y), path(Y,Z).\n"
-        "path(X,Z) :- edge(X,Z).\n"
-        + "\n".join(f"edge({i},{i + 1})." for i in range(1, n + 1)))
-    query = parse_query("path(1,Y)")
-    with pytest.raises(EvaluationError, match="recursion limit"):
-        solve_thread(program, query, cfg=EvalConfig(design=Design.NS))
-    assert sys.getrecursionlimit() == before
-    with pytest.raises(EvaluationError, match="recursion limit"):
-        solve_parallel(program, query, EvalConfig(design=Design.FS, threads=2))
-    assert sys.getrecursionlimit() == before
+        ":- table r/1.\n"
+        "r(X) :- e(X,Y), r(Y).\n"
+        f"r({n + 1}).\n"
+        + "\n".join(f"e({i},{i + 1})." for i in range(1, n + 1)))
+    query = parse_query("r(1)")
+    for design, threads in ((Design.NS, 1), (Design.FS, 2)):
+        result = solve_parallel(program, query,
+                                EvalConfig(design=design, threads=threads))
+        assert result.answer_sets == [frozenset({()})] * threads

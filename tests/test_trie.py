@@ -13,12 +13,10 @@ from tabling.trie import (
     check_insert_path,
     check_insert_path_counted,
     child_tokens,
-    enumerate_paths,
     find_child,
     get_or_create_payload,
     new_locks,
     new_root,
-    node_count,
 )
 
 A = atom_tok(intern_symbol("a"))
@@ -140,12 +138,10 @@ def test_path_fresh_and_shared_prefix():
     path1 = (atom_tok(p), int_tok(1), int_tok(2))
     leaf1, created, is_new = check_insert_path_counted(root, path1, SyncMode.NONE)
     assert created == 3 and is_new
-    assert node_count(root) == 3
     # common prefixes are represented only once
     path2 = (atom_tok(p), int_tok(1), int_tok(3))
     leaf2, created, is_new = check_insert_path_counted(root, path2, SyncMode.NONE)
     assert created == 1 and is_new
-    assert node_count(root) == 4
     # re-inserting an existing path allocates nothing and returns the same leaf
     leaf3, created, is_new = check_insert_path_counted(root, path1, SyncMode.NONE)
     assert created == 0 and not is_new
@@ -158,39 +154,32 @@ def test_path_rejects_empty():
         check_insert_path(new_root(), (), SyncMode.NONE)
 
 
-def test_enumerate_two_answers():
-    p = intern_symbol("p")
-    root = new_root()
-    for last in (2, 3):
-        check_insert_path(root, (atom_tok(p), int_tok(1), int_tok(last)),
-                          SyncMode.NONE)
-    paths = list(enumerate_paths(root))
-    assert len(paths) == 2
-    assert set(paths) == {(atom_tok(p), int_tok(1), int_tok(2)),
-                          (atom_tok(p), int_tok(1), int_tok(3))}
-
-
-def test_enumerate_empty():
-    assert list(enumerate_paths(new_root())) == []
-
-
-def test_enumerate_after_stress_matches_inserted_set():
-    tokens = [int_tok(i) for i in range(64)]
-    root, _ = _stress(SyncMode.TRYLOCK, 16, tokens)
-    paths = list(enumerate_paths(root))
-    assert len(paths) == 64
-    assert {p[0] for p in paths} == set(tokens)
+def _nodes_and_leaf_paths(root):
+    """The number of nodes below `root`, and the token path to each leaf."""
+    count, leaves = 0, set()
+    todo = [(root, ())]
+    while todo:
+        node, path = todo.pop()
+        child = node.first_child
+        if child is None and path:
+            leaves.add(path)
+        while child is not None:
+            count += 1
+            todo.append((child, path + (child.token,)))
+            child = child.sibling
+    return count, leaves
 
 
 def test_node_count_conservation_random_paths():
     rng = random.Random(11)
     root = new_root()
     prefixes = set()
+    nodes = 0
     for _ in range(500):
         path = tuple(int_tok(rng.randrange(5)) for _ in range(rng.randrange(1, 6)))
-        check_insert_path(root, path, SyncMode.NONE)
+        nodes += check_insert_path_counted(root, path, SyncMode.NONE)[1]
         prefixes.update(path[:i] for i in range(1, len(path) + 1))
-    assert node_count(root) == len(prefixes)
+    assert nodes == _nodes_and_leaf_paths(root)[0] == len(prefixes)
 
 
 def test_concurrent_path_insertion_shares_nodes():
@@ -215,8 +204,7 @@ def test_concurrent_path_insertion_shares_nodes():
         t.join(timeout=120)
         assert not t.is_alive()
     prefixes = {path[:i] for path in all_paths for i in range(1, 4)}
-    assert node_count(root) == len(prefixes)
-    assert set(enumerate_paths(root)) == set(all_paths)
+    assert _nodes_and_leaf_paths(root) == (len(prefixes), set(all_paths))
     _assert_indexes(root)
 
 
