@@ -6,12 +6,15 @@ They wait on each other only at the table's trie write locks, at the lock
 of the table's allocation counters, and, under FS, for another thread to
 log an answer it has just inserted into the shared answer trie.
 
-Non-tabled predicates defined by rules are unfolded at compile time: each
-call of one in a tabled clause is replaced by the bodies of its clauses
-(and kept as a call of its facts when it also has facts), so every clause
-the solver resolves is made of tabled and fact literals only.  Unfolding
-multiplies clauses: a body with several such calls gets one clause per
-combination of their clauses.
+A program is compiled once, on its first solve: validation, the
+per-position indexes of its fact relations and the unfolded clauses are
+cached on the `Program` until it is edited, and each run builds only its
+table.  Non-tabled predicates defined by rules are unfolded: each call of
+one in a tabled clause is replaced by the bodies of its clauses (and kept
+as a call of its facts when it also has facts), so every clause the solver
+resolves is made of tabled and fact literals only.  Unfolding multiplies
+clauses: a body with several such calls gets one clause per combination of
+their clauses.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
 than the Python call stack.  A new tabled call pushes a generator frame on
@@ -200,13 +203,17 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
             for pred, cls in program.clauses.items() if pred in program.tabled}
 
 
-class _Context:
-    """Per-run immutable compilation of a program: fact relations, unfolded
+class _Compiled:
+    """A program compiled once for evaluation: fact relations, unfolded
     tabled clauses, and the tabled-literal positions used by delta rounds.
-    Shared read-only across worker threads."""
+    Built on the program's first solve and cached on it until the program
+    is edited; read-only, so every run and every worker thread shares it.
+    It references no table, and no table keeps a reference to it: the
+    activations that hold its rows are dropped when their frame completes."""
 
-    def __init__(self, program: Program, table: Table):
-        self.table = table
+    __slots__ = ("tabled", "rels", "clauses", "delta_clauses")
+
+    def __init__(self, program: Program):
         self.tabled = program.tabled
         self.rels = {pred: _Rel(rows, pred[1]) for pred, rows in program.facts.items()}
         self.clauses = _unfold(program)
@@ -221,12 +228,24 @@ class _Context:
             self.delta_clauses[pred] = tuple(entries)
 
 
+def _compile(program: Program) -> _Compiled:
+    """The program's compiled form, validating and building it on first
+    use.  Two threads that solve one program at once may both build it;
+    either result is complete when the single assignment publishes it."""
+    compiled = program.compiled
+    if compiled is None:
+        program.validate()  # a failure is not cached: every call raises
+        compiled = program.compiled = _Compiled(program)
+    return compiled
+
+
 class _Eval:
     """One thread's evaluation state: dependency stack and dfn counter."""
 
-    def __init__(self, ctx: _Context, tid: int, trace=None, max_rounds=None):
-        self.ctx = ctx
-        self.table = ctx.table
+    def __init__(self, compiled: _Compiled, table: Table, tid: int, trace=None,
+                 max_rounds=None):
+        self.compiled = compiled
+        self.table = table
         self.tid = tid
         self.trace = trace
         self.max_rounds = max_rounds
@@ -237,7 +256,7 @@ class _Eval:
 
     def solve(self, query: Term) -> frozenset:
         lit = literal_of(query, {})
-        if lit.pred not in self.ctx.tabled:
+        if lit.pred not in self.compiled.tabled:
             raise ProgramError(f"query predicate {pred_str(lit.pred)} is not tabled")
         table = self.table
         frame = table.subgoal_call(table.entries[lit.pred],
@@ -266,7 +285,7 @@ class _Eval:
         self.stack.append(frame)
         if self.trace is not None:
             self.trace(("call", frame))
-        for ci in range(len(self.ctx.clauses.get(frame.pred, ()))):
+        for ci in range(len(self.compiled.clauses.get(frame.pred, ()))):
             act = self._activation(frame, ci)
             if act is not None:
                 yield from self._pass(frame, act, -1, None)
@@ -284,7 +303,7 @@ class _Eval:
         which case completion is left to the real leader further down.
         """
         stack = self.stack
-        ctx = self.ctx
+        compiled = self.compiled
         base = leader.stack_pos
         consumed: dict[SubgoalFrame, int] = {}
         rounds = 0
@@ -295,7 +314,7 @@ class _Eval:
             members = stack[base:]
             windows = {f: (consumed.get(f, 0), len(f.answers)) for f in members}
             for f in members:
-                for ci, positions in ctx.delta_clauses.get(f.pred, ()):
+                for ci, positions in compiled.delta_clauses.get(f.pred, ()):
                     act = self._activation(f, ci)
                     if act is None:
                         continue
@@ -391,11 +410,11 @@ class _Eval:
     def _activation(self, frame: SubgoalFrame, ci: int):
         acts = frame.acts
         if acts is None:
-            acts = frame.acts = [False] * len(self.ctx.clauses[frame.pred])
+            acts = frame.acts = [False] * len(self.compiled.clauses[frame.pred])
         act = acts[ci]
         if act is not False:
             return act
-        act = self._make_activation(frame, self.ctx.clauses[frame.pred][ci])
+        act = self._make_activation(frame, self.compiled.clauses[frame.pred][ci])
         acts[ci] = act
         return act
 
@@ -469,12 +488,12 @@ class _Eval:
         def known(s):
             return s in bound or env[s] is not None
 
-        ctx = self.ctx
+        compiled = self.compiled
         body = []
         for lit in clause.body:
             slots = [slot(a >> 3) if a & 7 == TAG_VAR else const(a) for a in lit.args]
             binds: list[tuple[int, int]] = []
-            if lit.pred in ctx.tabled:
+            if lit.pred in compiled.tabled:
                 # the variant call: unbound variables numbered in first occurrence
                 call = [const(atom_tok(lit.pred[0]))]
                 fresh: dict[int, int] = {}
@@ -488,7 +507,7 @@ class _Eval:
                     call.append(s)
                 body.append(_Lit(tuple(binds), self.table.entries[lit.pred], _getter(call)))
             else:
-                rel = ctx.rels.get(lit.pred)
+                rel = compiled.rels.get(lit.pred)
                 # look rows up by the first constant, else the first bound variable
                 known_at = sorted((k for k, s in enumerate(slots) if known(s)),
                                   key=lambda k: env[slots[k]] is None)
@@ -536,9 +555,9 @@ def solve_parallel(program: Program, query: Term | None = None,
         query = cfg.query
     if query is None:
         raise ConfigurationError("no query given")
-    program.validate()
+    compiled = _compile(program)
     cfg.validate()
-    ctx = _Context(program, Table(program.tabled, cfg.design, cfg.sync))
+    table = Table(compiled.tabled, cfg.design, cfg.sync)
     n = cfg.threads
     results: list = [None] * n
     failures: list = []
@@ -546,7 +565,7 @@ def solve_parallel(program: Program, query: Term | None = None,
     def work(tid: int) -> None:
         try:
             trace = trace_factory(tid) if trace_factory is not None else None
-            results[tid] = _Eval(ctx, tid, trace, max_rounds).solve(query)
+            results[tid] = _Eval(compiled, table, tid, trace, max_rounds).solve(query)
         except BaseException as exc:  # propagated after join
             failures.append((tid, exc))
 
@@ -563,5 +582,5 @@ def solve_parallel(program: Program, query: Term | None = None,
         raise exc
     if release:
         for tid in range(n):
-            ctx.table.release_thread(tid)
-    return ParallelResult(results, ctx.table.snapshot_counters(), wall_ms, ctx.table)
+            table.release_thread(tid)
+    return ParallelResult(results, table.snapshot_counters(), wall_ms, table)

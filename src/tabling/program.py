@@ -92,12 +92,26 @@ def clause_of(head: Term, body: list[Term]) -> Clause:
 
 @dataclass
 class Program:
+    """A program, and the engine's compiled form of it once it has been
+    solved.  `add_clause`, `add_fact` and assigning a field drop the
+    compiled form, so the next solve compiles the edited program; edit the
+    clause and fact lists only through those.  Edits must not run
+    concurrently with a solve of the same program."""
+
     tabled: frozenset[Pred] = field(default_factory=frozenset)
     clauses: dict[Pred, list[Clause]] = field(default_factory=dict)
     facts: dict[Pred, list[tuple[int, ...]]] = field(default_factory=dict)
+    compiled: object | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name != "compiled":
+            object.__setattr__(self, "compiled", None)
 
     def add_clause(self, head: Term, body: list[Term]) -> None:
         cl = clause_of(head, body)
+        if self.compiled is not None:  # read first: the parser adds every line here
+            self.compiled = None
         if not body:
             # a ground bodyless clause is a fact; for tabled predicates it
             # still goes through the clause path so evaluation derives it

@@ -183,12 +183,6 @@ class Table:
             if design is Design.NS:
                 self.counters.bump("ba")
 
-    def entry(self, pred) -> TableEntry:
-        te = self.entries.get(pred)
-        if te is None:
-            raise EvaluationError(f"predicate {pred} is not tabled")
-        return te
-
     # ------------------------------------------------------------------
     # tabled subgoal call
 

@@ -1,16 +1,20 @@
+import gc
 import random
 import sys
 import threading
+import types
 
 import pytest
 
+from tabling import engine
 from tabling.bench import default_query, make_program, parse_bench_spec
 from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
+from tabling.program import Program
 from tabling.tablespace import COMPLETE, Design
-from tabling.terms import Int
+from tabling.terms import Int, Var, compound, intern_symbol
 from tabling.trie import SyncMode
 
 
@@ -385,3 +389,131 @@ def test_sixty_thousand_call_chain_answers():
         result = solve_parallel(program, query,
                                 EvalConfig(design=design, threads=threads))
         assert result.answer_sets == [frozenset({()})] * threads
+
+
+# ----------------------------------------------------------------------
+# the compiled program: built once per program, dropped on every edit
+
+
+_PATH_TEXT = (":- table path/2.\n"
+              "path(X,Z) :- path(X,Y), edge(Y,Z).\n"
+              "path(X,Z) :- hop(X,Z).\n"
+              "hop(X,Z) :- edge(X,Z).\n"
+              "edge(1,2). edge(2,3).")
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_edits_after_a_solve_are_seen(design):
+    program = parse_program(_PATH_TEXT)
+    query = parse_query("path(1,X)")
+    cfg = EvalConfig(design=design, threads=2)
+
+    def answers():
+        result = solve_parallel(program, query, cfg)
+        want = oracle_solve(program, query)
+        assert all(a == want for a in result.answer_sets)
+        return result.answer_sets[0]
+
+    assert answers() == {(Int(2),), (Int(3),)}
+    program.add_fact(compound("edge", Int(3), Int(4)))
+    assert answers() == {(Int(2),), (Int(3),), (Int(4),)}
+    # a new clause of the non-tabled hop/2, unfolded into path/2's clauses
+    program.add_clause(compound("hop", Var(0), Var(1)), [compound("jump", Var(0), Var(1))])
+    program.add_fact(compound("jump", Int(1), Int(9)))
+    program.add_fact(compound("edge", Int(9), Int(10)))
+    assert answers() == {(Int(n),) for n in (2, 3, 4, 9, 10)}
+
+
+def test_reassigning_tabled_recompiles():
+    program = parse_program(_PATH_TEXT)
+    cfg = EvalConfig(design=Design.NS, threads=1)
+    solve_parallel(program, parse_query("path(1,X)"), cfg)
+    with pytest.raises(ProgramError):
+        solve_parallel(program, parse_query("hop(1,X)"), cfg)
+    program.tabled = program.tabled | {(intern_symbol("hop"), 2)}
+    hops = solve_parallel(program, parse_query("hop(1,X)"), cfg).answer_sets[0]
+    assert hops == {(Int(2),)}
+
+
+def test_invalid_program_raises_on_every_call():
+    # built clause by clause: the parser would reject it at load time
+    X, Y = Var(0), Var(1)
+    program = Program(tabled=frozenset({(intern_symbol("p"), 1)}))
+    program.add_clause(compound("p", X), [compound("q", X)])
+    program.add_clause(compound("q", X), [compound("e", X, Y), compound("q", Y)])
+    program.add_fact(compound("e", Int(1), Int(1)))
+    cfg = EvalConfig(design=Design.NS, threads=1)
+    for _ in range(2):
+        with pytest.raises(ProgramError, match="must be tabled"):
+            solve_parallel(program, parse_query("p(X)"), cfg)
+        assert program.compiled is None
+
+
+@pytest.mark.parametrize("design", [Design.NS, Design.FS])
+def test_two_python_threads_solve_one_program(design):
+    program, query = bench_program("pathright:grid:4")
+    want = oracle_solve(program, query)
+    start = threading.Barrier(2)
+    results = [None, None]
+
+    def solve(i):
+        start.wait()
+        results[i] = solve_parallel(program, query, EvalConfig(design=design, threads=2))
+
+    callers = [threading.Thread(target=solve, args=(i,)) for i in range(2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    for result in results:
+        assert all(a == want for a in result.answer_sets)
+
+
+def test_many_solves_compile_once(monkeypatch):
+    calls = []
+    real = engine._unfold
+    monkeypatch.setattr(engine, "_unfold", lambda program: calls.append(1) or real(program))
+    program = parse_program(_PATH_TEXT)
+    for design in Design:
+        for text in ("path(1,X)", "path(X,Y)", "path(2,3)"):
+            solve_parallel(program, parse_query(text), EvalConfig(design=design, threads=2))
+    assert len(calls) == 1
+    program.add_fact(compound("edge", Int(3), Int(1)))
+    solve_parallel(program, parse_query("path(1,X)"), EvalConfig(design=Design.NS))
+    solve_parallel(program, parse_query("path(1,X)"), EvalConfig(design=Design.NS))
+    assert len(calls) == 2
+
+
+def _reachable(root):
+    """Every object reachable from `root` by `gc.get_referents`, not
+    following types, modules and functions, as the table-size walk does."""
+    skip = (type, types.ModuleType, types.FunctionType,
+            types.BuiltinFunctionType, types.MethodType)
+    seen: dict[int, object] = {}
+    todo = [root]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen
+
+
+@pytest.mark.parametrize("release", [True, False])
+def test_table_holds_nothing_of_the_compiled_program(release):
+    program = parse_program(_PATH_TEXT + " edge(3,1).")
+    query = parse_query("path(X,Y)")
+    for design in Design:
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=2),
+                                release=release)
+        compiled = program.compiled
+        assert isinstance(compiled, engine._Compiled)
+        banned = {id(program), id(compiled), id(compiled.rels), id(compiled.clauses)}
+        for rel in compiled.rels.values():
+            banned.update((id(rel), id(rel.rows), id(rel.index)))
+            banned.update(id(d) for d in rel.index)
+        met = _reachable(result.table)
+        assert not banned & met.keys(), design
+        assert not any(isinstance(o, (engine._Rel, engine._Compiled)) for o in met.values())

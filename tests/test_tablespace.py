@@ -31,7 +31,7 @@ def test_ns_first_call_allocates_path_and_frame():
     table = make_table(Design.NS)
     before = table.snapshot_counters()
     assert (before.te, before.ba) == (1, 1)  # entry + its bucket array
-    frame = call(table, table.entry(P), 0)
+    frame = call(table, table.entries[P], 0)
     c = table.snapshot_counters()
     assert c.sts - before.sts == 3  # predicate atom + two variable tokens
     assert c.sf - before.sf == 1
@@ -65,7 +65,7 @@ def test_shared_tries_take_the_tables_own_locks(monkeypatch, design, sync):
     monkeypatch.setattr(trie, "threading", SimpleNamespace(Lock=_CountingLock))
     table = make_table(design, sync)
     assert len(table.locks) == trie.N_LOCKS
-    te = table.entry(P)
+    te = table.entries[P]
 
     def work(tid):
         frame = call(table, te, tid)
@@ -92,7 +92,7 @@ def test_ns_table_makes_no_locks():
 @pytest.mark.parametrize("design", list(Design))
 def test_second_call_is_idempotent(design):
     table = make_table(design)
-    te = table.entry(P)
+    te = table.entries[P]
     f1 = call(table, te, 0)
     snap = table.snapshot_counters()
     f2 = call(table, te, 0)
@@ -102,7 +102,7 @@ def test_second_call_is_idempotent(design):
 
 def test_fs_two_threads_share_entry():
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     f0 = call(table, te, 0)
     f1 = call(table, te, 1)
     assert f0 is not f1
@@ -113,7 +113,7 @@ def test_fs_two_threads_share_entry():
 
 def test_ss_two_threads_private_answer_tries():
     table = make_table(Design.SS)
-    te = table.entry(P)
+    te = table.entries[P]
     f0 = call(table, te, 0)
     f1 = call(table, te, 1)
     assert f0 is not f1
@@ -126,7 +126,7 @@ def test_ss_two_threads_private_answer_tries():
 
 def test_new_answer_fresh_and_duplicate():
     table = make_table(Design.NS)
-    frame = call(table, table.entry(P), 0)
+    frame = call(table, table.entries[P], 0)
     before = table.snapshot_counters().ats
     assert answer(table, frame, 1, 2) is True
     assert table.snapshot_counters().ats == before + 2
@@ -137,13 +137,13 @@ def test_new_answer_fresh_and_duplicate():
 def test_fs_cross_thread_newness_and_node_reuse():
     # single-thread reference node count for the same two answers
     ref = make_table(Design.NS)
-    rf = call(ref, ref.entry(P), 0)
+    rf = call(ref, ref.entries[P], 0)
     answer(ref, rf, 1, 2)
     answer(ref, rf, 1, 3)
     single = ref.snapshot_counters().ats
 
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     fa = call(table, te, 0)
     fb = call(table, te, 1)
     assert answer(table, fa, 1, 2) is True
@@ -159,7 +159,7 @@ def test_fs_cross_thread_newness_and_node_reuse():
 
 def test_fs_interleaved_threads_share_answer_nodes():
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     answers = [(i, j) for i in range(10) for j in range(10)]
     barrier = threading.Barrier(2)
     news = [0, 0]
@@ -182,7 +182,7 @@ def test_fs_interleaved_threads_share_answer_nodes():
 
 def test_mark_complete_and_answers_of():
     table = make_table(Design.NS)
-    frame = call(table, table.entry(P), 0)
+    frame = call(table, table.entries[P], 0)
     answer(table, frame, 1, 2)
     with pytest.raises(EvaluationError):
         table.answers_of(frame)  # not complete yet
@@ -197,7 +197,7 @@ def test_mark_complete_and_answers_of():
 def test_empty_substitution_answer():
     ground = (atom_tok(P[0]), int_tok(1), int_tok(2))
     table = make_table(Design.NS)
-    frame = call(table, table.entry(P), 0, ground)
+    frame = call(table, table.entries[P], 0, ground)
     assert answer(table, frame) is True
     assert answer(table, frame) is False
     table.mark_complete([frame])
@@ -206,7 +206,7 @@ def test_empty_substitution_answer():
 
 def test_fs_threads_enumerate_identical_sets():
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     fa = call(table, te, 0)
     fb = call(table, te, 1)
     answer(table, fa, 1, 2)
@@ -218,7 +218,7 @@ def test_fs_threads_enumerate_identical_sets():
 
 def test_snapshot_example_ns_single_thread():
     table = make_table(Design.NS)
-    frame = call(table, table.entry(P), 0)
+    frame = call(table, table.entries[P], 0)
     for j in range(4):
         answer(table, frame, 0, j)
     c = table.snapshot_counters()
@@ -228,7 +228,7 @@ def test_snapshot_example_ns_single_thread():
 
 def test_snapshot_example_fs_four_threads():
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     frames = [call(table, te, tid) for tid in range(4)]
     for frame in frames:
         for j in range(4):
@@ -241,7 +241,7 @@ def test_snapshot_example_fs_four_threads():
 
 def test_snapshot_example_ss_two_threads():
     table = make_table(Design.SS)
-    te = table.entry(P)
+    te = table.entries[P]
     frames = [call(table, te, tid) for tid in range(2)]
     for frame in frames:
         for j in range(4):
@@ -255,7 +255,7 @@ def test_snapshot_example_ss_two_threads():
 @pytest.mark.parametrize("design", [Design.NS, Design.SS])
 def test_release_thread_drops_private_structures(design):
     table = make_table(design)
-    te = table.entry(P)
+    te = table.entries[P]
     frames = [call(table, te, tid) for tid in range(2)]
     for frame in frames:
         answer(table, frame, 1, 2)
@@ -271,7 +271,7 @@ def test_release_thread_drops_private_structures(design):
 
 def test_indirect_thread_ids_work():
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     frame = call(table, te, 100)
     assert frame.tid == 100
     c = table.snapshot_counters()
@@ -291,9 +291,9 @@ def test_thread_id_capacity():
     assert capacity == 1056
     for design in Design:
         table = make_table(design)
-        assert call(table, table.entry(P), capacity - 1).tid == capacity - 1
+        assert call(table, table.entries[P], capacity - 1).tid == capacity - 1
         with pytest.raises(ConfigurationError):
-            call(table, table.entry(P), capacity)
+            call(table, table.entries[P], capacity)
 
 
 def test_fs_new_answer_waits_until_the_answer_is_logged():
@@ -301,7 +301,7 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
     # shared answer log; thread B derives the same answer meanwhile and must
     # not return before the log holds it, or B's round could end without it
     table = make_table(Design.FS)
-    te = table.entry(P)
+    te = table.entries[P]
     fa = call(table, te, 0)
     entered, release = threading.Event(), threading.Event()
 
