@@ -1,6 +1,6 @@
 """Command-line front end: run queries and benchmarks, emit CSV or JSON rows.
 
-Exit codes: 0 ok, 1 usage, configuration or evaluation error, 2 parse
+Exit codes: 0 ok, 1 usage, configuration, program or evaluation error, 2 parse
 error, 3 verification failure (per-thread mismatch or oracle mismatch).
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .bench import make_program, default_query, parse_bench_spec
 from .engine import EvalConfig, solve_parallel
-from .errors import ConfigurationError, ParseError, TablingError
+from .errors import ConfigurationError, ParseError, ProgramError, TablingError
 from .oracle import oracle_solve
 from .parser import parse_program, parse_query
 from .tablespace import CountersSnapshot, Design
@@ -126,6 +126,9 @@ def run_command(argv) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except ProgramError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -152,10 +155,6 @@ def run_command(argv) -> int:
     reports: list[RunReport] = []
     for design in designs:
         for lock in locks:
-            if design is not Design.NS and lock is SyncMode.NONE:
-                print(f"configuration error: design {design.value} needs "
-                      f"lock or trylock, not none", file=sys.stderr)
-                return 1
             for n in threads:
                 try:
                     cfg = EvalConfig(design=design, sync=lock, threads=n)

@@ -14,7 +14,9 @@ one in a tabled clause is replaced by the bodies of its clauses (and kept
 as a call of its facts when it also has facts), so every clause the solver
 resolves is made of tabled and fact literals only.  Unfolding multiplies
 clauses: a body with several such calls gets one clause per combination of
-their clauses.
+their clauses.  One unifier, `_unify`, serves both places where two flat
+literals meet: a call against a callee's head when unfolding, and a clause
+head against a subgoal call when a frame first activates the clause.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
 than the Python call stack.  A new tabled call pushes a generator frame on
@@ -62,7 +64,6 @@ class EvalConfig:
     design: Design
     sync: SyncMode = SyncMode.TRYLOCK
     threads: int = 1
-    query: Term | None = None
 
     def validate(self) -> None:
         if self.threads < 1 or self.threads > MAX_THREADS:
@@ -135,24 +136,21 @@ class _Rel:
             self.index.append({k: tuple(v) for k, v in d.items()})
 
 
-def _resolve(cl: Clause, i: int, d: Clause) -> Clause | None:
-    """Replace body literal `i` of `cl` by the body of `d`, unified with
-    d's head; None when the literal and the head do not unify."""
-    n = cl.nvars
+def _walk(subst: dict[int, int], t: int) -> int:
+    """The token a variable is bound to through `subst`: a constant, or the
+    representative variable of its class; a constant is its own value."""
+    while t in subst:
+        t = subst[t]
+    return t
 
-    def shift(lit: Literal) -> Literal:  # rename d's variables apart
-        return Literal(lit.pred, tuple(var_tok((a >> 3) + n) if a & 7 == TAG_VAR
-                                       else a for a in lit.args))
 
+def _unify(xs: tuple[int, ...], ys: tuple[int, ...]) -> dict[int, int] | None:
+    """The most general unifier of two flat argument tuples whose variables
+    are kept apart, as a substitution to read through `_walk`; None when
+    they do not unify.  The one unifier of unfolding and activation."""
     subst: dict[int, int] = {}
-
-    def walk(t: int) -> int:
-        while t in subst:
-            t = subst[t]
-        return t
-
-    for a, b in zip(cl.body[i].args, shift(d.head).args):
-        a, b = walk(a), walk(b)
+    for a, b in zip(xs, ys):
+        a, b = _walk(subst, a), _walk(subst, b)
         if a == b:
             continue
         if a & 7 == TAG_VAR:
@@ -161,12 +159,27 @@ def _resolve(cl: Clause, i: int, d: Clause) -> Clause | None:
             subst[b] = a
         else:
             return None
+    return subst
+
+
+def _resolve(cl: Clause, i: int, d: Clause) -> Clause | None:
+    """Replace body literal `i` of `cl` by the body of `d`, unified with
+    d's head; None when the literal and the head do not unify."""
+    n = cl.nvars
+
+    def shift(lit: Literal) -> Literal:  # rename d's variables apart
+        return Literal(lit.pred, tuple(a + (n << 3) if a & 7 == TAG_VAR else a
+                                       for a in lit.args))
+
+    subst = _unify(cl.body[i].args, shift(d.head).args)
+    if subst is None:
+        return None
     renum: dict[int, int] = {}  # first occurrence over head then body
 
     def rebuild(lit: Literal) -> Literal:
         args = []
         for t in lit.args:
-            t = walk(t)
+            t = _walk(subst, t)
             if t & 7 == TAG_VAR:
                 t = renum.setdefault(t, var_tok(len(renum)))
             args.append(t)
@@ -185,21 +198,28 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
     rules = {pred: cls for pred, cls in program.clauses.items()
              if pred not in program.tabled}
 
-    def expand(cl: Clause, start: int):
-        for i in range(start, len(cl.body)):
-            defs = rules.get(cl.body[i].pred)
-            if defs is None:
+    def expand(cl: Clause) -> list[Clause]:
+        # depth first on an explicit stack: each clause waits with the body
+        # position to resume from, and its expansions are pushed in reverse
+        # so that they come out in order
+        out = []
+        todo = [(cl, 0)]
+        while todo:
+            cl, start = todo.pop()
+            i = next((i for i in range(start, len(cl.body))
+                      if cl.body[i].pred in rules), None)
+            if i is None:
+                out.append(cl)
                 continue
-            if cl.body[i].pred in program.facts:
-                yield from expand(cl, i + 1)
-            for d in defs:
-                merged = _resolve(cl, i, d)
-                if merged is not None:
-                    yield from expand(merged, i)
-            return
-        yield cl
+            pred = cl.body[i].pred
+            merged = [(m, i) for m in (_resolve(cl, i, d) for d in rules[pred])
+                      if m is not None]
+            if pred in program.facts:
+                merged.insert(0, (cl, i + 1))
+            todo.extend(reversed(merged))
+        return out
 
-    return {pred: tuple(c for cl in cls for c in expand(cl, 0))
+    return {pred: tuple(c for cl in cls for c in expand(cl))
             for pred, cls in program.clauses.items() if pred in program.tabled}
 
 
@@ -419,48 +439,12 @@ class _Eval:
         return act
 
     def _make_activation(self, frame: SubgoalFrame, clause: Clause):
-        sub_args = frame.tokens[1:]
-        nvars = clause.nvars
-        nsub = 0
-        for a in sub_args:
-            if a & 7 == TAG_VAR:
-                nsub = max(nsub, (a >> 3) + 1)
-        parent = list(range(nvars + nsub))
-        value: list[int | None] = [None] * (nvars + nsub)
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def bind(x, tok):
-            r = find(x)
-            if value[r] is None:
-                value[r] = tok
-                return True
-            return value[r] == tok
-
-        for h, s in zip(clause.head.args, sub_args):
-            hv = h & 7 == TAG_VAR
-            sv = s & 7 == TAG_VAR
-            if hv and sv:
-                rh, rs = find(h >> 3), find(nvars + (s >> 3))
-                if rh != rs:
-                    if value[rh] is not None and value[rs] is not None \
-                            and value[rh] != value[rs]:
-                        return None
-                    parent[rs] = rh
-                    if value[rh] is None:
-                        value[rh] = value[rs]
-            elif hv:
-                if not bind(h >> 3, s):
-                    return None
-            elif sv:
-                if not bind(nvars + (s >> 3), h):
-                    return None
-            elif h != s:
-                return None
+        # the call's variables are numbered after the clause's, kept apart
+        shift = clause.nvars << 3
+        args = tuple(a + shift if a & 7 == TAG_VAR else a for a in frame.tokens[1:])
+        subst = _unify(clause.head.args, args)
+        if subst is None:
+            return None
 
         env: list = []  # the template: a constant, or None for a variable
         const_slots: dict[int, int] = {}
@@ -473,13 +457,14 @@ class _Eval:
                 env.append(tok)
             return s
 
-        def slot(x):
-            r = find(x)
-            if value[r] is not None:
-                return const(value[r])
-            s = var_slots.get(r)
+        def slot(t):
+            # a constant, or the slot of its variable's representative
+            t = _walk(subst, t)
+            if t & 7 != TAG_VAR:
+                return const(t)
+            s = var_slots.get(t)
             if s is None:
-                s = var_slots[r] = len(env)
+                s = var_slots[t] = len(env)
                 env.append(None)
             return s
 
@@ -491,7 +476,7 @@ class _Eval:
         compiled = self.compiled
         body = []
         for lit in clause.body:
-            slots = [slot(a >> 3) if a & 7 == TAG_VAR else const(a) for a in lit.args]
+            slots = [slot(a) for a in lit.args]
             binds: list[tuple[int, int]] = []
             if lit.pred in compiled.tabled:
                 # the variant call: unbound variables numbered in first occurrence
@@ -533,15 +518,16 @@ class _Eval:
                 body.append(_Lit(tuple(binds), rows=rows, index=index, key=key,
                                  checks=tuple(checks)))
             bound.update(slots)
-        extract = [slot(nvars + j) for j in range(nsub)] or [const(TRUE_TOK)]
+        # the answer: the values of the call's variables, in their order
+        extract = [slot(v) for v in sorted({a for a in args if a & 7 == TAG_VAR})] \
+            or [const(TRUE_TOK)]
         return _Act(tuple(body), _getter(extract), env)
 
 
 # ----------------------------------------------------------------------
 
 
-def solve_parallel(program: Program, query: Term | None = None,
-                   cfg: EvalConfig | None = None, trace_factory=None,
+def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory=None,
                    max_rounds=None, release: bool = True) -> ParallelResult:
     """Run cfg.threads workers, all evaluating the same query.
 
@@ -549,12 +535,6 @@ def solve_parallel(program: Program, query: Term | None = None,
     around the workers' lifetime.  Worker errors are re-raised after all
     workers have been joined.
     """
-    if cfg is None:
-        raise ConfigurationError("solve_parallel needs an EvalConfig")
-    if query is None:
-        query = cfg.query
-    if query is None:
-        raise ConfigurationError("no query given")
     compiled = _compile(program)
     cfg.validate()
     table = Table(compiled.tabled, cfg.design, cfg.sync)

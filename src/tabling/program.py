@@ -115,8 +115,10 @@ class Program:
         if not body:
             # a ground bodyless clause is a fact; for tabled predicates it
             # still goes through the clause path so evaluation derives it
-            if any(tok & 7 == TAG_VAR for tok in cl.head.args):
-                raise ProgramError(f"non-ground fact: {head}")
+            for k, tok in enumerate(cl.head.args, 1):
+                if tok & 7 == TAG_VAR:
+                    raise ProgramError(f"non-ground fact for {pred_str(cl.head.pred)}: "
+                                       f"argument {k} is a variable")
             if cl.head.pred not in self.tabled:
                 self.facts.setdefault(cl.head.pred, []).append(cl.head.args)
                 return
@@ -125,24 +127,17 @@ class Program:
     def add_fact(self, fact: Term) -> None:
         self.add_clause(fact, [])
 
-    def predicates(self) -> set[Pred]:
-        out = set(self.tabled)
-        out.update(self.clauses)
-        out.update(self.facts)
-        return out
-
     def validate(self) -> None:
         """Reject non-range-restricted clauses and non-tabled recursion."""
         for pred, clauses in self.clauses.items():
             for cl in clauses:
-                head_vars = {a for a in cl.head.args if a & 7 == TAG_VAR}
                 body_vars = {a for lit in cl.body for a in lit.args if a & 7 == TAG_VAR}
-                missing = head_vars - body_vars
-                if missing:
-                    raise ProgramError(
-                        f"clause for {pred_str(pred)} is not range-restricted: "
-                        f"head variable {tok_str(sorted(missing)[0])} never occurs in the body"
-                    )
+                for k, a in enumerate(cl.head.args, 1):
+                    if a & 7 == TAG_VAR and a not in body_vars:
+                        raise ProgramError(
+                            f"clause for {pred_str(pred)} is not range-restricted: "
+                            f"head argument {k} is a variable that never occurs in the body"
+                        )
         for scc in self._pred_sccs():
             recursive = len(scc) > 1 or self._self_loop(next(iter(scc)))
             if not recursive:
@@ -165,6 +160,8 @@ class Program:
                    for lit in cl.body)
 
     def _pred_sccs(self) -> list[set[Pred]]:
+        """The strongly connected components of the predicate dependency
+        graph (path-based search, on an explicit stack)."""
         deps = self._deps()
         index: dict[Pred, int] = {}
         stack: list[Pred] = []
@@ -172,24 +169,31 @@ class Program:
         done: set[Pred] = set()
         sccs: list[set[Pred]] = []
 
-        def dfs(v: Pred) -> None:
+        def enter(v: Pred) -> tuple:
             index[v] = len(stack)
             stack.append(v)
             boundaries.append(index[v])
-            for w in deps.get(v, ()):
-                if w not in index:
-                    dfs(w)
-                elif w not in done:
-                    while index[w] < boundaries[-1]:
-                        boundaries.pop()
-            if boundaries[-1] == index[v]:
-                boundaries.pop()
-                scc = set(stack[index[v]:])
-                del stack[index[v]:]
-                done.update(scc)
-                sccs.append(scc)
+            return v, iter(deps.get(v, ()))
 
-        for v in list(deps):
-            if v not in index:
-                dfs(v)
+        for root in list(deps):
+            if root in index:
+                continue
+            path = [enter(root)]
+            while path:
+                v, successors = path[-1]
+                for w in successors:
+                    if w not in index:
+                        path.append(enter(w))
+                        break
+                    if w not in done:
+                        while index[w] < boundaries[-1]:
+                            boundaries.pop()
+                else:
+                    path.pop()
+                    if boundaries[-1] == index[v]:
+                        boundaries.pop()
+                        scc = set(stack[index[v]:])
+                        del stack[index[v]:]
+                        done.update(scc)
+                        sccs.append(scc)
         return sccs

@@ -90,11 +90,12 @@ class MemoryCounters:
 class SubgoalFrame:
     """Per-thread control record for one subgoal call.
 
-    NS/SS frames own a private answer trie and answer log.  FS frames reach
-    the shared answer trie and log through their subgoal entry and hold no
-    answer state of their own: an answer is new to an FS frame only when it
-    is new to the shared table, and that newness only feeds tracing, since
-    the engine ends a fixpoint by watching the answer log alone.
+    NS/SS frames own a private answer trie and answer log.  FS frames point
+    `answer_root` and `answers` at their subgoal entry's shared trie and log,
+    and hold no answer state of their own: an answer is new to an FS frame
+    only when it is new to the shared table, and that newness only feeds
+    tracing, since the engine ends a fixpoint by watching the answer log
+    alone.
 
     `dfn`, `leader_dfn`, `stack_pos` and `on_stack` are scheduling fields
     used by the evaluation engine's dependency stack.
@@ -111,21 +112,16 @@ class SubgoalFrame:
         self.state = EVALUATING
         self.entry: SubgoalEntry | None = entry
         if entry is None:
-            self.answer_root: TrieNode | None = trie.new_root()
+            self.answer_root: TrieNode = trie.new_root()
             self.answers: list[TokenSeq] = []
         else:
-            self.answer_root = None
+            self.answer_root = entry.answer_root
             self.answers = entry.answers
         self.dfn = -1
         self.leader_dfn = -1
         self.stack_pos = -1
         self.on_stack = False
         self.acts = None  # per-clause activation cache, owned by the engine
-
-    def answer_trie_root(self) -> TrieNode:
-        if self.entry is not None:
-            return self.entry.answer_root
-        return self.answer_root
 
 
 class SubgoalEntry:
@@ -253,7 +249,7 @@ class Table:
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
         leaf, created, is_new_path = trie.check_insert_path_counted(
-            frame.answer_trie_root(), toks, self.answer_mode, self.locks)
+            frame.answer_root, toks, self.answer_mode, self.locks)
         if created:
             self.counters.bump("ats", created)
         if is_new_path:

@@ -15,16 +15,18 @@ any lock.
 
 `check_insert_node` supports three synchronization modes:
 
-* NONE     - caller owns the trie; plain lookup and insert, no locking.
+* NONE     - caller owns the trie; plain lookup and insert, no locking,
+             on a path of its own.
 * LOCK     - look up without the lock; if the token is absent, block on the
              parent's lock, re-check only what was inserted in the meantime
              (the new head segment of the chain, or the index once it
              exists), then insert.
-* TRYLOCK  - like LOCK but never blocks while the token might already be
-             present: each failed lock attempt yields the interpreter and
-             then re-checks the newly inserted head segment, bounded by the
-             first child seen in the previous round, or the index once it
-             exists.
+* TRYLOCK  - like LOCK, but never blocks: each failed lock attempt yields
+             the interpreter and re-checks what was inserted since the
+             previous look before it tries again.
+
+LOCK and TRYLOCK share one path, `_check_insert_shared`, and differ only in
+whether its lock acquire blocks.
 
 Write locks are not per node: a table makes one small array of locks with
 `new_locks`, and a parent's writers take the lock `hash(parent)` selects
@@ -110,7 +112,7 @@ def _link(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
     return child
 
 
-def _check_insert_none(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, bool]:
+def _check_insert_none(parent: TrieNode, tok: int) -> tuple[TrieNode, bool]:
     index = parent.index
     if index is not None:
         child = index.get(tok)
@@ -125,87 +127,46 @@ def _check_insert_none(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, boo
     return _link(parent, tok, index), True
 
 
-def _check_insert_lock(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, bool]:
-    index = parent.index
-    first = None
-    if index is not None:
-        child = index.get(tok)
-        if child is not None:
-            return child, False
-    else:
-        first = child = parent.first_child
-        while child is not None:
-            if child.token == tok:
-                return child, False
-            child = child.sibling
-    with locks[hash(parent) % len(locks)]:
-        # the trie may have grown while we waited; only what was inserted
-        # since our scan (the head segment before `first`) needs a re-check
-        index = parent.index
-        if index is not None:
-            child = index.get(tok)
-            if child is not None:
-                return child, False
-        else:
-            child = parent.first_child
-            while child is not first:
-                if child.token == tok:
-                    return child, False
-                child = child.sibling
-        return _link(parent, tok, index), True
-
-
-def _check_insert_trylock(parent: TrieNode, tok: int, locks) -> tuple[TrieNode, bool]:
-    lock = None
-    last_child: TrieNode | None = None
-    while True:
-        index = parent.index
-        if index is not None:
-            child = index.get(tok)
-            if child is not None:
-                return child, False
-        else:
-            first = child = parent.first_child
-            while child is not last_child:
-                if child.token == tok:
-                    return child, False
-                child = child.sibling
-            last_child = first
-        if lock is None:
-            lock = locks[hash(parent) % len(locks)]
-        if lock.acquire(False):
-            break
-        # yield: under the GIL the holder cannot finish while this thread spins
-        time.sleep(0)
-    # critical region: re-check anything inserted since our last look
+def _check_insert_shared(parent: TrieNode, tok: int, locks,
+                         blocking: bool) -> tuple[TrieNode, bool]:
+    """The LOCK and TRYLOCK check/insert.  A blocking acquire always
+    succeeds, so LOCK looks twice: once without the lock, once with it."""
+    seen = None  # the chain's head at the previous look
+    held = False
     try:
-        index = parent.index
-        if index is not None:
-            child = index.get(tok)
-            if child is not None:
-                return child, False
-        else:
-            child = parent.first_child
-            while child is not last_child:
-                if child.token == tok:
+        while True:
+            index = parent.index
+            if index is not None:
+                child = index.get(tok)
+                if child is not None:
                     return child, False
-                child = child.sibling
-        return _link(parent, tok, index), True
+            else:
+                first = child = parent.first_child
+                while child is not seen:
+                    if child.token == tok:
+                        return child, False
+                    child = child.sibling
+                seen = first
+            if held:
+                return _link(parent, tok, index), True
+            lock = locks[hash(parent) % len(locks)]
+            held = lock.acquire(blocking)
+            if not held:
+                # yield: under the GIL the holder cannot finish while this thread spins
+                time.sleep(0)
     finally:
-        lock.release()
+        if held:
+            lock.release()
 
 
-_INSERT = {
-    SyncMode.NONE: _check_insert_none,
-    SyncMode.LOCK: _check_insert_lock,
-    SyncMode.TRYLOCK: _check_insert_trylock,
-}
+_NONE = SyncMode.NONE
+_LOCK = SyncMode.LOCK
 
 
 def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode,
                       locks: Sequence = _LOCKS) -> TrieNode:
     """Return the unique child of `parent` carrying `tok`, inserting it if absent."""
-    return _INSERT[mode](parent, tok, locks)[0]
+    return check_insert_path_counted(parent, (tok,), mode, locks)[0]
 
 
 def check_insert_path(root: TrieNode, toks: TokenSeq, mode: SyncMode,
@@ -224,14 +185,20 @@ def check_insert_path_counted(
     """
     if not toks:
         raise ValueError("empty token path")
-    insert = _INSERT[mode]
     node = root
     created = 0
     made = False
-    for tok in toks:
-        node, made = insert(node, tok, locks)
-        if made:
-            created += 1
+    if mode is _NONE:
+        for tok in toks:
+            node, made = _check_insert_none(node, tok)
+            if made:
+                created += 1
+    else:
+        blocking = mode is _LOCK
+        for tok in toks:
+            node, made = _check_insert_shared(node, tok, locks, blocking)
+            if made:
+                created += 1
     return node, created, made
 
 

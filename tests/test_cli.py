@@ -169,3 +169,18 @@ def test_bad_query_exits_1_without_traceback(query, check, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "V0" not in err  # the parser's internal name for a variable
+
+
+@pytest.mark.parametrize("text", [
+    "p(X) :- q(Y).\nq(1).\n",                    # not range-restricted
+    ":- table p/1.\nr(X) :- r(X).\np(X) :- r(X).\n",  # non-tabled recursion
+    "p(X).\n",                                    # non-ground fact
+], ids=["range", "recursion", "nonground"])
+def test_invalid_program_file_exits_1_without_traceback(text, tmp_path, capsys):
+    path = tmp_path / "invalid.pl"
+    path.write_text(text)
+    code = run_command(["--program", str(path), "--query", "p(X)", "--repeat", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "V0" not in err  # the parser's internal name for a variable

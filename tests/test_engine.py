@@ -391,6 +391,24 @@ def test_sixty_thousand_call_chain_answers():
         assert result.answer_sets == [frozenset({()})] * threads
 
 
+@pytest.mark.parametrize("order", ["file", "reversed"])
+def test_deep_nontabled_chain_compiles_at_the_default_recursion_limit(order):
+    # in file order the dependency search walks 1,500 predicates deep; in
+    # reverse order validation is shallow but unfolding t/1 is 1,500 deep
+    n = 1_500
+    assert sys.getrecursionlimit() < n
+    rules = ["t(X) :- p0(X)."] + [f"p{i}(X) :- p{i + 1}(X)." for i in range(n)]
+    if order == "reversed":
+        rules.reverse()
+    program = parse_program("\n".join([":- table t/1."] + rules + [f"p{n}(1)."]))
+    (clause,) = engine._unfold(program)[(intern_symbol("t"), 1)]
+    assert str(clause) == f"t(V0) :- p{n}(V0)."
+    for design in (Design.NS, Design.FS):
+        result = solve_parallel(program, parse_query("t(X)"),
+                                EvalConfig(design=design, threads=1))
+        assert result.answer_sets == [frozenset({(Int(1),)})], design
+
+
 # ----------------------------------------------------------------------
 # the compiled program: built once per program, dropped on every edit
 

@@ -361,3 +361,43 @@ def test_shared_leaf_payload_is_created_once():
     assert {id(payload) for payload, _ in results} == {id(made[0])}
     assert sum(created for _, created in results) == 1
     assert leaf.payload is made[0]
+
+
+class _RecordingLocks:
+    """A one-lock array that records every `acquire` argument and refuses
+    the first try, as a lock another writer holds would."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.calls = []
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, i):
+        return self
+
+    def acquire(self, blocking=True):
+        self.calls.append(blocking)
+        if not blocking and len(self.calls) == 1:
+            return False
+        return self._lock.acquire(blocking)
+
+    def release(self):
+        self._lock.release()
+
+
+@pytest.mark.parametrize("mode, blocking", [(SyncMode.LOCK, True),
+                                            (SyncMode.TRYLOCK, False)])
+def test_lock_blocks_and_trylock_tries(mode, blocking, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    locks = _RecordingLocks()
+    leaf = check_insert_path(new_root(), (A, int_tok(1), int_tok(2)), mode, locks)
+    assert leaf.token == int_tok(2)
+    assert set(locks.calls) == {blocking}
+    if blocking:  # one blocking acquire per new node, and never a yield
+        assert locks.calls == [True] * 3 and sleeps == []
+    else:  # the refused first try yields once, then every try succeeds
+        assert len(locks.calls) == 4 and sleeps == [0]
+    assert not locks._lock.locked()
