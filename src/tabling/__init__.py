@@ -24,7 +24,7 @@ from .errors import (
 from .oracle import oracle_solve
 from .parser import parse_program, parse_query
 from .program import Clause, Literal, Program
-from .tablespace import Design, MemoryCounters, SubgoalFrame, Table
+from .tablespace import Design, SubgoalFrame, Table
 from .terms import (
     Atom,
     Compound,
@@ -44,7 +44,7 @@ __all__ = [
     "Atom", "BenchInstance", "BucketArray", "Clause", "Compound",
     "ConfigurationError", "Design", "Direct", "EdgeConfig", "EvalConfig",
     "EvaluationError", "GraphKind", "Indirect", "Int", "Literal",
-    "MemoryCounters", "ParallelResult", "ParseError", "Program",
+    "ParallelResult", "ParseError", "Program",
     "ProgramError", "Recursion", "SubgoalFrame", "SyncMode", "Table",
     "TablingError", "Term", "TrieNode", "Var",
     "atom", "bucket_cell", "check_insert_node", "check_insert_path",

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ConfigurationError
+from .parser import parse_program
 from .program import Program
-from .terms import Int, Term, Var, compound, intern_symbol
+from .terms import Term, Var, compound
 
 
 class GraphKind(Enum):
@@ -122,23 +123,9 @@ def gen_edges(config: EdgeConfig, allow_paper_scale: bool = False) -> list[tuple
     return edges
 
 
-_X, _Y, _Z = Var(0), Var(1), Var(2)
-
-
 def make_program(inst: BenchInstance, allow_paper_scale: bool = False) -> Program:
     """The two-clause path/2 program over the instance's edge facts."""
-    path_pred = (intern_symbol("path"), 2)
-    program = Program(tabled=frozenset({path_pred}))
-    if inst.recursion is Recursion.LEFT:
-        program.add_clause(compound("path", _X, _Z),
-                           [compound("path", _X, _Y), compound("edge", _Y, _Z)])
-    else:
-        program.add_clause(compound("path", _X, _Z),
-                           [compound("edge", _X, _Y), compound("path", _Y, _Z)])
-    program.add_clause(compound("path", _X, _Z), [compound("edge", _X, _Z)])
-    for src, dst in gen_edges(inst.config, allow_paper_scale):
-        program.add_fact(compound("edge", Int(src), Int(dst)))
-    return program
+    return parse_program(program_text(inst, allow_paper_scale))
 
 
 def default_query() -> Term:

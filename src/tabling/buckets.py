@@ -1,14 +1,15 @@
 """Two-level thread-indexed bucket arrays.
 
-A bucket array has `s` direct cells for thread ids below `s` and `u`
-indirect cells for the rest; each indirect cell lazily holds a second-level
-array of `u` cells.  Thread t (t >= s) lands in first-level index
-(t - s) // u, second-level index (t - s) % u.  With the defaults
-(s = u = 32) the capacity is 1056 cells, covering the 1024-thread limit.
+A bucket array has 32 direct cells for thread ids below 32 and 32 indirect
+cells for the rest; each indirect cell lazily holds a second-level array of
+32 cells.  Thread t (t >= 32) lands in first-level index (t - 32) // 32,
+second-level index (t - 32) % 32.  The capacity is 1056 cells, covering the
+1024-thread limit.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -18,6 +19,9 @@ from .errors import ConfigurationError
 DEFAULT_DIRECT = 32
 DEFAULT_INDIRECT = 32
 MAX_THREADS = 1024
+
+# serializes the rare lazy allocation of a second-level array, in any array
+_LEVEL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,7 @@ class Indirect:
     second: int
 
 
+@functools.cache  # cells are immutable; reuse spares a frozen-dataclass init per access
 def bucket_cell(t: int, s: int = DEFAULT_DIRECT, u: int = DEFAULT_INDIRECT):
     """Cell coordinates for thread id t."""
     if t < 0 or t >= s + u * u:
@@ -42,48 +47,36 @@ def bucket_cell(t: int, s: int = DEFAULT_DIRECT, u: int = DEFAULT_INDIRECT):
 
 class BucketArray:
     """Cells are single-writer (cell t is only ever written by thread t);
-    only the lazy allocation of second-level arrays needs the lock."""
+    only the lazy allocation of second-level arrays takes a lock."""
 
-    __slots__ = ("s", "u", "direct", "indirect", "_lock")
+    __slots__ = ("direct", "indirect")
 
-    def __init__(self, s: int = DEFAULT_DIRECT, u: int = DEFAULT_INDIRECT):
-        self.s = s
-        self.u = u
-        self.direct: list[Any] = [None] * s
-        self.indirect: list[list[Any] | None] = [None] * u
-        self._lock = threading.Lock()
-
-    def capacity(self) -> int:
-        return self.s + self.u * self.u
+    def __init__(self):
+        self.direct: list[Any] = [None] * DEFAULT_DIRECT
+        self.indirect: list[list[Any] | None] = [None] * DEFAULT_INDIRECT
 
     def get(self, t: int) -> Any:
-        if t < self.s:
+        if 0 <= t < DEFAULT_DIRECT:
             return self.direct[t]
-        level = self.indirect[(t - self.s) // self.u]
-        if level is None:
-            return None
-        return level[(t - self.s) % self.u]
+        cell = bucket_cell(t)
+        level = self.indirect[cell.first]
+        return None if level is None else level[cell.second]
 
     def get_or_create(self, t: int, factory: Callable[[], Any]) -> tuple[Any, bool, bool]:
         """Returns (value, value was created, second-level array was created)."""
-        if t < 0 or t >= self.capacity():
-            raise ConfigurationError(
-                f"thread id {t} out of bucket capacity {self.capacity()}"
-            )
         made_level = False
-        if t < self.s:
+        if 0 <= t < DEFAULT_DIRECT:
             cells, idx = self.direct, t
         else:
-            first, second = (t - self.s) // self.u, (t - self.s) % self.u
-            cells = self.indirect[first]
+            cell = bucket_cell(t)
+            cells, idx = self.indirect[cell.first], cell.second
             if cells is None:
-                with self._lock:
-                    cells = self.indirect[first]
+                with _LEVEL_LOCK:
+                    cells = self.indirect[cell.first]
                     if cells is None:
-                        cells = [None] * self.u
-                        self.indirect[first] = cells
+                        cells = [None] * DEFAULT_INDIRECT
+                        self.indirect[cell.first] = cells
                         made_level = True
-            idx = second
         value = cells[idx]
         if value is None:
             value = factory()
@@ -92,23 +85,10 @@ class BucketArray:
         return value, False, made_level
 
     def clear(self, t: int) -> None:
-        if t < self.s:
+        if 0 <= t < DEFAULT_DIRECT:
             self.direct[t] = None
             return
-        level = self.indirect[(t - self.s) // self.u]
+        cell = bucket_cell(t)
+        level = self.indirect[cell.first]
         if level is not None:
-            level[(t - self.s) % self.u] = None
-
-    def occupied(self) -> list[tuple[int, Any]]:
-        """(thread id, value) pairs for non-empty cells, in id order."""
-        out = []
-        for t, v in enumerate(self.direct):
-            if v is not None:
-                out.append((t, v))
-        for i, level in enumerate(self.indirect):
-            if level is None:
-                continue
-            for j, v in enumerate(level):
-                if v is not None:
-                    out.append((self.s + i * self.u + j, v))
-        return out
+            level[cell.second] = None

@@ -2,9 +2,9 @@
 
 Every thread is the generator of all its own subgoal calls: workers share
 only whatever table structures the active design designates as shared.
-They wait on each other only at the table's trie write locks, at the lock
-of the table's allocation counters, and, under FS, for another thread to
-log an answer it has just inserted into the shared answer trie.
+They wait on each other only at the table's trie write locks and, under
+FS, for another thread to log an answer it has just inserted into the
+shared answer trie.
 
 A program is compiled once, on its first solve: validation, the
 per-position indexes of its fact relations and the unfolded clauses are

@@ -10,80 +10,60 @@ signed decimals, `%` starts a line comment.  Arguments are flat (Datalog).
 
 from __future__ import annotations
 
+import re
+
 from .errors import ParseError
 from .program import Program
-from .terms import Term, Var, atom, compound, intern_symbol
+from .terms import Int, Term, Var, atom, compound, intern_symbol
 
-_PUNCT = {":-", "(", ")", ",", ".", "/"}
+# one alternative per token class, tried in order at each offset; digits are
+# decimal digits (`\d`, what `int` accepts), words are letters, digits and
+# underscores, and anything else is one unexpected character
+_TOKEN = re.compile(r"""
+    (?P<skip>[ \t\r\n]+|%[^\n]*)
+  | (?P<punct>:-|[()./,])
+  | (?P<int>-?\d+)
+  | (?P<word>\w+)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-class _Lexer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+def _error(text: str, msg: str, offset: int) -> ParseError:
+    """A ParseError at `offset`, located by the newlines before it."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(msg, line, offset - text.rfind("\n", 0, offset))
 
-    def error(self, msg: str) -> ParseError:
-        return ParseError(msg, self.line, self.col)
 
-    def _advance(self, n: int) -> None:
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
-
-    def tokens(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if ch == "%":
-                nl = text.find("\n", self.pos)
-                self._advance((nl if nl != -1 else len(text)) - self.pos)
-                continue
-            loc = (self.line, self.col)
-            if text.startswith(":-", self.pos):
-                self._advance(2)
-                yield ":-", ":-", loc
-                continue
-            if ch in "()./,":
-                self._advance(1)
-                yield ch, ch, loc
-                continue
-            if ch.isdigit() or (ch == "-" and self.pos + 1 < len(text)
-                                and text[self.pos + 1].isdigit()):
-                j = self.pos + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                value = text[self.pos:j]
-                self._advance(j - self.pos)
-                yield "int", value, loc
-                continue
-            if ch.isalpha() or ch == "_":
-                j = self.pos
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[self.pos:j]
-                self._advance(j - self.pos)
-                kind = "var" if (ch == "_" or ch.isupper()) else "atom"
-                yield kind, word, loc
-                continue
-            raise self.error(f"unexpected character {ch!r}")
-        yield "eof", "", (self.line, self.col)
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, offset) for every token of `text`, then an "eof"."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind, value = m.lastgroup, m.group()
+        if kind == "skip":
+            continue
+        if kind == "punct":
+            kind = value
+        elif kind == "word":
+            ch = value[0]
+            if not (ch.isalpha() or ch == "_"):  # a non-decimal numeric
+                raise _error(text, f"unexpected character {ch!r}", m.start())
+            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
+        elif kind == "bad":
+            raise _error(text, f"unexpected character {value!r}", m.start())
+        toks.append((kind, value, m.start()))
+    toks.append(("eof", "", len(text)))
+    return toks
 
 
 class _Parser:
     def __init__(self, text: str):
-        self._lexer = _Lexer(text)
-        self._toks = list(self._lexer.tokens())
+        self._text = text
+        self._toks = _tokens(text)
         self._i = 0
         self._vars: dict[str, int] = {}
+
+    def _error(self, msg: str, offset: int) -> ParseError:
+        return _error(self._text, msg, offset)
 
     def _peek(self):
         return self._toks[self._i]
@@ -97,7 +77,7 @@ class _Parser:
         tok = self._next()
         if tok[0] != kind:
             got = tok[1] or "end of input"
-            raise ParseError(f"expected {kind!r}, got {got!r}", *tok[2])
+            raise self._error(f"expected {kind!r}, got {got!r}", tok[2])
         return tok
 
     def _var(self, name: str) -> Var:
@@ -114,7 +94,6 @@ class _Parser:
     def _term(self) -> Term:
         kind, value, loc = self._next()
         if kind == "int":
-            from .terms import Int
             return Int(int(value))
         if kind == "var":
             return self._var(value)
@@ -128,14 +107,14 @@ class _Parser:
                 args.append(self._term())
             self._expect(")")
             return compound(value, *args)
-        raise ParseError(f"expected a term, got {value!r}" if value else
-                         "expected a term, got end of input", *loc)
+        raise self._error(f"expected a term, got {value!r}" if value else
+                          "expected a term, got end of input", loc)
 
     def _clause_end(self):
         tok = self._next()
         if tok[0] != ".":
             got = tok[1] or "end of input"
-            raise ParseError(f"expected '.', got {got!r}", *tok[2])
+            raise self._error(f"expected '.', got {got!r}", tok[2])
 
     def parse(self) -> Program:
         tabled: set[tuple[int, int]] = set()
@@ -145,7 +124,7 @@ class _Parser:
                 self._next()
                 kind, word, loc = self._next()
                 if kind != "atom" or word != "table":
-                    raise ParseError(f"unknown directive {word!r}", *loc)
+                    raise self._error(f"unknown directive {word!r}", loc)
                 name = self._expect("atom")[1]
                 self._expect("/")
                 arity = int(self._expect("int")[1])
@@ -179,5 +158,5 @@ def parse_query(text: str) -> Term:
     term = parser._term()
     parser._clause_end()
     if parser._peek()[0] != "eof":
-        raise ParseError("trailing input after query", *parser._peek()[2])
+        raise parser._error("trailing input after query", parser._peek()[2])
     return term

@@ -17,15 +17,19 @@ values bound to those variables, or TRUE_TOK for a call without variables.
 Each table entry has its own trie roots, so the leading token does not need
 to tell predicates apart.
 
-Structure allocations are tallied per kind in `MemoryCounters` so the
-per-design memory laws can be checked as exact counts.  Trie root nodes are
-anchors owned by their enclosing structure and are not tallied; the laws
-are unaffected because the convention is applied uniformly.
+Structure allocations are tallied per kind so the per-design memory laws
+can be checked as exact counts.  Each thread id has its own `_Tally`, which
+only that thread writes, and a snapshot sums them; NS thus takes no lock
+shared between threads, and SS and FS lock only their tries.  Trie root
+nodes are anchors owned by their enclosing structure and are not tallied;
+the laws are unaffected because the convention is applied uniformly.
 """
 
 from __future__ import annotations
 
-import threading
+# unused here, but tablebench/tracer.py reads and swaps this module's
+# `threading` to count the locks the table space makes
+import threading  # noqa: F401
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -62,29 +66,15 @@ class CountersSnapshot:
         }
 
 
-class MemoryCounters:
-    """Monotonic per-kind allocation tallies.  Nothing is ever subtracted:
-    structures a finished thread drops stay counted, so a snapshot reads the
-    total allocated over the table's life."""
+class _Tally:
+    """One thread's allocation counts.  Only that thread writes them, and
+    nothing is ever subtracted: structures a finished thread drops stay
+    counted, so a snapshot reads the total allocated over the table's life."""
 
-    __slots__ = ("te", "ba", "sts", "sf", "se", "ats", "_lock")
+    __slots__ = ("ba", "sts", "sf", "se", "ats")
 
     def __init__(self):
-        self.te = 0
-        self.ba = 0
-        self.sts = 0
-        self.sf = 0
-        self.se = 0
-        self.ats = 0
-        self._lock = threading.Lock()
-
-    def bump(self, kind: str, n: int = 1) -> None:
-        with self._lock:
-            setattr(self, kind, getattr(self, kind) + n)
-
-    def snapshot(self) -> CountersSnapshot:
-        with self._lock:
-            return CountersSnapshot(self.te, self.ba, self.sts, self.sf, self.se, self.ats)
+        self.ba = self.sts = self.sf = self.se = self.ats = 0
 
 
 class SubgoalFrame:
@@ -171,13 +161,16 @@ class Table:
         self.answer_mode = sync if design is Design.FS else SyncMode.NONE
         # the write locks of every shared trie; NS tries are never locked
         self.locks = None if design is Design.NS else trie.new_locks()
-        self.counters = MemoryCounters()
-        self.entries: dict = {}
-        for pred in tabled_preds:
-            self.entries[pred] = TableEntry(pred, design)
-            self.counters.bump("te")
-            if design is Design.NS:
-                self.counters.bump("ba")
+        self.entries: dict = {
+            pred: TableEntry(pred, design) for pred in tabled_preds}
+        self._tallies: dict[int, _Tally] = {}
+
+    def _tally(self, tid: int) -> _Tally:
+        """Thread `tid`'s allocation counts, made on its first allocation."""
+        tally = self._tallies.get(tid)
+        if tally is None:
+            tally = self._tallies[tid] = _Tally()
+        return tally
 
     # ------------------------------------------------------------------
     # tabled subgoal call
@@ -187,51 +180,46 @@ class Table:
         and get-or-create this thread's frame at the leaf.  Idempotent per
         (subgoal, thread)."""
         design = self.design
-        counters = self.counters
         if design is Design.NS:
             root, _, made_level = te.roots.get_or_create(tid, trie.new_root)
             if made_level:
-                counters.bump("ba")
+                self._tally(tid).ba += 1
             leaf, created, _ = trie.check_insert_path_counted(root, toks, SyncMode.NONE)
             if created:
-                counters.bump("sts", created)
+                self._tally(tid).sts += created
             frame = leaf.payload
             if frame is None:
                 frame = SubgoalFrame(te.pred, toks, tid)
                 leaf.payload = frame
-                counters.bump("sf")
+                self._tally(tid).sf += 1
             return frame
 
         leaf, created, _ = trie.check_insert_path_counted(
             te.root, toks, self.subgoal_mode, self.locks)
         if created:
-            counters.bump("sts", created)
+            self._tally(tid).sts += created
 
         if design is Design.SS:
             ba, made = trie.get_or_create_payload(
                 leaf, BucketArray, self.locks)
             if made:
-                counters.bump("ba")
+                self._tally(tid).ba += 1
             frame, made_frame, made_level = ba.get_or_create(
                 tid, lambda: SubgoalFrame(te.pred, toks, tid))
-            if made_level:
-                counters.bump("ba")
-            if made_frame:
-                counters.bump("sf")
-            return frame
-
-        # FS: leaf -> subgoal entry -> per-thread frame
-        entry, made = trie.get_or_create_payload(
-            leaf, SubgoalEntry, self.locks)
-        if made:
-            counters.bump("se")
-            counters.bump("ba")  # the entry's bucket array
-        frame, made_frame, made_level = entry.frames.get_or_create(
-            tid, lambda: SubgoalFrame(te.pred, toks, tid, entry=entry))
-        if made_level:
-            counters.bump("ba")
-        if made_frame:
-            counters.bump("sf")
+        else:
+            # FS: leaf -> subgoal entry -> per-thread frame
+            entry, made = trie.get_or_create_payload(
+                leaf, SubgoalEntry, self.locks)
+            if made:
+                tally = self._tally(tid)
+                tally.se += 1
+                tally.ba += 1  # the entry's bucket array
+            frame, made_frame, made_level = entry.frames.get_or_create(
+                tid, lambda: SubgoalFrame(te.pred, toks, tid, entry=entry))
+        if made_level or made_frame:
+            tally = self._tally(tid)
+            tally.ba += made_level
+            tally.sf += made_frame
         return frame
 
     # ------------------------------------------------------------------
@@ -251,7 +239,7 @@ class Table:
         leaf, created, is_new_path = trie.check_insert_path_counted(
             frame.answer_root, toks, self.answer_mode, self.locks)
         if created:
-            self.counters.bump("ats", created)
+            self._tally(frame.tid).ats += created
         if is_new_path:
             frame.answers.append(toks)  # under FS, the entry's shared log
             leaf.payload = True  # logged; answer leaves carry nothing else
@@ -286,7 +274,18 @@ class Table:
     # accounting
 
     def snapshot_counters(self) -> CountersSnapshot:
-        return self.counters.snapshot()
+        """The allocation totals: every thread's tally, plus one table entry
+        per tabled predicate and, under NS, the entry's bucket array."""
+        tallies = list(self._tallies.values())
+        te = len(self.entries)
+        return CountersSnapshot(
+            te=te,
+            ba=(te if self.design is Design.NS else 0) + sum(t.ba for t in tallies),
+            sts=sum(t.sts for t in tallies),
+            sf=sum(t.sf for t in tallies),
+            se=sum(t.se for t in tallies),
+            ats=sum(t.ats for t in tallies),
+        )
 
     def release_thread(self, tid: int) -> None:
         """Drop a finished thread's private structures from the table space.
@@ -294,7 +293,7 @@ class Table:
         NS: the thread's subgoal-trie root cell, and with it its frames and
         answer tries.  SS: the thread's frame cell under each shared leaf.
         FS keeps everything until the table itself is dropped.  The
-        allocation counters are monotonic and do not change.
+        allocation tallies are monotonic and do not change.
         """
         if self.design is Design.NS:
             for te in self.entries.values():

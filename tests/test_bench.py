@@ -12,13 +12,13 @@ from tabling.bench import (
     gen_edges,
     make_program,
     parse_bench_spec,
-    program_text,
 )
 from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError
 from tabling.oracle import oracle_solve
-from tabling.parser import parse_program
+from tabling.program import Program
 from tabling.tablespace import Design
+from tabling.terms import Int, Var, compound, intern_symbol
 
 
 def test_cycle_depth3():
@@ -78,14 +78,29 @@ def test_make_program_left_cycle3_solves_to_nine():
     assert len(oracle_solve(program, default_query())) == 9
 
 
+def _term_built(inst):
+    x, y, z = Var(0), Var(1), Var(2)
+    program = Program(tabled=frozenset({(intern_symbol("path"), 2)}))
+    if inst.recursion is Recursion.LEFT:
+        program.add_clause(compound("path", x, z),
+                           [compound("path", x, y), compound("edge", y, z)])
+    else:
+        program.add_clause(compound("path", x, z),
+                           [compound("edge", x, y), compound("path", y, z)])
+    program.add_clause(compound("path", x, z), [compound("edge", x, z)])
+    for src, dst in gen_edges(inst.config):
+        program.add_fact(compound("edge", Int(src), Int(dst)))
+    return program
+
+
 def test_program_text_round_trips():
+    # the text make_program parses encodes the path/2 program built from terms
+    for inst in desk_instances():
+        assert make_program(inst) == _term_built(inst), inst.name
     inst = parse_bench_spec("pathright:pyramid:5")
-    parsed = parse_program(program_text(inst))
-    direct = make_program(inst)
-    q = default_query()
-    assert oracle_solve(parsed, q) == oracle_solve(direct, q)
-    result = solve_parallel(parsed, q, EvalConfig(design=Design.SS, threads=1))
-    assert result.answer_sets[0] == oracle_solve(direct, q)
+    program, q = make_program(inst), default_query()
+    result = solve_parallel(program, q, EvalConfig(design=Design.SS, threads=1))
+    assert result.answer_sets[0] == oracle_solve(_term_built(inst), q)
 
 
 def test_parse_bench_spec():
@@ -111,3 +126,4 @@ def test_desk_instances_cover_the_matrix():
 def test_depth_must_be_positive():
     with pytest.raises(ConfigurationError):
         EdgeConfig(GraphKind.CYCLE, 0)
+

@@ -48,17 +48,36 @@ def test_get_or_create_direct_and_indirect():
     assert ba.get(200) is None  # untouched indirect region
 
 
-def test_occupied_order_and_clear():
+def test_clear_empties_only_its_cell():
     ba = BucketArray()
     for t in (40, 2, 100):
-        ba.get_or_create(t, lambda: t)
-    assert [t for t, _ in ba.occupied()] == [2, 40, 100]
+        ba.get_or_create(t, lambda t=t: t)
     ba.clear(40)
-    assert [t for t, _ in ba.occupied()] == [2, 100]
+    ba.clear(500)  # no second-level array there: nothing to clear
+    assert [ba.get(t) for t in (2, 40, 100, 500)] == [2, None, 100, None]
+    value, made, made_level = ba.get_or_create(40, lambda: "again")
+    assert (value, made, made_level) == ("again", True, False)
 
 
 def test_capacity_guard():
-    ba = BucketArray(4, 4)
-    assert ba.capacity() == 20
-    with pytest.raises(ConfigurationError):
-        ba.get_or_create(20, list)
+    ba = BucketArray()
+    capacity = 32 + 32 * 32
+    assert ba.get_or_create(capacity - 1, list)[1]
+    for t in (-1, capacity):
+        with pytest.raises(ConfigurationError):
+            ba.get_or_create(t, list)
+        with pytest.raises(ConfigurationError):
+            ba.get(t)
+        with pytest.raises(ConfigurationError):
+            ba.clear(t)
+
+
+def test_every_thread_id_gets_its_own_cell():
+    ba = BucketArray()
+    ids = range(32 + 32 * 32)
+    for t in ids:
+        value, made, _ = ba.get_or_create(t, lambda t=t: [t])
+        assert made and value == [t]
+    # a shared cell would hold a later thread's value
+    assert [ba.get(t) for t in ids] == [[t] for t in ids]
+    assert all(level is not None for level in ba.indirect)

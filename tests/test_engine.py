@@ -90,11 +90,18 @@ def test_fs_preempted_answer_inserts_lose_nothing():
         for spec in ("pathleft:cycle:30", "pathleft:pyramid:30"):
             program, query = bench_program(spec)
             want = oracle_solve(program, query)
+            base = solve_parallel(program, query,
+                                  EvalConfig(design=Design.FS, threads=1)).counters
             for _ in range(10):
                 for sync in (SyncMode.LOCK, SyncMode.TRYLOCK):
                     result = solve_parallel(program, query, EvalConfig(
                         design=Design.FS, sync=sync, threads=4))
                     assert all(a == want for a in result.answer_sets), (spec, sync)
+                    # no allocation is lost or counted twice between the
+                    # threads' own tallies
+                    c = result.counters
+                    assert (c.sts, c.ats, c.se, c.sf) == \
+                        (base.sts, base.ats, base.se, 4 * base.sf), (spec, sync)
     finally:
         sys.setswitchinterval(interval)
 

@@ -83,3 +83,26 @@ def test_parse_query():
 
 def test_pred_str():
     assert pred_str((intern_symbol("path"), 2)) == "path/2"
+
+
+def test_error_positions_count_lines_and_columns():
+    cases = {
+        "edge(1,2).\n  edge(3 4).\n": (2, 10, "expected ')', got '4'"),
+        "% c\nedge(1,2)": (2, 10, "expected '.', got 'end of input'"),
+        "edge(1,2).\r\n\tp(a) :- q(#).": (2, 12, "unexpected character '#'"),
+        "p(a).\n\n- 1.": (3, 1, "unexpected character '-'"),
+    }
+    for text, (line, col, msg) in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col) == (line, col), text
+        assert str(err.value) == f"{line}:{col}: {msg}"
+
+
+def test_non_decimal_digit_is_an_unexpected_character():
+    # integers take decimal digits only, the characters int() accepts
+    for text, col in (("p(²).", 3), ("p(1²).", 4), ("p(½).", 3)):
+        with pytest.raises(ParseError) as err:
+            parse_program(text)
+        assert (err.value.line, err.value.col) == (1, col)
+        assert "unexpected character" in str(err.value)

@@ -3,9 +3,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from tabling import trie
+from tabling import buckets, tablespace, trie
 from tabling.buckets import DEFAULT_DIRECT, DEFAULT_INDIRECT
+from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError
+from tabling.parser import parse_program, parse_query
 from tabling.tablespace import Design, Table
 from tabling.terms import TRUE_TOK, Int, atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import SyncMode
@@ -87,6 +89,26 @@ def test_shared_tries_take_the_tables_own_locks(monkeypatch, design, sync):
 
 def test_ns_table_makes_no_locks():
     assert make_table(Design.NS).locks is None
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_table_space_bookkeeping_makes_no_locks(monkeypatch, design):
+    # allocation tallies are per thread and bucket cells single-writer, so
+    # outside the trie lock array the table space creates no lock at all
+    made = []
+
+    def counting_lock():
+        made.append(1)
+        return threading.Lock()
+
+    for module in (tablespace, buckets):
+        monkeypatch.setattr(module, "threading", SimpleNamespace(Lock=counting_lock))
+    program = parse_program(":- table p/2.\np(X,Y) :- e(X,Y).\n"
+                            "p(X,Z) :- p(X,Y), e(Y,Z).\ne(1,2). e(2,3). e(3,1).")
+    result = solve_parallel(program, parse_query("p(X,Y)"),
+                            EvalConfig(design=design, threads=2))
+    assert all(len(a) == 9 for a in result.answer_sets)
+    assert made == []
 
 
 @pytest.mark.parametrize("design", list(Design))
