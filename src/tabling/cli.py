@@ -101,6 +101,10 @@ def run_command(argv) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    if args.repeat < 1:
+        print(f"usage error: --repeat must be at least 1, not {args.repeat}",
+              file=sys.stderr)
+        return 1
 
     try:
         if args.bench:
@@ -132,7 +136,7 @@ def run_command(argv) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read program: {exc}", file=sys.stderr)
         return 1
 
@@ -160,8 +164,7 @@ def run_command(argv) -> int:
                     cfg = EvalConfig(design=design, sync=lock, threads=n)
                     cfg.validate()
                     times = []
-                    result = None
-                    for _ in range(max(1, args.repeat)):
+                    for _ in range(args.repeat):
                         result = solve_parallel(program, query, cfg)
                         times.append(result.wall_ms)
                 except ConfigurationError as exc:

@@ -14,9 +14,12 @@ one in a tabled clause is replaced by the bodies of its clauses (and kept
 as a call of its facts when it also has facts), so every clause the solver
 resolves is made of tabled and fact literals only.  Unfolding multiplies
 clauses: a body with several such calls gets one clause per combination of
-their clauses.  One unifier, `_unify`, serves both places where two flat
+their clauses.  A clause is specialized once per call shape, the call with
+its constants left open as parameter variables, into an activation template
+kept with the compiled program; a frame only checks and fills in its call's
+constants.  One unifier, `_unify`, serves both places where two flat
 literals meet: a call against a callee's head when unfolding, and a clause
-head against a subgoal call when a frame first activates the clause.
+head against a call shape when a template is built.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
 than the Python call stack.  A new tabled call pushes a generator frame on
@@ -87,12 +90,12 @@ class _Lit:
     call pattern or fact lookup is built once: a row only binds `binds` and
     passes `checks`, and backtracking never has to unbind."""
 
-    __slots__ = ("binds", "entry", "call", "rows", "index", "key", "checks")
+    __slots__ = ("binds", "pred", "call", "rows", "index", "key", "checks")
 
-    def __init__(self, binds, entry=None, call=None, rows=None, index=None,
+    def __init__(self, binds, pred=None, call=None, rows=None, index=None,
                  key=None, checks=()):
         self.binds = binds      # ((slot, row position), ...) bound by this literal
-        self.entry = entry      # tabled: its table entry; None for facts
+        self.pred = pred        # tabled: its predicate; None for facts
         self.call = call        # tabled: env -> the call's token path
         self.rows = rows        # facts: candidate rows, or None to look up
         self.index = index      # ... as index.get(env[key])
@@ -109,16 +112,21 @@ def _getter(slots):
 
 
 class _Act:
-    """A clause specialized against one subgoal: head unification is folded
-    into an environment template whose slots hold the clause's constants
-    and its unbound variables, leaving only body iteration at run time."""
+    """A clause specialized against one call shape: head unification is
+    folded into an environment whose slots hold constants and unbound
+    variables, leaving only body iteration at run time.  A template, built
+    once per shape, leaves a slot to `fill` with each call constant it reads
+    and `checks` what its head asks of the others; a frame's activation is
+    the template with its call's constants filled in."""
 
-    __slots__ = ("body", "extract", "env")
+    __slots__ = ("body", "extract", "env", "fill", "checks")
 
-    def __init__(self, body, extract, env):
+    def __init__(self, body, extract, env, fill=(), checks=()):
         self.body = body
         self.extract = extract  # env -> the answer's token path
         self.env = env
+        self.fill = fill        # ((argument position, slot), ...)
+        self.checks = checks    # ((argument position, slot), ...) to match once filled
 
 
 class _Rel:
@@ -225,13 +233,15 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
 
 class _Compiled:
     """A program compiled once for evaluation: fact relations, unfolded
-    tabled clauses, and the tabled-literal positions used by delta rounds.
-    Built on the program's first solve and cached on it until the program
-    is edited; read-only, so every run and every worker thread shares it.
-    It references no table, and no table keeps a reference to it: the
+    tabled clauses, the tabled-literal positions used by delta rounds, and
+    a memo of activation templates.  Built on the program's first solve and
+    cached on it until the program is edited.  Read-only but for the memo,
+    which single assignments fill (two threads may both build a template;
+    either is complete), so every run and worker thread shares it.  It
+    references no table, and no table keeps a reference to it: the
     activations that hold its rows are dropped when their frame completes."""
 
-    __slots__ = ("tabled", "rels", "clauses", "delta_clauses")
+    __slots__ = ("tabled", "rels", "clauses", "delta_clauses", "templates")
 
     def __init__(self, program: Program):
         self.tabled = program.tabled
@@ -246,6 +256,125 @@ class _Compiled:
                 if positions:
                     entries.append((ci, positions))
             self.delta_clauses[pred] = tuple(entries)
+        # (pred, *call shape) -> one template per clause, or None
+        self.templates: dict[tuple, tuple] = {}
+
+    def activations(self, pred: Pred, args: tuple[int, ...]) -> list:
+        """The activation of each clause of `pred` for the call `args`, None
+        where the head does not match it: the templates of the call's shape
+        (its variables, each constant replaced by None), built on first use,
+        with the call's constants checked and filled in."""
+        shape = (pred, *(a if a & 7 == TAG_VAR else None for a in args))
+        templates = self.templates.get(shape)
+        if templates is None:
+            templates = self.templates[shape] = tuple(
+                self._template(cl, shape[1:]) for cl in self.clauses.get(pred, ()))
+        acts = []
+        for t in templates:
+            if t is not None and t.fill:
+                env = t.env.copy()
+                for k, s in t.fill:
+                    env[s] = args[k]
+                t = _Act(t.body, t.extract, env, checks=t.checks)
+            acts.append(None if t is None or any(args[k] != t.env[s] for k, s in t.checks)
+                        else t)
+        return acts
+
+    def _template(self, clause: Clause, shape: tuple):
+        # the call's variables are numbered after the clause's, and its
+        # constant at position k is the parameter variable numbered k after those
+        shift = clause.nvars << 3
+        first = clause.nvars + len(shape)
+        args = tuple(var_tok(first + k) if a is None else a + shift
+                     for k, a in enumerate(shape))
+        subst = _unify(clause.head.args, args)
+        if subst is None:
+            return None
+        # each parameter's class, and the first parameter of a variable class,
+        # whose value the class takes
+        params = [(k, _walk(subst, p)) for k, p in enumerate(args) if shape[k] is None]
+        owner = {r: k for k, r in reversed(params) if r & 7 == TAG_VAR}
+
+        # the template: a constant, None for a variable, or a variable token
+        # in a slot that a frame fills with one of its call's constants
+        env: list = []
+        const_slots: dict[int, int] = {}
+        var_slots: dict[int, int] = {}
+
+        def const(tok):
+            s = const_slots.get(tok)
+            if s is None:
+                s = const_slots[tok] = len(env)
+                env.append(tok)
+            return s
+
+        def slot(t):
+            # a constant, or the slot of its variable's representative
+            t = _walk(subst, t)
+            if t & 7 != TAG_VAR:
+                return const(t)
+            s = var_slots.get(t)
+            if s is None:
+                s = var_slots[t] = len(env)
+                env.append(t if t in owner else None)
+            return s
+
+        bound: set[int] = set()  # variable slots an earlier literal binds
+
+        def known(s):
+            return s in bound or env[s] is not None
+
+        body = []
+        for lit in clause.body:
+            slots = [slot(a) for a in lit.args]
+            binds: list[tuple[int, int]] = []
+            if lit.pred in self.tabled:
+                # the variant call: unbound variables numbered in first occurrence
+                call = [const(atom_tok(lit.pred[0]))]
+                fresh: dict[int, int] = {}
+                for s in slots:
+                    if not known(s):
+                        j = fresh.get(s)
+                        if j is None:
+                            j = fresh[s] = len(fresh)
+                            binds.append((s, j))
+                        s = const(var_tok(j))
+                    call.append(s)
+                body.append(_Lit(tuple(binds), lit.pred, _getter(call)))
+            else:
+                rel = self.rels.get(lit.pred)
+                # look rows up by the first constant, else the first bound variable
+                known_at = sorted((k for k, s in enumerate(slots) if known(s)),
+                                  key=lambda k: env[slots[k]] is None)
+                key_at = known_at[0] if known_at else None
+                checks = []
+                for k, s in enumerate(slots):
+                    if k == key_at:
+                        continue
+                    if known(s):
+                        checks.append((k, s))
+                    else:
+                        binds.append((s, k))
+                        bound.add(s)
+                rows, index, key = (), None, None
+                if rel is not None:
+                    rows = rel.rows
+                    if key_at is not None:
+                        key = slots[key_at]
+                        if env[key] is None or env[key] & 7 == TAG_VAR:
+                            rows, index = None, rel.index[key_at]  # a call constant
+                        else:
+                            rows = rel.index[key_at].get(env[key], ())
+                body.append(_Lit(tuple(binds), rows=rows, index=index, key=key,
+                                 checks=tuple(checks)))
+            bound.update(slots)
+        # the answer: the values of the call's variables, in their order
+        extract = [slot(v + shift) for v in sorted({a for a in shape if a is not None})] \
+            or [const(TRUE_TOK)]
+        # any other parameter must equal its class's constant or first parameter
+        checks = tuple((k, slot(r)) for k, r in params if owner.get(r) != k)
+        fill = tuple((owner[r], s) for r, s in var_slots.items() if r in owner)
+        return _Act(tuple(body), _getter(extract), env, fill, checks)
 
 
 def _compile(program: Program) -> _Compiled:
@@ -305,8 +434,8 @@ class _Eval:
         self.stack.append(frame)
         if self.trace is not None:
             self.trace(("call", frame))
-        for ci in range(len(self.compiled.clauses.get(frame.pred, ()))):
-            act = self._activation(frame, ci)
+        frame.acts = self.compiled.activations(frame.pred, frame.tokens[1:])
+        for act in frame.acts:
             if act is not None:
                 yield from self._pass(frame, act, -1, None)
         if frame.leader_dfn == frame.dfn and (yield from self._complete_scc(frame)):
@@ -335,7 +464,7 @@ class _Eval:
             windows = {f: (consumed.get(f, 0), len(f.answers)) for f in members}
             for f in members:
                 for ci, positions in compiled.delta_clauses.get(f.pred, ()):
-                    act = self._activation(f, ci)
+                    act = f.acts[ci]
                     if act is None:
                         continue
                     for p in positions:
@@ -374,12 +503,12 @@ class _Eval:
         while True:
             if i < n:
                 lit = body[i]
-                if lit.entry is None:
+                if lit.pred is None:
                     rows = lit.rows
                     if rows is None:
                         rows = lit.index.get(env[lit.key], ())
                 else:
-                    g = table.subgoal_call(lit.entry, lit.call(env), self.tid)
+                    g = table.subgoal_call(table.entries[lit.pred], lit.call(env), self.tid)
                     if g.state != COMPLETE:
                         if g.on_stack:
                             # in-progress call by this thread: link the SCCs
@@ -423,105 +552,6 @@ class _Eval:
             else:
                 return
             i += 1
-
-    # ------------------------------------------------------------------
-    # clause activation
-
-    def _activation(self, frame: SubgoalFrame, ci: int):
-        acts = frame.acts
-        if acts is None:
-            acts = frame.acts = [False] * len(self.compiled.clauses[frame.pred])
-        act = acts[ci]
-        if act is not False:
-            return act
-        act = self._make_activation(frame, self.compiled.clauses[frame.pred][ci])
-        acts[ci] = act
-        return act
-
-    def _make_activation(self, frame: SubgoalFrame, clause: Clause):
-        # the call's variables are numbered after the clause's, kept apart
-        shift = clause.nvars << 3
-        args = tuple(a + shift if a & 7 == TAG_VAR else a for a in frame.tokens[1:])
-        subst = _unify(clause.head.args, args)
-        if subst is None:
-            return None
-
-        env: list = []  # the template: a constant, or None for a variable
-        const_slots: dict[int, int] = {}
-        var_slots: dict[int, int] = {}
-
-        def const(tok):
-            s = const_slots.get(tok)
-            if s is None:
-                s = const_slots[tok] = len(env)
-                env.append(tok)
-            return s
-
-        def slot(t):
-            # a constant, or the slot of its variable's representative
-            t = _walk(subst, t)
-            if t & 7 != TAG_VAR:
-                return const(t)
-            s = var_slots.get(t)
-            if s is None:
-                s = var_slots[t] = len(env)
-                env.append(None)
-            return s
-
-        bound: set[int] = set()  # variable slots an earlier literal binds
-
-        def known(s):
-            return s in bound or env[s] is not None
-
-        compiled = self.compiled
-        body = []
-        for lit in clause.body:
-            slots = [slot(a) for a in lit.args]
-            binds: list[tuple[int, int]] = []
-            if lit.pred in compiled.tabled:
-                # the variant call: unbound variables numbered in first occurrence
-                call = [const(atom_tok(lit.pred[0]))]
-                fresh: dict[int, int] = {}
-                for s in slots:
-                    if not known(s):
-                        j = fresh.get(s)
-                        if j is None:
-                            j = fresh[s] = len(fresh)
-                            binds.append((s, j))
-                        s = const(var_tok(j))
-                    call.append(s)
-                body.append(_Lit(tuple(binds), self.table.entries[lit.pred], _getter(call)))
-            else:
-                rel = compiled.rels.get(lit.pred)
-                # look rows up by the first constant, else the first bound variable
-                known_at = sorted((k for k, s in enumerate(slots) if known(s)),
-                                  key=lambda k: env[slots[k]] is None)
-                key_at = known_at[0] if known_at else None
-                checks = []
-                for k, s in enumerate(slots):
-                    if k == key_at:
-                        continue
-                    if known(s):
-                        checks.append((k, s))
-                    else:
-                        binds.append((s, k))
-                        bound.add(s)
-                rows, index, key = (), None, None
-                if rel is not None:
-                    rows = rel.rows
-                    if key_at is not None:
-                        key = slots[key_at]
-                        if env[key] is None:
-                            rows, index = None, rel.index[key_at]
-                        else:
-                            rows = rel.index[key_at].get(env[key], ())
-                body.append(_Lit(tuple(binds), rows=rows, index=index, key=key,
-                                 checks=tuple(checks)))
-            bound.update(slots)
-        # the answer: the values of the call's variables, in their order
-        extract = [slot(v) for v in sorted({a for a in args if a & 7 == TAG_VAR})] \
-            or [const(TRUE_TOK)]
-        return _Act(tuple(body), _getter(extract), env)
 
 
 # ----------------------------------------------------------------------

@@ -90,6 +90,21 @@ def test_missing_program_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("repeat", ["0", "-2"])
+def test_repeat_below_one_is_a_usage_error(repeat, capsys):
+    assert run_command(["--bench", "pathleft:cycle:3", "--repeat", repeat]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage error: --repeat must be at least 1")
+
+
+def test_non_utf8_program_file_exits_1_without_traceback(tmp_path, capsys):
+    path = tmp_path / "latin1.pl"
+    path.write_bytes(b":- table p/1.\np(X) :- e(X).\ne(\xff).\n")
+    assert run_command(["--program", str(path), "--query", "p(X)", "--repeat", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot read program: ") and "Traceback" not in err
+
+
 def test_paper_scale_gating(capsys):
     code = run_command(["--bench", "pathleft:cycle:120", "--repeat", "1"])
     assert code == 1

@@ -13,9 +13,9 @@ from tabling.errors import ConfigurationError, EvaluationError, ProgramError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
 from tabling.program import Program
-from tabling.tablespace import COMPLETE, Design
-from tabling.terms import Int, Var, compound, intern_symbol
-from tabling.trie import SyncMode
+from tabling.tablespace import COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry
+from tabling.terms import Int, Var, compound, intern_symbol, var_tok
+from tabling.trie import SyncMode, TrieNode
 
 
 def bench_program(spec):
@@ -512,9 +512,9 @@ def test_many_solves_compile_once(monkeypatch):
 
 def _reachable(root):
     """Every object reachable from `root` by `gc.get_referents`, not
-    following types, modules and functions, as the table-size walk does."""
-    skip = (type, types.ModuleType, types.FunctionType,
-            types.BuiltinFunctionType, types.MethodType)
+    following types and modules, as the table-size walk does, and following
+    a function only into the values its closure captures."""
+    skip = (type, types.ModuleType, types.BuiltinFunctionType, types.MethodType)
     seen: dict[int, object] = {}
     todo = [root]
     while todo:
@@ -522,23 +522,131 @@ def _reachable(root):
         if id(obj) in seen or isinstance(obj, skip):
             continue
         seen[id(obj)] = obj
-        todo.extend(gc.get_referents(obj))
+        if isinstance(obj, types.FunctionType):
+            todo.extend(obj.__closure__ or ())
+        else:
+            todo.extend(gc.get_referents(obj))
     return seen
 
 
 @pytest.mark.parametrize("release", [True, False])
 def test_table_holds_nothing_of_the_compiled_program(release):
     program = parse_program(_PATH_TEXT + " edge(3,1).")
-    query = parse_query("path(X,Y)")
     for design in Design:
-        result = solve_parallel(program, query, EvalConfig(design=design, threads=2),
-                                release=release)
-        compiled = program.compiled
-        assert isinstance(compiled, engine._Compiled)
-        banned = {id(program), id(compiled), id(compiled.rels), id(compiled.clauses)}
-        for rel in compiled.rels.values():
-            banned.update((id(rel), id(rel.rows), id(rel.index)))
-            banned.update(id(d) for d in rel.index)
-        met = _reachable(result.table)
-        assert not banned & met.keys(), design
-        assert not any(isinstance(o, (engine._Rel, engine._Compiled)) for o in met.values())
+        for text in ("path(X,Y)", "path(2,Y)", "path(3,1)"):
+            result = solve_parallel(program, parse_query(text),
+                                    EvalConfig(design=design, threads=2), release=release)
+            compiled = program.compiled
+            assert isinstance(compiled, engine._Compiled)
+            assert compiled.templates
+            banned = {id(program), id(compiled), id(compiled.rels), id(compiled.clauses),
+                      id(compiled.templates)}
+            for rel in compiled.rels.values():
+                banned.update((id(rel), id(rel.rows), id(rel.index)))
+                banned.update(id(d) for d in rel.index)
+            for templates in compiled.templates.values():
+                banned.add(id(templates))
+                banned.update((id(t), id(t.body), id(t.env)) for t in templates if t)
+            met = _reachable(result.table)
+            assert not banned & met.keys(), (design, text)
+            assert not any(isinstance(o, (engine._Rel, engine._Compiled, engine._Act,
+                                          engine._Lit)) for o in met.values())
+            # nor does the compiled program, memo included, keep a table alive
+            table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode)
+            assert not any(isinstance(o, table_types)
+                           for o in _reachable(compiled).values()), (design, text)
+
+
+# ----------------------------------------------------------------------
+# activation templates: one per clause and call shape, filled per frame
+
+
+_TEMPLATE_TEXT = (
+    ":- table p/2.\n:- table q/2.\n"
+    "p(X,Y) :- e(X,Y).\n"
+    "p(hub,Y) :- g(Y).\n"           # a head constant some calls match
+    "p(X,X) :- g(X).\n"             # a repeated head variable
+    "p(X,Y) :- e(X,Z), p(Z,Y).\n"
+    "q(4,Y) :- g(Y).\n"             # the body never reads the call's 4
+    "q(1,2) :- g(1).\n"             # two head constants
+    "q(X,hub) :- p(X,X).\n"
+    "e(1,2). e(2,3). e(3,hub). e(hub,4). g(2). g(hub). g(1).")
+# each call shape comes back with other constants, so a cached template is
+# filled with constants it was not built for
+_TEMPLATE_QUERIES = (
+    "p(1,Y)", "p(hub,Y)", "p(4,Y)", "p(2,2)", "p(2,3)", "p(3,3)", "p(hub,hub)",
+    "p(X,X)", "q(X,X)", "q(4,Y)", "q(1,Y)", "q(1,2)", "q(2,2)", "q(1,1)",
+    "q(2,hub)", "q(4,hub)", "q(X,Y)", "p(X,Y)")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("design", list(Design))
+def test_templates_are_reused_across_call_constants(design, threads):
+    program = parse_program(_TEMPLATE_TEXT)
+    grounds = {}
+    for text in _TEMPLATE_QUERIES:
+        query = parse_query(text)
+        want = oracle_solve(program, query)
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
+        assert all(a == want for a in result.answer_sets), text
+        if "X" not in text and "Y" not in text:
+            grounds[text] = want
+    # a true ground call answers TRUE_TOK, decoded as the empty tuple
+    assert grounds["p(2,3)"] == grounds["q(1,2)"] == grounds["q(2,hub)"] == {()}
+    assert grounds["q(1,1)"] == grounds["p(3,3)"] == set()
+
+
+def _reach_program(edges):
+    text = (":- table reach/2.\n"
+            "reach(X,Y) :- red(X,Y).\n"
+            "reach(X,hub) :- red(X,Y), gold(Y).\n"
+            "reach(X,Y) :- red(X,Z), reach(Z,Y).\n")
+    text += "".join(f"red({a},{b}). " for a, b in edges) + "gold(7)."
+    return parse_program(text)
+
+
+def _ring(n):
+    return [(i, i % n + 1) for i in range(1, n + 1)]
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_distinct_call_constants_share_one_template_per_clause(design):
+    # 50 paths c -> c+100 -> c+200, and a ring through the gold node 7
+    program = _reach_program([(c + d, c + d + 100) for c in range(1, 51) for d in (0, 100)]
+                             + _ring(8))
+    reach = (intern_symbol("reach"), 2)
+    cfg = EvalConfig(design=design, threads=2)
+    closure = oracle_solve(program, parse_query("reach(X,Y)"))
+    first = None
+    for c in range(1, 51):
+        result = solve_parallel(program, parse_query(f"reach({c},Y)"), cfg)
+        want = {(y,) for x, y in closure if x == Int(c)}
+        assert want and all(a == want for a in result.answer_sets)
+        memo = program.compiled.templates
+        first = first or dict(memo)
+        assert memo == first  # the same template objects, built once
+    ((shape, templates),) = first.items()
+    assert shape == (reach, None, var_tok(0))
+    assert len(templates) == len(program.compiled.clauses[reach]) == 3
+    assert all(isinstance(t, engine._Act) for t in templates)
+    # an open call adds its own shape; its callees reuse reach(c,Y)'s
+    solve_parallel(program, parse_query("reach(X,Y)"), cfg)
+    assert program.compiled.templates.keys() == {shape, (reach, var_tok(0), var_tok(1))}
+
+
+def _trace(program, text):
+    events = []
+    solve_parallel(program, parse_query(text), EvalConfig(design=Design.NS, threads=1),
+                   trace_factory=lambda tid: events.append)
+    return [tuple(tuple(f.tokens for f in x) if isinstance(x, tuple)
+                  else getattr(x, "tokens", x) for x in e) for e in events]
+
+
+def test_cold_and_warm_template_memos_trace_alike():
+    queries = ("reach(3,Y)", "reach(X,Y)", "reach(5,hub)", "reach(X,X)")
+    for text in queries:
+        program = _reach_program(_ring(12))
+        cold = _trace(program, text)
+        for other in queries:  # every shape the queries meet is now cached
+            solve_parallel(program, parse_query(other), EvalConfig(design=Design.NS))
+        assert _trace(program, text) == cold, text
