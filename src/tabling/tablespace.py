@@ -37,7 +37,7 @@ from enum import Enum
 from . import trie
 from .buckets import BucketArray
 from .errors import ConfigurationError, EvaluationError
-from .terms import Term, TokenSeq, decode_answer
+from .terms import Term, TokenSeq, decode_answers
 from .trie import SyncMode, TrieNode
 
 EVALUATING = 0
@@ -268,7 +268,7 @@ class Table:
         """
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")
-        return [decode_answer(toks) for toks in frame.answers]
+        return decode_answers(frame.answers)
 
     # ------------------------------------------------------------------
     # accounting

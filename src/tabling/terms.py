@@ -1,17 +1,18 @@
 """Terms, interned symbols, and the flat token encoding used by tries.
 
 Terms are immutable values; they exist only between the parser and
-`program.literal_of`, and again when answers leave the table.  Symbol names
-are interned to small integer ids so equality is id equality.  Tries never
-store terms: they store *tokens*, each packed into a single int (tag in the
-low 3 bits, payload above).  Packing keeps sibling-chain scans and dict
-lookups on the hot path cheap.
+`program.literal_of`, and again when answers leave the table through
+`decode_answers`.  Symbol names are interned to small integer ids so equality
+is id equality.  Tries never store terms: they store *tokens*, each packed
+into a single int (tag in the low 3 bits, payload above).  Packing keeps
+sibling-chain scans and dict lookups on the hot path cheap.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Iterable
 
 # ---------------------------------------------------------------------------
 # symbol interning
@@ -111,6 +112,7 @@ Token = int
 TokenSeq = tuple[int, ...]
 
 TRUE_TOK: Token = TAG_TRUE  # payload 0
+_TRUE_SEQ: TokenSeq = (TRUE_TOK,)
 
 
 def int_tok(value: int) -> Token:
@@ -123,14 +125,6 @@ def atom_tok(sym: int) -> Token:
 
 def var_tok(index: int) -> Token:
     return index << 3 | TAG_VAR
-
-
-def tok_tag(tok: Token) -> int:
-    return tok & 7
-
-
-def tok_payload(tok: Token) -> int:
-    return tok >> 3
 
 
 def tok_str(tok: Token) -> str:
@@ -146,9 +140,18 @@ def tok_str(tok: Token) -> str:
     raise ValueError(f"bad token {tok!r}")
 
 
-def decode_answer(toks: TokenSeq) -> tuple[Term, ...]:
-    """The terms of a ground token sequence, one per token; the TRUE_TOK
-    answer of a variable-free subgoal decodes to the empty tuple."""
-    if toks == (TRUE_TOK,):
-        return ()
-    return tuple(Int(tok >> 3) if tok & 7 == TAG_INT else Atom(tok >> 3) for tok in toks)
+class _DecodeMemo(dict):
+    """Token -> term for one `decode_answers` call."""
+
+    def __missing__(self, tok: Token) -> Term:
+        term = self[tok] = Int(tok >> 3) if tok & 7 == TAG_INT else Atom(tok >> 3)
+        return term
+
+
+def decode_answers(seqs: Iterable[TokenSeq]) -> list[tuple[Term, ...]]:
+    """The term tuples of ground token sequences, in order; the TRUE_TOK
+    answer of a variable-free subgoal decodes to the empty tuple.  A token
+    met again in one call decodes to the same term object, and the memo
+    does not outlive the call."""
+    term_of = _DecodeMemo().__getitem__
+    return [() if toks == _TRUE_SEQ else tuple(map(term_of, toks)) for toks in seqs]

@@ -112,21 +112,6 @@ def _link(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
     return child
 
 
-def _check_insert_none(parent: TrieNode, tok: int) -> tuple[TrieNode, bool]:
-    index = parent.index
-    if index is not None:
-        child = index.get(tok)
-        if child is not None:
-            return child, False
-    else:
-        child = parent.first_child
-        while child is not None:
-            if child.token == tok:
-                return child, False
-            child = child.sibling
-    return _link(parent, tok, index), True
-
-
 def _check_insert_shared(parent: TrieNode, tok: int, locks,
                          blocking: bool) -> tuple[TrieNode, bool]:
     """The LOCK and TRYLOCK check/insert.  A blocking acquire always
@@ -189,10 +174,20 @@ def check_insert_path_counted(
     created = 0
     made = False
     if mode is _NONE:
+        # the caller owns the trie: no lock, and no call unless a token is new
         for tok in toks:
-            node, made = _check_insert_none(node, tok)
+            index = node.index
+            if index is not None:
+                child = index.get(tok)
+            else:
+                child = node.first_child
+                while child is not None and child.token != tok:
+                    child = child.sibling
+            made = child is None
             if made:
+                child = _link(node, tok, index)
                 created += 1
+            node = child
     else:
         blocking = mode is _LOCK
         for tok in toks:

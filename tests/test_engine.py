@@ -6,7 +6,7 @@ import types
 
 import pytest
 
-from tabling import engine
+from tabling import engine, terms
 from tabling.bench import default_query, make_program, parse_bench_spec
 from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
@@ -14,7 +14,7 @@ from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
 from tabling.program import Program
 from tabling.tablespace import COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry
-from tabling.terms import Int, Var, compound, intern_symbol, var_tok
+from tabling.terms import Int, Term, Var, compound, intern_symbol, var_tok
 from tabling.trie import SyncMode, TrieNode
 
 
@@ -555,6 +555,19 @@ def test_table_holds_nothing_of_the_compiled_program(release):
             table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode)
             assert not any(isinstance(o, table_types)
                            for o in _reachable(compiled).values()), (design, text)
+
+
+@pytest.mark.parametrize("release", [True, False])
+def test_table_holds_tokens_never_terms(release):
+    program = parse_program(_PATH_TEXT + " edge(3,1).")
+    for design in Design:
+        for text in ("path(X,Y)", "path(2,Y)", "path(3,1)"):
+            result = solve_parallel(program, parse_query(text),
+                                    EvalConfig(design=design, threads=2), release=release)
+            assert all(result.answer_sets), (design, text)  # answers were decoded
+            met = _reachable(result.table).values()
+            assert not any(isinstance(o, (Term, terms._DecodeMemo)) for o in met), \
+                (design, text)
 
 
 # ----------------------------------------------------------------------

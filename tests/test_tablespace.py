@@ -216,6 +216,20 @@ def test_mark_complete_and_answers_of():
         answer(table, frame, 9, 9)  # frame already complete
 
 
+def test_answers_of_decodes_afresh_on_every_call():
+    table = make_table(Design.NS)
+    frame = call(table, table.entries[P], 0)
+    for j in range(3):
+        answer(table, frame, 7, j)
+    table.mark_complete([frame])
+    first, second = table.answers_of(frame), table.answers_of(frame)
+    assert first == second == [(Int(7), Int(0)), (Int(7), Int(1)), (Int(7), Int(2))]
+    # within one call the repeated value 7 is one term object ...
+    assert len({id(ans[0]) for ans in first}) == 1
+    # ... and no cache outside the call hands the same object to the next one
+    assert not {id(t) for ans in first for t in ans} & {id(t) for ans in second for t in ans}
+
+
 def test_empty_substitution_answer():
     ground = (atom_tok(P[0]), int_tok(1), int_tok(2))
     table = make_table(Design.NS)

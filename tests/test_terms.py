@@ -5,18 +5,17 @@ import pytest
 from tabling.program import Literal, literal_of
 from tabling.terms import (
     TRUE_TOK,
+    Atom,
     Compound,
     Int,
     Var,
     atom,
     atom_tok,
     compound,
-    decode_answer,
+    decode_answers,
     int_tok,
     intern_symbol,
     term_str,
-    tok_payload,
-    tok_tag,
     var_tok,
     TAG_ATOM,
     TAG_INT,
@@ -58,11 +57,11 @@ def test_compound_requires_args():
 
 
 def test_token_fields_round_trip():
-    assert tok_tag(int_tok(-17)) == TAG_INT and tok_payload(int_tok(-17)) == -17
-    assert tok_tag(int_tok(0)) == TAG_INT and tok_payload(int_tok(0)) == 0
+    assert int_tok(-17) & 7 == TAG_INT and int_tok(-17) >> 3 == -17
+    assert int_tok(0) & 7 == TAG_INT and int_tok(0) >> 3 == 0
     sym = intern_symbol("edge")
-    assert tok_tag(atom_tok(sym)) == TAG_ATOM and tok_payload(atom_tok(sym)) == sym
-    assert tok_tag(var_tok(5)) == TAG_VAR and tok_payload(var_tok(5)) == 5
+    assert atom_tok(sym) & 7 == TAG_ATOM and atom_tok(sym) >> 3 == sym
+    assert var_tok(5) & 7 == TAG_VAR and var_tok(5) >> 3 == 5
 
 
 def _random_arg(rng: random.Random, ground: bool = False):
@@ -85,9 +84,26 @@ def test_round_trip_random_terms():
     for _ in range(300):
         t = _random_literal(rng, ground=True)
         args = t.args if isinstance(t, Compound) else ()
-        assert decode_answer(literal_of(t, {}).args) == args
-    assert decode_answer((TRUE_TOK,)) == ()
-    assert decode_answer((int_tok(-3), atom_tok(intern_symbol("a")))) == (Int(-3), atom("a"))
+        assert decode_answers([literal_of(t, {}).args]) == [args]
+    assert decode_answers([(TRUE_TOK,)]) == [()]
+    assert decode_answers([(int_tok(-3), atom_tok(intern_symbol("a")))]) == [(Int(-3), atom("a"))]
+    assert decode_answers([(int_tok(-1), int_tok(-2**40), int_tok(0))]) == \
+        [(Int(-1), Int(-2**40), Int(0))]
+    # an int and an atom with the same payload decode apart
+    sym = intern_symbol("edge")
+    assert decode_answers([(int_tok(sym), atom_tok(sym)), (atom_tok(sym), int_tok(sym))]) == \
+        [(Int(sym), Atom(sym)), (Atom(sym), Int(sym))]
+    assert decode_answers([]) == []
+
+
+def test_decode_answers_shares_one_term_per_token_within_a_call():
+    one, two = int_tok(1), int_tok(2)
+    (a, b), (c, d), (e,) = decode_answers([(one, two), (two, one), (one,)])
+    assert a is d is e and b is c
+    assert (a, b) == (Int(1), Int(2))
+    # a second call makes its own terms: the memo does not outlive a call
+    (f, _), = decode_answers([(one, two)])
+    assert f == a and f is not a
 
 
 def _rename(t, mapping):
