@@ -39,12 +39,13 @@ however long the chain of dependent calls, so evaluation changes no
 interpreter setting.
 
 Fixpoint rounds are delta-driven: each frame's answer log is consumed
-through per-round watermarks, so a round only re-joins answers that arrived
-since the previous round.  A round ends the SCC when no member's log grew
-past the watermark the round started from and no frame was pushed.  This
-one test serves every design: an answer new to a frame is appended to a
-log, and an FS answer another thread logged first is either below the
-watermark, so already consumed, or above it, so the log grew.
+through per-round watermarks, token offsets into the flat log, so a round
+only re-joins answers that arrived since the previous round.  A round ends
+the SCC when no member's log grew past the watermark the round started from
+and no frame was pushed.  This one test serves every design: an answer new
+to a frame is appended to a log, and an FS answer another thread logged
+first is either below the watermark, so already consumed, or above it, so
+the log grew.
 """
 
 from __future__ import annotations
@@ -88,15 +89,18 @@ class _Lit:
     """One body literal under a clause activation.  The body order fixes
     which slots hold a value when resolution reaches the literal, so its
     call pattern or fact lookup is built once: a row only binds `binds` and
-    passes `checks`, and backtracking never has to unbind."""
+    passes `checks`, and backtracking never has to unbind.  A tabled
+    literal reads its callee's flat answer log `width` tokens per row: a
+    width-1 log one token at a time, a wider one regrouped into tuples."""
 
-    __slots__ = ("binds", "pred", "call", "rows", "index", "key", "checks")
+    __slots__ = ("binds", "pred", "call", "width", "rows", "index", "key", "checks")
 
-    def __init__(self, binds, pred=None, call=None, rows=None, index=None,
+    def __init__(self, binds, pred=None, call=None, width=0, rows=None, index=None,
                  key=None, checks=()):
         self.binds = binds      # ((slot, row position), ...) bound by this literal
         self.pred = pred        # tabled: its predicate; None for facts
         self.call = call        # tabled: env -> the call's token path
+        self.width = width      # tabled: tokens per answer in the callee's log; facts: 0
         self.rows = rows        # facts: candidate rows, or None to look up
         self.index = index      # ... as index.get(env[key])
         self.key = key
@@ -340,7 +344,8 @@ class _Compiled:
                             binds.append((s, j))
                         s = const(var_tok(j))
                     call.append(s)
-                body.append(_Lit(tuple(binds), lit.pred, _getter(call)))
+                # the callee's log width: see tablespace.answer_width
+                body.append(_Lit(tuple(binds), lit.pred, _getter(call), len(fresh) or 1))
             else:
                 rel = self.rels.get(lit.pred)
                 # look rows up by the first constant, else the first bound variable
@@ -528,6 +533,8 @@ class _Eval:
                         win = windows.get(g)
                         # a completed callee has nothing new at this position
                         rows = () if win is None else g.answers[win[0]:win[1]]
+                    if lit.width > 1:
+                        rows = zip(*[iter(rows)] * lit.width)
                 its[i] = iter(rows)
             else:
                 was_new = table.new_answer_tokens(frame, act.extract(env))
@@ -540,6 +547,16 @@ class _Eval:
             # advance the deepest open position, backtracking past exhausted ones
             while i >= 0:
                 lit = body[i]
+                if lit.width == 1:
+                    # a width-1 answer log: each entry is the one token bound
+                    for tok in its[i]:
+                        for s, _ in lit.binds:
+                            env[s] = tok
+                        break
+                    else:
+                        i -= 1
+                        continue
+                    break
                 for row in its[i]:
                     for s, k in lit.binds:
                         env[s] = row[k]

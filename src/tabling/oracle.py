@@ -8,8 +8,10 @@ the trie-based engine simply do not exist here.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .program import Clause, Program, literal_of
-from .terms import TAG_VAR, Term, decode_answers
+from .terms import TAG_VAR, TRUE_TOK, Term, decode_answers
 
 Row = tuple[int, ...]
 Rel = dict[tuple[int, int], set[Row]]
@@ -102,5 +104,5 @@ def oracle_solve(program: Program, query: Term, naive: bool = False) -> frozense
     for row in _fixpoint(program, naive).get(lit.pred, ()):
         env = _match(lit.args, row, {})
         if env is not None:
-            answers.add(tuple(env[j] for j in range(nvars)))
-    return frozenset(decode_answers(answers))
+            answers.add(tuple(env[j] for j in range(nvars)) or (TRUE_TOK,))
+    return frozenset(decode_answers(list(chain.from_iterable(answers)), nvars or 1))

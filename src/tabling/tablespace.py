@@ -17,6 +17,14 @@ values bound to those variables, or TRUE_TOK for a call without variables.
 Each table entry has its own trie roots, so the leading token does not need
 to tell predicates apart.
 
+An answer log is one flat list of tokens per frame, under FS per subgoal
+entry: each new answer is appended with a single `list.extend` of its path,
+so a log of a call with `width` distinct variables holds `width` tokens per
+answer (width 1 and the lone TRUE_TOK for a variable-free call) and no
+object per answer.  Under the GIL one `extend` from a tuple is atomic, so a
+reader on another thread sees a log length that is always a whole number of
+answers, never part of one.
+
 Structure allocations are tallied per kind so the per-design memory laws
 can be checked as exact counts.  Each thread id has its own `_Tally`, which
 only that thread writes, and a snapshot sums them; NS thus takes no lock
@@ -37,7 +45,7 @@ from enum import Enum
 from . import trie
 from .buckets import BucketArray
 from .errors import ConfigurationError, EvaluationError
-from .terms import Term, TokenSeq, decode_answers
+from .terms import TAG_VAR, Term, Token, TokenSeq, decode_answers
 from .trie import SyncMode, TrieNode
 
 EVALUATING = 0
@@ -66,6 +74,12 @@ class CountersSnapshot:
         }
 
 
+def answer_width(call: TokenSeq) -> int:
+    """Tokens per answer in the log of the subgoal path `call`: its number
+    of distinct variables, or 1 for the TRUE_TOK of a variable-free call."""
+    return len({t for t in call if t & 7 == TAG_VAR}) or 1
+
+
 class _Tally:
     """One thread's allocation counts.  Only that thread writes them, and
     nothing is ever subtracted: structures a finished thread drops stay
@@ -85,7 +99,9 @@ class SubgoalFrame:
     and hold no answer state of their own: an answer is new to an FS frame
     only when it is new to the shared table, and that newness only feeds
     tracing, since the engine ends a fixpoint by watching the answer log
-    alone.
+    alone.  The log is flat, `answer_width(tokens)` tokens per answer, and
+    each answer enters it by one `list.extend`, atomic under the GIL, so a
+    reader never sees part of an answer; the frame keeps no width of its own.
 
     `dfn`, `leader_dfn`, `stack_pos` and `on_stack` are scheduling fields
     used by the evaluation engine's dependency stack.
@@ -103,7 +119,7 @@ class SubgoalFrame:
         self.entry: SubgoalEntry | None = entry
         if entry is None:
             self.answer_root: TrieNode = trie.new_root()
-            self.answers: list[TokenSeq] = []
+            self.answers: list[Token] = []
         else:
             self.answer_root = entry.answer_root
             self.answers = entry.answers
@@ -116,18 +132,20 @@ class SubgoalFrame:
 
 class SubgoalEntry:
     """FS-only shared record for one subgoal call: the shared answer trie,
-    its arrival-ordered answer log, and the bucket array of per-thread
+    its arrival-ordered flat answer log, and the bucket array of per-thread
     frames.  Creation is serialized on the table's write lock that the
     subgoal-trie leaf selects.  An answer-trie leaf gets a payload once its
     answer is in the log.  Every thread's frame reads this one log, so an
     answer is new at most once table-wide, whichever thread derives it
-    first."""
+    first.  Threads extend the log with no lock: each answer goes in by one
+    `list.extend`, which the GIL makes atomic, so a reader on any thread
+    sees whole answers only."""
 
     __slots__ = ("answer_root", "answers", "frames")
 
     def __init__(self):
         self.answer_root = trie.new_root()
-        self.answers: list[TokenSeq] = []
+        self.answers: list[Token] = []
         self.frames = BucketArray()
 
 
@@ -239,9 +257,11 @@ class Table:
         leaf, created, is_new_path = trie.check_insert_path_counted(
             frame.answer_root, toks, self.answer_mode, self.locks)
         if created:
-            self._tally(frame.tid).ats += created
+            # the frame's own subgoal_call made its thread's tally
+            self._tallies[frame.tid].ats += created
         if is_new_path:
-            frame.answers.append(toks)  # under FS, the entry's shared log
+            # one atomic extend, under FS of the entry's shared log
+            frame.answers.extend(toks)
             leaf.payload = True  # logged; answer leaves carry nothing else
             return True
         # under FS the inserting thread may not have logged the answer yet;
@@ -268,7 +288,7 @@ class Table:
         """
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")
-        return decode_answers(frame.answers)
+        return decode_answers(frame.answers, answer_width(frame.tokens))
 
     # ------------------------------------------------------------------
     # accounting

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
 # ---------------------------------------------------------------------------
 # symbol interning
@@ -112,7 +112,6 @@ Token = int
 TokenSeq = tuple[int, ...]
 
 TRUE_TOK: Token = TAG_TRUE  # payload 0
-_TRUE_SEQ: TokenSeq = (TRUE_TOK,)
 
 
 def int_tok(value: int) -> Token:
@@ -148,10 +147,14 @@ class _DecodeMemo(dict):
         return term
 
 
-def decode_answers(seqs: Iterable[TokenSeq]) -> list[tuple[Term, ...]]:
-    """The term tuples of ground token sequences, in order; the TRUE_TOK
-    answer of a variable-free subgoal decodes to the empty tuple.  A token
-    met again in one call decodes to the same term object, and the memo
-    does not outlive the call."""
-    term_of = _DecodeMemo().__getitem__
-    return [() if toks == _TRUE_SEQ else tuple(map(term_of, toks)) for toks in seqs]
+def decode_answers(flat: Sequence[Token], width: int) -> list[tuple[Term, ...]]:
+    """The term tuples of a flat answer log, `width` ground tokens per
+    answer, in order; the TRUE_TOK answer of a variable-free subgoal (width
+    1, the only answer such a log holds) decodes to the empty tuple.  A
+    token met again in one call decodes to the same term object, and the
+    memo does not outlive the call.  The memo is mapped over the whole log
+    and its terms regrouped by `zip`, so Python code runs only for the
+    first occurrence of each token, never per answer."""
+    if flat and flat[0] == TRUE_TOK:
+        return [()]
+    return list(zip(*[map(_DecodeMemo().__getitem__, flat)] * width))

@@ -154,16 +154,11 @@ def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode,
     return check_insert_path_counted(parent, (tok,), mode, locks)[0]
 
 
-def check_insert_path(root: TrieNode, toks: TokenSeq, mode: SyncMode,
-                      locks: Sequence = _LOCKS) -> TrieNode:
-    """Fold check_insert_node over a token sequence; returns the leaf node."""
-    return check_insert_path_counted(root, toks, mode, locks)[0]
-
-
 def check_insert_path_counted(
     root: TrieNode, toks: TokenSeq, mode: SyncMode, locks: Sequence = _LOCKS
 ) -> tuple[TrieNode, int, bool]:
-    """Like check_insert_path, also reporting (created node count, leaf created).
+    """Fold check_insert_node over a token sequence, reporting (leaf node,
+    created node count, leaf created).
 
     `leaf created` is True iff the final node of the path did not exist
     before this call, i.e. the whole path is new to the trie.

@@ -568,6 +568,64 @@ def test_table_holds_tokens_never_terms(release):
             met = _reachable(result.table).values()
             assert not any(isinstance(o, (Term, terms._DecodeMemo)) for o in met), \
                 (design, text)
+            # every answer log is one flat list of tokens, `width` per answer,
+            # holding each path of its answer trie once in arrival order
+            logs = [o for o in met if isinstance(o, (SubgoalFrame, SubgoalEntry))]
+            assert logs or release, (design, text)
+            for o in logs:
+                paths = _leaf_paths(o.answer_root)
+                width = len(paths[0]) if paths else 1
+                assert all(len(p) == width for p in paths)
+                log = o.answers
+                assert type(log) is list and all(type(t) is int for t in log)
+                assert len(log) == width * len(paths), (design, text)
+                assert sorted(zip(*[iter(log)] * width)) == sorted(paths)
+                if isinstance(o, SubgoalFrame):
+                    nvars = len({t for t in o.tokens[1:] if t & 7 == terms.TAG_VAR})
+                    assert width == (nvars or 1)
+            # and no answer is kept as a tuple of its tokens
+            answers = {tuple(terms.int_tok(t.value) for t in a) or (terms.TRUE_TOK,)
+                       for a in result.answer_sets[0]}
+            assert not any(type(o) is tuple and o in answers for o in met), (design, text)
+
+
+def _leaf_paths(root):
+    """The token path of every leaf below `root`."""
+    paths = []
+    todo = [(root.first_child, ())]
+    while todo:
+        node, path = todo.pop()
+        while node is not None:
+            if node.first_child is None:
+                paths.append(path + (node.token,))
+            else:
+                todo.append((node.first_child, path + (node.token,)))
+            node = node.sibling
+    return paths
+
+
+_WALK_TEXT = (
+    ":- table walk/3.\n"
+    "walk(X,Y,1) :- e(X,Y).\n"
+    "walk(X,Z,N) :- walk(X,Y,M), e(Y,Z), succ(M,N).\n"  # left recursion
+    "walk(X,Z,N) :- e(X,Y), walk(Y,Z,M), succ(M,N).\n"  # right recursion
+    "e(1,2). e(2,3). e(3,1). e(3,4). e(4,2).\n"
+    "succ(1,2). succ(2,3). succ(3,4). succ(4,5). succ(5,6).")
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("design", list(Design))
+def test_wide_answer_logs_match_oracle(design, sync, threads):
+    # logs 3 and 2 tokens wide, read through delta windows mid-fixpoint
+    program = parse_program(_WALK_TEXT)
+    for text, width in (("walk(X,Y,N)", 3), ("walk(1,Y,N)", 2), ("walk(X,3,N)", 2)):
+        query = parse_query(text)
+        want = oracle_solve(program, query)
+        assert len(want) >= 8 and all(len(a) == width for a in want)
+        result = solve_parallel(program, query,
+                                EvalConfig(design=design, sync=sync, threads=threads))
+        assert all(a == want for a in result.answer_sets), text
 
 
 # ----------------------------------------------------------------------

@@ -176,7 +176,9 @@ def test_fs_cross_thread_newness_and_node_reuse():
     # unchanged and the answer is not new to the table
     assert answer(table, fb, 1, 2) is False
     assert table.snapshot_counters().ats == base
-    assert fb.answers is fa.answers and len(fa.answers) == 2
+    # the shared flat log holds the two answers once each, two tokens apiece
+    assert fb.answers is fa.answers
+    assert fa.answers == [int_tok(1), int_tok(2), int_tok(1), int_tok(3)]
 
 
 def test_fs_interleaved_threads_share_answer_nodes():
@@ -342,10 +344,10 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
     entered, release = threading.Event(), threading.Event()
 
     class HeldLog(list):
-        def append(self, item):
+        def extend(self, toks):
             entered.set()
             release.wait(10)
-            super().append(item)
+            super().extend(toks)
 
     entry = fa.entry
     entry.answers = fa.answers = HeldLog()
@@ -358,7 +360,7 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
 
     def derive_in_b():
         was_new = table.new_answer_tokens(fb, toks)
-        seen.append((was_new, toks in entry.answers))
+        seen.append((was_new, entry.answers == list(toks)))
 
     b = threading.Thread(target=derive_in_b)
     b.start()

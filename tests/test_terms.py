@@ -84,25 +84,32 @@ def test_round_trip_random_terms():
     for _ in range(300):
         t = _random_literal(rng, ground=True)
         args = t.args if isinstance(t, Compound) else ()
-        assert decode_answers([literal_of(t, {}).args]) == [args]
-    assert decode_answers([(TRUE_TOK,)]) == [()]
-    assert decode_answers([(int_tok(-3), atom_tok(intern_symbol("a")))]) == [(Int(-3), atom("a"))]
-    assert decode_answers([(int_tok(-1), int_tok(-2**40), int_tok(0))]) == \
+        toks = literal_of(t, {}).args
+        if toks:
+            assert decode_answers(toks, len(toks)) == [args]
+    assert decode_answers([TRUE_TOK], 1) == [()]
+    assert decode_answers([int_tok(-3), atom_tok(intern_symbol("a"))], 2) == [(Int(-3), atom("a"))]
+    assert decode_answers([int_tok(-1), int_tok(-2**40), int_tok(0)], 3) == \
         [(Int(-1), Int(-2**40), Int(0))]
     # an int and an atom with the same payload decode apart
     sym = intern_symbol("edge")
-    assert decode_answers([(int_tok(sym), atom_tok(sym)), (atom_tok(sym), int_tok(sym))]) == \
+    assert decode_answers([int_tok(sym), atom_tok(sym), atom_tok(sym), int_tok(sym)], 2) == \
         [(Int(sym), Atom(sym)), (Atom(sym), Int(sym))]
-    assert decode_answers([]) == []
+    # a flat log is cut into rows of its width
+    assert decode_answers([int_tok(1), int_tok(2), int_tok(3)], 1) == \
+        [(Int(1),), (Int(2),), (Int(3),)]
+    assert decode_answers([int_tok(1), int_tok(2), int_tok(3), int_tok(4)], 2) == \
+        [(Int(1), Int(2)), (Int(3), Int(4))]
+    assert decode_answers([], 1) == decode_answers([], 3) == []
 
 
 def test_decode_answers_shares_one_term_per_token_within_a_call():
     one, two = int_tok(1), int_tok(2)
-    (a, b), (c, d), (e,) = decode_answers([(one, two), (two, one), (one,)])
-    assert a is d is e and b is c
+    (a, b), (c, d), (e, g) = decode_answers([one, two, two, one, one, one], 2)
+    assert a is d is e is g and b is c
     assert (a, b) == (Int(1), Int(2))
     # a second call makes its own terms: the memo does not outlive a call
-    (f, _), = decode_answers([(one, two)])
+    (f, _), = decode_answers([one, two], 2)
     assert f == a and f is not a
 
 

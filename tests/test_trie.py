@@ -10,7 +10,6 @@ from tabling.trie import (
     HASH_THRESHOLD,
     SyncMode,
     check_insert_node,
-    check_insert_path,
     check_insert_path_counted,
     child_tokens,
     find_child,
@@ -151,7 +150,7 @@ def test_path_fresh_and_shared_prefix():
 
 def test_path_rejects_empty():
     with pytest.raises(ValueError):
-        check_insert_path(new_root(), (), SyncMode.NONE)
+        check_insert_path_counted(new_root(), (), SyncMode.NONE)[0]
 
 
 def _nodes_and_leaf_paths(root):
@@ -195,7 +194,7 @@ def test_concurrent_path_insertion_shares_nodes():
         random.Random(tid).shuffle(mine)
         barrier.wait()
         for path in mine:
-            check_insert_path(root, path, SyncMode.TRYLOCK)
+            check_insert_path_counted(root, path, SyncMode.TRYLOCK)[0]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     for t in threads:
@@ -335,7 +334,7 @@ def test_failed_trylock_yields_before_retrying(monkeypatch):
 
 
 def test_shared_leaf_payload_is_created_once():
-    leaf = check_insert_path(new_root(), (A,), SyncMode.LOCK)
+    leaf = check_insert_path_counted(new_root(), (A,), SyncMode.LOCK)[0]
     locks = new_locks()
     made = []
     results = [None] * 16
@@ -393,7 +392,7 @@ def test_lock_blocks_and_trylock_tries(mode, blocking, monkeypatch):
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
     locks = _RecordingLocks()
-    leaf = check_insert_path(new_root(), (A, int_tok(1), int_tok(2)), mode, locks)
+    leaf = check_insert_path_counted(new_root(), (A, int_tok(1), int_tok(2)), mode, locks)[0]
     assert leaf.token == int_tok(2)
     assert set(locks.calls) == {blocking}
     if blocking:  # one blocking acquire per new node, and never a yield
