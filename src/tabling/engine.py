@@ -16,27 +16,29 @@ resolves is made of tabled and fact literals only.  Unfolding multiplies
 clauses: a body with several such calls gets one clause per combination of
 their clauses.  A clause is specialized once per call shape, the call with
 its constants left open as parameter variables, into an activation template
-kept with the compiled program; a frame only checks and fills in its call's
-constants.  One unifier, `_unify`, serves both places where two flat
-literals meet: a call against a callee's head when unfolding, and a clause
-head against a call shape when a template is built.
+kept with the compiled program; a frame only checks its call's constants.
+A template's body join is its kernel: Python source generated for that
+clause and shape and compiled once, one nested loop per body literal, with
+every clause variable a local.  One unifier, `_unify`, serves both places
+where two flat literals meet: a call against a callee's head when
+unfolding, and a clause head against a call shape when a template is built.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
 than the Python call stack.  A new tabled call pushes a generator frame on
 the thread's dependency stack, and `solve` pushes an `_evaluate` generator
-for it on its own list.  `_evaluate` resolves each clause once through
-`_pass`, which backtracks over one row iterator per body position and
-yields every fresh subgoal it meets: the driver pushes the callee's
-generator and resumes the caller when that one is exhausted.  Calls that
-hit an in-progress frame link strongly connected components by propagating
-the smallest depth-first number.  When a leader's initial pass returns, the
-SCC is driven to fixpoint by derivation rounds and then completed as a
-whole.  Answers found mid-clause are stored and the resolution keeps
-backtracking (`new_answer` always "fails"); answers cross a frame boundary
-outward only after the frame's SCC is complete, and the engine asserts that
-discipline on every consumption.  The Python stack stays a few frames deep
-however long the chain of dependent calls, so evaluation changes no
-interpreter setting.
+for it on its own list.  `_evaluate` resolves each clause once by running
+its kernel, whose loops run over fact rows, an index lookup or a callee's
+answer log, and which yields every fresh subgoal it meets: `solve` pushes
+the callee's generator and resumes the caller when that one is exhausted.
+Calls that hit an in-progress frame link strongly connected components by
+propagating the smallest depth-first number.  When a leader's initial pass
+returns, the SCC is driven to fixpoint by derivation rounds and then
+completed as a whole.  Answers found mid-clause are stored and the
+resolution keeps backtracking (`new_answer` always "fails"); answers cross a
+frame boundary outward only after the frame's SCC is complete, and the
+engine asserts that discipline on every consumption.  The Python stack
+stays a few frames deep however long the chain of dependent calls, so
+evaluation changes no interpreter setting.
 
 Fixpoint rounds are delta-driven: each frame's answer log is consumed
 through per-round watermarks, token offsets into the flat log, so a round
@@ -53,7 +55,6 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .buckets import MAX_THREADS
 from .errors import ConfigurationError, EvaluationError, ProgramError
@@ -85,52 +86,97 @@ class ParallelResult:
     table: Table
 
 
-class _Lit:
-    """One body literal under a clause activation.  The body order fixes
-    which slots hold a value when resolution reaches the literal, so its
-    call pattern or fact lookup is built once: a row only binds `binds` and
-    passes `checks`, and backtracking never has to unbind.  A tabled
-    literal reads its callee's flat answer log `width` tokens per row: a
-    width-1 log one token at a time, a wider one regrouped into tuples."""
+# the lines of a tabled body literal: call the subgoal, link its SCC or have
+# `solve` evaluate it, and read its answer log, or at the round's delta
+# position the log's window
+_CALL = """\
+g = call(E{i}, ({path},), tid)
+if g.state != {complete}:
+    if g.on_stack:
+        if frame.leader_dfn > g.leader_dfn:
+            frame.leader_dfn = g.leader_dfn
+    else:
+        yield g
+        if g.state != {complete} and not g.on_stack:
+            raise violation()
+if trace is not None:
+    trace((CONSUME, g, g.state, g.on_stack))
+if dpos != {i}:
+    rows = g.answers
+else:
+    win = windows.get(g)
+    rows = () if win is None else g.answers[win[0]:win[1]]"""
 
-    __slots__ = ("binds", "pred", "call", "width", "rows", "index", "key", "checks")
-
-    def __init__(self, binds, pred=None, call=None, width=0, rows=None, index=None,
-                 key=None, checks=()):
-        self.binds = binds      # ((slot, row position), ...) bound by this literal
-        self.pred = pred        # tabled: its predicate; None for facts
-        self.call = call        # tabled: env -> the call's token path
-        self.width = width      # tabled: tokens per answer in the callee's log; facts: 0
-        self.rows = rows        # facts: candidate rows, or None to look up
-        self.index = index      # ... as index.get(env[key])
-        self.key = key
-        self.checks = checks    # facts: ((row position, slot), ...) to match
+# the innermost point: store the answer and fail, so resolution backtracks;
+# fixpoint detection reads the answer logs, not whether it was new
+_ANSWER = """\
+new = add(frame, ({answer},))
+if trace is not None:
+    trace((NEW_ANSWER, frame, new))"""
 
 
-def _getter(slots):
-    """The function from an environment to its values at `slots`, a tuple."""
-    if len(slots) == 1:
-        s = slots[0]
-        return lambda env: (env[s],)
-    return itemgetter(*slots)
+def _violation():
+    return EvaluationError("local-evaluation violation: consuming an incomplete "
+                           "frame outside the dependency stack")
+
+
+_KERNEL_GLOBALS = {"violation": _violation, "CONSUME": "consume", "NEW_ANSWER": "new_answer"}
+_LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
+
+
+def _kernel_source(steps, fill, nconsts, answer) -> str:
+    """The source of `make(C0, C1, ...)`, which returns a template's kernel:
+    the body's loops, at most _LOOPS to a generated function, each
+    function's innermost point delegating to the next with the locals bound
+    so far."""
+    chunks = [steps[c:c + _LOOPS] for c in range(0, len(steps), _LOOPS)] or [[]]
+    src = [f"def make({', '.join(f'C{j}' for j in range(nconsts))}):"]
+
+    def emit(depth, text):
+        src.extend("    " * depth + line for line in text.splitlines())
+
+    for c, chunk in enumerate(chunks):
+        live = "".join(f", {x}" for x in chunk[0][0]) if c else ""
+        emit(1, f"def k{c}(ev, frame, dpos, windows{live}):")
+        emit(2, "table = ev.table\ntrace = ev.trace\ntid = ev.tid\n"
+                "call = table.subgoal_call\nadd = table.new_answer_tokens")
+        entries = "\n".join(entry for _, entry, _, _ in chunk if entry)
+        emit(2, entries)
+        if c == 0:
+            emit(2, "\n".join(fill))
+        depth = 2
+        for _, _, lines, loop in chunk:
+            emit(depth, lines)
+            emit(depth, loop)
+            depth += 1
+        if c + 1 < len(chunks):
+            live = "".join(f", {x}" for x in chunks[c + 1][0][0])
+            emit(depth, f"yield from k{c + 1}(ev, frame, dpos, windows{live})")
+        else:
+            emit(depth, answer)
+            if not entries:
+                emit(2, "return\nyield")  # a generator function all the same
+    emit(1, "return k0")
+    return "\n".join(src) + "\n"
 
 
 class _Act:
-    """A clause specialized against one call shape: head unification is
-    folded into an environment whose slots hold constants and unbound
-    variables, leaving only body iteration at run time.  A template, built
-    once per shape, leaves a slot to `fill` with each call constant it reads
-    and `checks` what its head asks of the others; a frame's activation is
-    the template with its call's constants filled in."""
+    """A clause specialized once against one call shape: head unification
+    is folded away, and the body join left is `kernel`, a generator function
+    compiled from `source`.  Each body literal is one nested loop of the
+    kernel and each clause variable one of its locals; constants are int
+    literals, and the rows, indexes and predicates it reads come in as
+    closure constants, so the source holds no program text.  A frame runs
+    the template when its call passes `checks`: each (argument position,
+    other position or -1, token) asks the call's constant there to equal its
+    constant at the other position, or else the token."""
 
-    __slots__ = ("body", "extract", "env", "fill", "checks")
+    __slots__ = ("kernel", "source", "checks")
 
-    def __init__(self, body, extract, env, fill=(), checks=()):
-        self.body = body
-        self.extract = extract  # env -> the answer's token path
-        self.env = env
-        self.fill = fill        # ((argument position, slot), ...)
-        self.checks = checks    # ((argument position, slot), ...) to match once filled
+    def __init__(self, kernel, source, checks):
+        self.kernel = kernel    # (eval, frame, delta position, windows) -> generator
+        self.source = source
+        self.checks = checks
 
 
 class _Rel:
@@ -242,8 +288,9 @@ class _Compiled:
     cached on it until the program is edited.  Read-only but for the memo,
     which single assignments fill (two threads may both build a template;
     either is complete), so every run and worker thread shares it.  It
-    references no table, and no table keeps a reference to it: the
-    activations that hold its rows are dropped when their frame completes."""
+    references no table, and no table keeps a reference to it: a frame's
+    templates, whose kernels capture its rows, are dropped when the frame
+    completes."""
 
     __slots__ = ("tabled", "rels", "clauses", "delta_clauses", "templates")
 
@@ -264,25 +311,18 @@ class _Compiled:
         self.templates: dict[tuple, tuple] = {}
 
     def activations(self, pred: Pred, args: tuple[int, ...]) -> list:
-        """The activation of each clause of `pred` for the call `args`, None
-        where the head does not match it: the templates of the call's shape
-        (its variables, each constant replaced by None), built on first use,
-        with the call's constants checked and filled in."""
+        """The template of each clause of `pred` that the call `args`
+        passes, None where the head does not match it: the templates of the
+        call's shape (its variables, each constant replaced by None), built
+        on first use."""
         shape = (pred, *(a if a & 7 == TAG_VAR else None for a in args))
         templates = self.templates.get(shape)
         if templates is None:
             templates = self.templates[shape] = tuple(
                 self._template(cl, shape[1:]) for cl in self.clauses.get(pred, ()))
-        acts = []
-        for t in templates:
-            if t is not None and t.fill:
-                env = t.env.copy()
-                for k, s in t.fill:
-                    env[s] = args[k]
-                t = _Act(t.body, t.extract, env, checks=t.checks)
-            acts.append(None if t is None or any(args[k] != t.env[s] for k, s in t.checks)
-                        else t)
-        return acts
+        return [t if t is not None and all(args[k] == (tok if j < 0 else args[j])
+                                           for k, j, tok in t.checks) else None
+                for t in templates]
 
     def _template(self, clause: Clause, shape: tuple):
         # the call's variables are numbered after the clause's, and its
@@ -298,88 +338,92 @@ class _Compiled:
         # whose value the class takes
         params = [(k, _walk(subst, p)) for k, p in enumerate(args) if shape[k] is None]
         owner = {r: k for k, r in reversed(params) if r & 7 == TAG_VAR}
+        names: dict[int, str] = {}  # a variable's local in the kernel
+        known: dict[str, None] = {}  # the locals bound where the code has got to
+        fill: dict[str, str] = {}   # each local of a call constant: the line reading it
+        consts: list = []           # the closure constants C0, C1, ...
 
-        # the template: a constant, None for a variable, or a variable token
-        # in a slot that a frame fills with one of its call's constants
-        env: list = []
-        const_slots: dict[int, int] = {}
-        var_slots: dict[int, int] = {}
-
-        def const(tok):
-            s = const_slots.get(tok)
-            if s is None:
-                s = const_slots[tok] = len(env)
-                env.append(tok)
-            return s
-
-        def slot(t):
-            # a constant, or the slot of its variable's representative
+        def ref(t):
+            # a constant as an int literal, else its variable's local
             t = _walk(subst, t)
             if t & 7 != TAG_VAR:
-                return const(t)
-            s = var_slots.get(t)
-            if s is None:
-                s = var_slots[t] = len(env)
-                env.append(t if t in owner else None)
-            return s
+                return f"({t})"
+            name = names.get(t)
+            if name is None:
+                name = names[t] = f"v{len(names)}"
+                if t in owner:
+                    fill[name] = f"{name} = frame.tokens[{owner[t] + 1}]"
+                    known[name] = None
+            return name
 
-        bound: set[int] = set()  # variable slots an earlier literal binds
+        def closure(obj):
+            consts.append(obj)
+            return f"C{len(consts) - 1}"
 
-        def known(s):
-            return s in bound or env[s] is not None
-
-        body = []
-        for lit in clause.body:
-            slots = [slot(a) for a in lit.args]
-            binds: list[tuple[int, int]] = []
+        # the answer: the values of the call's variables, in their order
+        answer = [ref(v + shift) for v in sorted({a for a in shape if a is not None})] \
+            or [str(TRUE_TOK)]
+        # naming every variable first reads each call constant up front
+        args_of = [[ref(a) for a in lit.args] for lit in clause.body]
+        # per body literal: the locals bound before it, the line taking its
+        # table entry if it is tabled, the lines before its loop, the loop
+        steps = []
+        for i, (lit, xs) in enumerate(zip(clause.body, args_of)):
+            before = list(known)
             if lit.pred in self.tabled:
                 # the variant call: unbound variables numbered in first occurrence
-                call = [const(atom_tok(lit.pred[0]))]
-                fresh: dict[int, int] = {}
-                for s in slots:
-                    if not known(s):
-                        j = fresh.get(s)
-                        if j is None:
-                            j = fresh[s] = len(fresh)
-                            binds.append((s, j))
-                        s = const(var_tok(j))
-                    call.append(s)
-                # the callee's log width: see tablespace.answer_width
-                body.append(_Lit(tuple(binds), lit.pred, _getter(call), len(fresh) or 1))
+                call, fresh = [str(atom_tok(lit.pred[0]))], []
+                for x in xs:
+                    if x[0] != "(" and x not in known:
+                        if x not in fresh:
+                            fresh.append(x)
+                        x = str(var_tok(fresh.index(x)))
+                    call.append(x)
+                known.update(dict.fromkeys(fresh))
+                entry = f"E{i} = table.entries[{closure(lit.pred)}]"
+                lines = _CALL.format(i=i, path=", ".join(call), complete=COMPLETE)
+                if len(fresh) > 1:  # the callee's log: see tablespace.answer_width
+                    lines += "\nit = iter(rows)"
+                    loop = f"for {', '.join(fresh)} in zip({', '.join(['it'] * len(fresh))}):"
+                else:
+                    loop = f"for {fresh[0] if fresh else '_'} in rows:"
             else:
                 rel = self.rels.get(lit.pred)
-                # look rows up by the first constant, else the first bound variable
-                known_at = sorted((k for k, s in enumerate(slots) if known(s)),
-                                  key=lambda k: env[slots[k]] is None)
-                key_at = known_at[0] if known_at else None
-                checks = []
-                for k, s in enumerate(slots):
+                # look rows up by the first constant, of the program or the
+                # call, else the first bound variable
+                key_at = min((k for k, x in enumerate(xs) if x[0] == "(" or x in known),
+                             key=lambda k: (xs[k][0] != "(" and xs[k] not in fill, k),
+                             default=None)
+                targets, tests = [], []
+                for k, x in enumerate(xs):
                     if k == key_at:
-                        continue
-                    if known(s):
-                        checks.append((k, s))
+                        targets.append("_")
+                    elif x[0] == "(" or x in known:
+                        targets.append(f"x{k}")
+                        tests.append(f"x{k} != {x}")
                     else:
-                        binds.append((s, k))
-                        bound.add(s)
-                rows, index, key = (), None, None
-                if rel is not None:
-                    rows = rel.rows
-                    if key_at is not None:
-                        key = slots[key_at]
-                        if env[key] is None or env[key] & 7 == TAG_VAR:
-                            rows, index = None, rel.index[key_at]  # a call constant
-                        else:
-                            rows = rel.index[key_at].get(env[key], ())
-                body.append(_Lit(tuple(binds), rows=rows, index=index, key=key,
-                                 checks=tuple(checks)))
-            bound.update(slots)
-        # the answer: the values of the call's variables, in their order
-        extract = [slot(v + shift) for v in sorted({a for a in shape if a is not None})] \
-            or [const(TRUE_TOK)]
+                        targets.append(x)
+                        known[x] = None
+                if rel is None:
+                    rows = "()"
+                elif key_at is None:
+                    rows = closure(rel.rows)
+                elif xs[key_at][0] == "(":
+                    rows = closure(rel.index[key_at].get(_walk(subst, lit.args[key_at]), ()))
+                else:
+                    rows = f"{closure(rel.index[key_at])}.get({xs[key_at]}, ())"
+                entry = lines = ""
+                loop = f"for {', '.join(targets) or '_'}{',' * bool(targets)} in {rows}:"
+                if tests:
+                    loop += f"\n    if {' or '.join(tests)}:\n        continue"
+            steps.append((before, entry, lines, loop))
+        source = _kernel_source(steps, list(fill.values()), len(consts),
+                                _ANSWER.format(answer=", ".join(answer)))
         # any other parameter must equal its class's constant or first parameter
-        checks = tuple((k, slot(r)) for k, r in params if owner.get(r) != k)
-        fill = tuple((owner[r], s) for r, s in var_slots.items() if r in owner)
-        return _Act(tuple(body), _getter(extract), env, fill, checks)
+        checks = tuple((k, owner.get(r, -1), r) for k, r in params if owner.get(r) != k)
+        out: dict = {}
+        exec(compile(source, "<kernel>", "exec"), _KERNEL_GLOBALS, out)
+        return _Act(out["make"](*consts), source, checks)
 
 
 def _compile(program: Program) -> _Compiled:
@@ -442,7 +486,7 @@ class _Eval:
         frame.acts = self.compiled.activations(frame.pred, frame.tokens[1:])
         for act in frame.acts:
             if act is not None:
-                yield from self._pass(frame, act, -1, None)
+                yield from act.kernel(self, frame, -1, None)
         if frame.leader_dfn == frame.dfn and (yield from self._complete_scc(frame)):
             return
         if frame.stack_pos > 0:
@@ -473,7 +517,7 @@ class _Eval:
                     if act is None:
                         continue
                     for p in positions:
-                        yield from self._pass(f, act, p, windows)
+                        yield from act.kernel(self, f, p, windows)
             for f in members:
                 consumed[f] = windows[f][1]
             if leader.leader_dfn != leader.dfn:
@@ -491,84 +535,6 @@ class _Eval:
         if self.trace is not None:
             self.trace(("complete", tuple(scc)))
         return True
-
-    def _pass(self, frame: SubgoalFrame, act: _Act, dpos: int, windows):
-        """Resolve one activation of `frame` by backtracking over one row
-        iterator per body position, storing every solution as an answer.  A
-        tabled literal that meets a fresh subgoal yields it and resumes once
-        it has been evaluated.  At body position `dpos` a tabled literal
-        reads only the answers inside its callee's window of the round."""
-        table = self.table
-        trace = self.trace
-        body = act.body
-        n = len(body)
-        env = act.env.copy()
-        its: list = [None] * n
-        i = 0
-        while True:
-            if i < n:
-                lit = body[i]
-                if lit.pred is None:
-                    rows = lit.rows
-                    if rows is None:
-                        rows = lit.index.get(env[lit.key], ())
-                else:
-                    g = table.subgoal_call(table.entries[lit.pred], lit.call(env), self.tid)
-                    if g.state != COMPLETE:
-                        if g.on_stack:
-                            # in-progress call by this thread: link the SCCs
-                            if frame.leader_dfn > g.leader_dfn:
-                                frame.leader_dfn = g.leader_dfn
-                        else:
-                            yield g
-                            if g.state != COMPLETE and not g.on_stack:
-                                raise EvaluationError(
-                                    "local-evaluation violation: consuming an incomplete "
-                                    "frame outside the dependency stack")
-                    if trace is not None:
-                        trace(("consume", g, g.state, g.on_stack))
-                    if i != dpos:
-                        rows = g.answers
-                    else:
-                        win = windows.get(g)
-                        # a completed callee has nothing new at this position
-                        rows = () if win is None else g.answers[win[0]:win[1]]
-                    if lit.width > 1:
-                        rows = zip(*[iter(rows)] * lit.width)
-                its[i] = iter(rows)
-            else:
-                was_new = table.new_answer_tokens(frame, act.extract(env))
-                # local evaluation: the derivation "fails" and resolution
-                # backtracks; fixpoint detection reads the answer logs, not
-                # this flag
-                if trace is not None:
-                    trace(("new_answer", frame, was_new))
-                i -= 1
-            # advance the deepest open position, backtracking past exhausted ones
-            while i >= 0:
-                lit = body[i]
-                if lit.width == 1:
-                    # a width-1 answer log: each entry is the one token bound
-                    for tok in its[i]:
-                        for s, _ in lit.binds:
-                            env[s] = tok
-                        break
-                    else:
-                        i -= 1
-                        continue
-                    break
-                for row in its[i]:
-                    for s, k in lit.binds:
-                        env[s] = row[k]
-                    if not lit.checks or all(row[k] == env[s] for k, s in lit.checks):
-                        break
-                else:
-                    i -= 1
-                    continue
-                break
-            else:
-                return
-            i += 1
 
 
 # ----------------------------------------------------------------------

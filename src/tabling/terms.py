@@ -48,9 +48,16 @@ class Term:
     __slots__ = ()
 
 
+# Atom and Int hash apart by the low bit, by one shift rather than the
+# generated hash of a one-field tuple: every answer set hashes every term
+
+
 @dataclass(frozen=True, slots=True)
 class Atom(Term):
     sym: int
+
+    def __hash__(self) -> int:
+        return self.sym << 1 | 1
 
     def __str__(self) -> str:
         return symbol_name(self.sym)
@@ -59,6 +66,9 @@ class Atom(Term):
 @dataclass(frozen=True, slots=True)
 class Int(Term):
     value: int
+
+    def __hash__(self) -> int:
+        return self.value << 1
 
     def __str__(self) -> str:
         return str(self.value)

@@ -1,7 +1,10 @@
 import gc
+import io
 import random
+import re
 import sys
 import threading
+import tokenize
 import types
 
 import pytest
@@ -529,6 +532,23 @@ def _reachable(root):
     return seen
 
 
+def _kernel_parts(kernel, tabled):
+    """The ids of a kernel, of the functions it delegates to, and of the rows
+    and indexes they capture; the predicates they capture are left out, as a
+    table entry holds its predicate too."""
+    parts, todo = set(), [kernel]
+    while todo:
+        fn = todo.pop()
+        parts.add(id(fn))
+        for cell in fn.__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, types.FunctionType):
+                todo.append(value)
+            elif isinstance(value, dict) or value and value not in tabled:
+                parts.add(id(value))
+    return parts
+
+
 @pytest.mark.parametrize("release", [True, False])
 def test_table_holds_nothing_of_the_compiled_program(release):
     program = parse_program(_PATH_TEXT + " edge(3,1).")
@@ -546,11 +566,15 @@ def test_table_holds_nothing_of_the_compiled_program(release):
                 banned.update(id(d) for d in rel.index)
             for templates in compiled.templates.values():
                 banned.add(id(templates))
-                banned.update((id(t), id(t.body), id(t.env)) for t in templates if t)
+                for t in templates:
+                    if t is not None:
+                        banned.add(id(t))
+                        banned.update(_kernel_parts(t.kernel, compiled.tabled))
             met = _reachable(result.table)
             assert not banned & met.keys(), (design, text)
-            assert not any(isinstance(o, (engine._Rel, engine._Compiled, engine._Act,
-                                          engine._Lit)) for o in met.values())
+            assert not any(isinstance(o, (engine._Rel, engine._Compiled, engine._Act))
+                           or isinstance(o, types.FunctionType)
+                           and o.__code__.co_filename == "<kernel>" for o in met.values())
             # nor does the compiled program, memo included, keep a table alive
             table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode)
             assert not any(isinstance(o, table_types)
@@ -721,3 +745,96 @@ def test_cold_and_warm_template_memos_trace_alike():
         for other in queries:  # every shape the queries meet is now cached
             solve_parallel(program, parse_query(other), EvalConfig(design=Design.NS))
         assert _trace(program, text) == cold, text
+
+
+# ----------------------------------------------------------------------
+# join kernels: one generated generator function per template
+
+
+def _long_programs():
+    # a 40-literal fact chain around a 7-ring, beside a clause whose tabled
+    # literal sits past the first generated function's loops
+    ring = "".join(f"e({i},{(i + 1) % 7}). " for i in range(7))
+    chain = ", ".join(f"e(X{i},X{i + 1})" for i in range(40))
+    twenty = ", ".join(f"e(X{i},X{i + 1})" for i in range(20))
+    tabled = parse_program(f":- table t/2.\nt(X0,X40) :- {chain}.\n"
+                           f"t(X0,Y) :- {twenty}, t(X20,Y), e(Y,Z).\n{ring}")
+    # six calls of a non-tabled 5-hop rule unfold into one 30-literal body
+    hops = ", ".join(f"hop(Y{i},Y{i + 1})" for i in range(6))
+    unfolded = parse_program(f":- table u/2.\nu(Y0,Y6) :- {hops}.\n"
+                             "hop(A,F) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,F).\n" + ring)
+    return ((tabled, ("t(X,Y)", "t(3,Y)", "t(3,1)")),
+            (unfolded, ("u(X,Y)", "u(2,Y)", "u(2,4)")))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("design", list(Design))
+def test_long_bodies_solve_through_chained_kernels(design, sync, threads):
+    for program, texts in _long_programs():
+        for text in texts:
+            query = parse_query(text)
+            want = oracle_solve(program, query)
+            assert want, text
+            result = solve_parallel(program, query,
+                                    EvalConfig(design=design, sync=sync, threads=threads))
+            assert all(a == want for a in result.answer_sets), text
+        longest = max(len(cl.body) for cls in program.compiled.clauses.values() for cl in cls)
+        assert longest in (40, 30)
+        sources = [t.source for ts in program.compiled.templates.values() for t in ts if t]
+        # no generated function nests more than 16 loops, so the longest
+        # body's kernel delegates to one more function per 16 literals
+        assert any(f"yield from k{(longest - 1) // 16}(" in s for s in sources)
+        for s in sources:
+            depths = [len(line) - len(line.lstrip()) for line in s.splitlines()
+                      if line.lstrip().startswith("for ")]
+            assert max(depths, default=0) <= 4 * (1 + 16)
+
+
+_SHADOWS = ("g", "frame", "rows", "row", "env", "trace", "tid", "x'); __import__('os'); ('")
+
+
+def _named_program(names):
+    """One program built through the API, each of its predicate and atom
+    names taken from `names`, in `_SHADOWS` order."""
+    g, frame, rows, row, env, trace, tid, bad = names
+    c, a = compound, terms.atom
+    X, Y, Z = Var(0), Var(1), Var(2)
+    program = Program(tabled=frozenset({(intern_symbol(g), 2), (intern_symbol(frame), 2)}))
+    program.add_clause(c(g, X, Y), [c(rows, X, Y)])
+    program.add_clause(c(g, X, Y), [c(g, X, Z), c(row, Z, Y)])
+    program.add_clause(c(frame, X, Y), [c(env, X, Y), c(g, Y, a(trace))])
+    program.add_clause(c(frame, a(tid), Y), [c(g, a(tid), Y)])
+    program.add_clause(c(frame, X, a(bad)), [c(bad, X, a(bad))])
+    for p, x, y in ((rows, Int(1), Int(2)), (rows, Int(2), a(trace)), (row, a(trace), a(tid)),
+                    (row, a(tid), Int(1)), (env, Int(5), Int(1)), (env, a(tid), Int(2)),
+                    (bad, Int(7), a(bad)), (bad, Int(8), a(tid))):
+        program.add_fact(c(p, x, y))
+    queries = (c(g, X, Y), c(g, Int(1), Y), c(frame, X, Y), c(frame, a(tid), Y))
+    return program, queries
+
+
+def _digits_out(source):
+    return re.sub(r"\b\d+\b", "0", source)
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_kernel_source_holds_no_program_text(design):
+    sources = []
+    for names in (_SHADOWS, tuple(f"plain{i}" for i in range(len(_SHADOWS)))):
+        program, queries = _named_program(names)
+        for query in queries:
+            want = oracle_solve(program, query)
+            assert want
+            for threads in (1, 2):
+                result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
+                assert all(a == want for a in result.answer_sets)
+        templates = [t for ts in program.compiled.templates.values() for t in ts if t]
+        for t in templates:
+            toks = list(tokenize.generate_tokens(io.StringIO(t.source).readline))
+            assert not any(tok.type == tokenize.STRING for tok in toks)
+            assert all(tok.string.isdigit() for tok in toks if tok.type == tokenize.NUMBER)
+            assert _SHADOWS[-1] not in t.source and "plain" not in t.source
+        sources.append([_digits_out(t.source) for t in templates])
+    # renaming every symbol changes no kernel but for its int literals
+    assert sources[0] == sources[1] and len(sources[0]) >= 5

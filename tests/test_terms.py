@@ -139,3 +139,17 @@ def test_variable_merge_breaks_variantness():
 def test_term_str():
     assert term_str(compound("p", Int(1), Var(0))) == "p(1, V0)"
     assert term_str(atom("a")) == "a"
+
+
+def test_ints_and_atoms_hash_apart():
+    for k in (0, 1, 2, 3, -1, -2, -8, 1023, 2**70, -(2**70)):
+        assert hash(Int(k)) == hash(Int(int(str(k)))) and hash(Atom(k)) == hash(Atom(k))
+        assert Int(k) != Atom(k) and Atom(k) != Int(k)
+        mixed = {Int(k), Atom(k), Int(k), Atom(k)}
+        assert len(mixed) == 2 and Int(k) in mixed and Atom(k) in mixed
+    assert all(hash(Int(k)) != hash(Atom(k)) for k in range(1024))
+    # answer tuples of either kind stay apart in an answer set
+    answers = frozenset((Int(k), Atom(k)) for k in range(-3, 3)) \
+        | frozenset((Atom(k), Int(k)) for k in range(-3, 3))
+    assert len(answers) == 12
+    assert hash(atom("hub")) == hash(atom("hub")) and atom("hub") != atom("hub2")
