@@ -245,6 +245,24 @@ def test_worker_errors_propagate_after_join():
                        EvalConfig(design=Design.NS, threads=3), max_rounds=1)
 
 
+def test_one_worker_runs_in_the_callers_thread():
+    program, query = bench_program("pathleft:cycle:5")
+    for threads in (1, 2):
+        ran: dict[int, threading.Thread] = {}
+
+        def trace_factory(tid):  # runs in the worker, before it evaluates
+            ran[tid] = threading.current_thread()
+
+        solve_parallel(program, query, EvalConfig(design=Design.NS, threads=threads),
+                       trace_factory=trace_factory)
+        assert sorted(ran) == list(range(threads))
+        if threads == 1:
+            assert ran[0] is threading.current_thread()
+        else:  # one fresh thread per worker
+            assert len(set(ran.values())) == threads
+            assert threading.current_thread() not in ran.values()
+
+
 def test_nonlinear_double_recursion():
     # two recursive literals in one clause exercise every delta position
     program = parse_program(
@@ -294,6 +312,28 @@ def test_scc_leadership_lost_mid_rounds():
     for design in Design:
         result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
         assert result.answer_sets[0] == want
+
+
+def test_scc_link_found_by_a_member_in_a_round_defers_completion():
+    # a(1,Y) leads {a, b}; only in a delta round does b(1,Y) get the
+    # binding that makes it call p(1,Y), which sits below the leader and
+    # has no answers yet.  Completing {a, b} then would lose 9, which
+    # reaches a only through p's second clause
+    program = parse_program(
+        ":- table p/2.\n:- table a/2.\n:- table b/2.\n"
+        "p(X,Y) :- a(X,Y).\n"
+        "p(X,Y) :- g(X,Y).\n"
+        "a(X,Y) :- b(X,Y).\n"
+        "b(X,Y) :- e(X,Y).\n"
+        "b(X,Y) :- a(X,Z), f(Z,W), p(W,V), h(V,Y).\n"
+        "e(1,2). f(2,1). g(1,5). h(5,9).")
+    query = parse_query("p(1,Y)")
+    want = oracle_solve(program, query)
+    assert want == frozenset({(Int(2),), (Int(5),), (Int(9),)})
+    for design in Design:
+        for threads in (1, 2):
+            result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
+            assert all(a == want for a in result.answer_sets), (design, threads)
 
 
 def test_unfolding_constants_and_repeated_head_vars():
@@ -747,6 +787,25 @@ def test_cold_and_warm_template_memos_trace_alike():
         assert _trace(program, text) == cold, text
 
 
+def test_delta_rounds_skip_answers_every_reader_has_joined():
+    # an 8-ring with three chords is one SCC of eight reach(c,Y) frames;
+    # their first delta round starts where each frame's readers first read
+    # its log, not at offset 0, so only later answers are joined again
+    program = _reach_program(_ring(8) + [(1, 5), (3, 7), (6, 2)])
+    query = parse_query("reach(1,Y)")
+    want = oracle_solve(program, query)
+    assert len(want) == 9
+    for design in Design:
+        events = []
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1),
+                                trace_factory=lambda tid: events.append)
+        assert result.answer_sets[0] == want
+        outcomes = [e[2] for e in events if e[0] == "new_answer"]
+        assert outcomes.count(True) == 72
+        # 103 when every round's windows started at offset 0
+        assert outcomes.count(False) == 48
+
+
 # ----------------------------------------------------------------------
 # join kernels: one generated generator function per template
 
@@ -838,3 +897,28 @@ def test_kernel_source_holds_no_program_text(design):
         sources.append([_digits_out(t.source) for t in templates])
     # renaming every symbol changes no kernel but for its int literals
     assert sources[0] == sources[1] and len(sources[0]) >= 5
+
+
+def test_kernels_compile_once_per_source():
+    kernels = []
+    for _ in range(2):
+        program = _reach_program(_ring(8))
+        solve_parallel(program, parse_query("reach(3,Y)"), EvalConfig(design=Design.NS))
+        (templates,) = program.compiled.templates.values()
+        kernels.append([t.kernel for t in templates])
+    # a rebuilt program reuses the code, but binds its own rows
+    assert all(a.__code__ is b.__code__ and a is not b for a, b in zip(*kernels))
+    # a program that differs in one fact constant shares the code too, and
+    # still finds its own answers
+    program = _reach_program(_ring(8)[:-1] + [(8, 3)])
+    for text in ("reach(3,Y)", "reach(X,Y)", "reach(1,hub)"):
+        query = parse_query(text)
+        want = oracle_solve(program, query)
+        for design in Design:
+            result = solve_parallel(program, query, EvalConfig(design=design, threads=2))
+            assert all(a == want for a in result.answer_sets), text
+    templates = program.compiled.templates[((intern_symbol("reach"), 2), None, var_tok(0))]
+    assert len(templates) == len(kernels[0]) == 3
+    assert all(t.kernel.__code__ is k.__code__ for t, k in zip(templates, kernels[0]))
+    maxsize = engine._kernel_code.cache_parameters()["maxsize"]
+    assert isinstance(maxsize, int) and 0 < maxsize <= 4096
