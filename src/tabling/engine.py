@@ -34,7 +34,7 @@ answer log, and which yields every fresh subgoal it meets: `solve` pushes
 the callee's generator and resumes the caller when that one is exhausted.
 Calls that hit an in-progress frame link strongly connected components by
 propagating the smallest depth-first number.  When a leader's initial pass
-returns, the SCC is driven to fixpoint by derivation rounds and then
+returns, the SCC is driven to fixpoint by completion rounds and then
 completed as a whole.  Answers found mid-clause are stored and the
 resolution keeps backtracking (`new_answer` always "fails"); answers cross a
 frame boundary outward only after the frame's SCC is complete, and the
@@ -42,19 +42,20 @@ engine asserts that discipline on every consumption.  The Python stack
 stays a few frames deep however long the chain of dependent calls, so
 evaluation changes no interpreter setting.
 
-Fixpoint rounds are delta-driven: a round re-joins only a window of each
-member's answer log, in token offsets into the flat log, from the thread's
-`seen` watermark to the log's length as the round starts.  A frame's
-watermark is first its log's length at the first read of it while it is
-incomplete; each round moves it to its window's end, and completion drops
-it.  Every reader of an incomplete frame sits above the leader of each
-later completion attempt that includes the frame, so it takes part in
-every such round, and, logs only growing, it has joined every answer below
-the watermark.  A round ends the SCC when no member's log grew past its
-window and no frame was pushed.  This one test serves every design: an
-answer new to a frame is appended to a log, and an FS answer another
-thread logged first is either below the window's end, so already
-consumed, or above it, so the log grew.
+The fixpoint is driven by consumers, as in YapTab's local scheduling.  A
+kernel that reads an incomplete callee's answer log first leaves a consumer
+on it in the thread's `consumers`: the log offset at the read, the
+generated function that joins the callee's answers with the rest of the
+clause, the consuming frame and the locals bound so far.  A completion
+round resumes every consumer on a member whose log has grown past its
+offset, with the answers logged since, and moves the offset to the log's
+end.  No clause is re-run up to the call, so a round calls a subgoal only
+for a binding that one of the answers it joins brings.  A round that
+resumes no consumer completes the SCC, and completion drops its members'
+consumers.  Every consumer sits in its callee's SCC, and logs only grow, so
+this one test serves every design: an answer new to a frame is appended to
+a log, and an FS answer that another thread logs after a consumer's read
+lies past its offset.
 """
 
 from __future__ import annotations
@@ -94,11 +95,11 @@ class ParallelResult:
     table: Table
 
 
-# the lines of a tabled body literal: call the subgoal, link its SCC or have
-# `solve` evaluate it, and read its answer log (the first read of an
-# incomplete one sets its `seen` watermark), or at a delta position its window
+# the innermost point before tabled literal {i}: call the subgoal, link its
+# SCC or have `solve` evaluate it, leave a consumer on it while it is
+# incomplete, and join its whole answer log in r{i}
 _CALL = """\
-g = call(E{i}, ({path},), tid)
+g = call(E, ({path},), tid)
 if g.state != {complete}:
     if g.on_stack:
         if frame.leader_dfn > g.leader_dfn:
@@ -109,13 +110,10 @@ if g.state != {complete}:
             raise violation()
 if trace is not None:
     trace((CONSUME, g, g.state, g.on_stack))
-if dpos != {i}:
-    rows = g.answers
-    if g.state != {complete}:
-        seen.setdefault(g, len(rows))
-else:
-    win = windows.get(g)
-    rows = () if win is None else g.answers[win[0]:win[1]]"""
+rows = g.answers
+if g.state != {complete}:
+    consumers.setdefault(g, []).append([len(rows), r{i}, frame, ({live})])
+yield from r{i}(ev, frame, rows{args})"""
 
 # the innermost point: store the answer and fail, so resolution backtracks;
 # fixpoint detection reads the answer logs, not whether it was new
@@ -142,36 +140,53 @@ def _kernel_code(source: str):
 
 
 def _kernel_source(steps, fill, nconsts, answer) -> str:
-    """The source of `make(C0, C1, ...)`, which returns a template's kernel:
-    the body's loops, at most _LOOPS to a generated function, each
-    function's innermost point delegating to the next with the locals bound
-    so far."""
-    chunks = [steps[c:c + _LOOPS] for c in range(0, len(steps), _LOOPS)] or [[]]
+    """The source of `make(C0, C1, ...)`, which returns a template's kernel
+    `k0(ev, frame)`, the body's join from its first literal.  Each tabled
+    literal i starts one more function, `r{i}(ev, frame, rows, *live)`,
+    which joins `rows`, answers of the callee, with the rest of the body;
+    `live` are the locals bound before the literal that the rest reads.
+    k0 and each r{i} run to the next tabled literal's call, or to the
+    answer.  No function nests more than _LOOPS loops: a longer run
+    delegates from its innermost point to one more function
+    `k{n}(ev, frame, *live)`."""
     src = [f"def make({', '.join(f'C{j}' for j in range(nconsts))}):"]
 
     def emit(depth, text):
         src.extend("    " * depth + line for line in text.splitlines())
 
-    for c, chunk in enumerate(chunks):
-        live = "".join(f", {x}" for x in chunk[0][0]) if c else ""
-        emit(1, f"def k{c}(ev, frame, dpos, windows{live}):")
-        emit(2, "table = ev.table\ntrace = ev.trace\ntid = ev.tid\nseen = ev.seen\n"
-                "call = table.subgoal_call\nadd = table.new_answer_tokens")
-        entries = "\n".join(entry for _, entry, _, _ in chunk if entry)
-        emit(2, entries)
-        if c == 0:
-            emit(2, "\n".join(fill))
-        depth = 2
-        for _, _, lines, loop in chunk:
-            emit(depth, lines)
-            emit(depth, loop)
-            depth += 1
-        if c + 1 < len(chunks):
-            live = "".join(f", {x}" for x in chunks[c + 1][0][0])
-            emit(depth, f"yield from k{c + 1}(ev, frame, dpos, windows{live})")
-        else:
-            emit(depth, answer)
-            if not entries:
+    def live(i):
+        return "".join(f", {x}" for x in steps[i][0])
+
+    bounds = [0] + [i for i, step in enumerate(steps) if step[1]] + [len(steps)]
+    helpers = 0
+    for seg, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        run = range(lo, hi)
+        chunks = [run[c:c + _LOOPS] for c in range(0, len(run), _LOOPS)] or [run]
+        for c, chunk in enumerate(chunks):
+            if c:
+                emit(1, f"def k{helpers}(ev, frame{live(chunk[0])}):")
+            elif seg:
+                emit(1, f"def r{lo}(ev, frame, rows{live(lo)}):")
+            else:
+                emit(1, "def k0(ev, frame):")
+                emit(2, "\n".join(fill))
+            last = c + 1 == len(chunks)
+            if last and hi < len(steps):
+                emit(2, f"table = ev.table\n{steps[hi][1]}\ncall = table.subgoal_call\n"
+                        "tid = ev.tid\nconsumers = ev.consumers\ntrace = ev.trace")
+            elif last:
+                emit(2, "add = ev.table.new_answer_tokens\ntrace = ev.trace")
+            depth = 2
+            for i in chunk:
+                emit(depth, steps[i][3])
+                depth += 1
+            if not last:
+                helpers += 1
+                emit(depth, f"yield from k{helpers}(ev, frame{live(chunks[c + 1][0])})")
+            elif hi < len(steps):
+                emit(depth, steps[hi][2])
+            else:
+                emit(depth, answer)
                 emit(2, "return\nyield")  # a generator function all the same
     emit(1, "return k0")
     return "\n".join(src) + "\n"
@@ -180,10 +195,13 @@ def _kernel_source(steps, fill, nconsts, answer) -> str:
 class _Act:
     """A clause specialized once against one call shape: head unification
     is folded away, and the body join left is `kernel`, a generator function
-    compiled from `source`.  Each body literal is one nested loop of the
-    kernel and each clause variable one of its locals; constants are int
-    literals, and the rows, indexes and predicates it reads come in as
-    closure constants, so the source holds no program text.  A frame runs
+    compiled from `source`.  Each body literal is one nested loop and each
+    clause variable a local; constants are int literals, and the rows,
+    indexes and predicates the join reads come in as closure constants, so
+    the source holds no program text.  At each tabled literal i the kernel
+    calls the subgoal and joins its answer log in the generated function
+    r{i}; while the callee is incomplete it first leaves a consumer, which
+    completion resumes in r{i} with the answers logged since.  A frame runs
     the template when its call passes `checks`: each (argument position,
     other position or -1, token) asks the call's constant there to equal its
     constant at the other position, or else the token."""
@@ -191,7 +209,7 @@ class _Act:
     __slots__ = ("kernel", "source", "checks")
 
     def __init__(self, kernel, source, checks):
-        self.kernel = kernel    # (eval, frame, delta position, windows) -> generator
+        self.kernel = kernel    # (eval, frame) -> generator
         self.source = source
         self.checks = checks
 
@@ -300,30 +318,20 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
 
 class _Compiled:
     """A program compiled once for evaluation: fact relations, unfolded
-    tabled clauses, the tabled-literal positions used by delta rounds, and
-    a memo of activation templates.  Built on the program's first solve and
-    cached on it until the program is edited.  Read-only but for the memo,
-    which single assignments fill (two threads may both build a template;
-    either is complete), so every run and worker thread shares it.  It
-    references no table, and no table keeps a reference to it: a frame's
-    templates, whose kernels capture its rows, are dropped when the frame
-    completes."""
+    tabled clauses and a memo of activation templates.  Built on the
+    program's first solve and cached on it until the program is edited.
+    Read-only but for the memo, which single assignments fill (two threads
+    may both build a template; either is complete), so every run and worker
+    thread shares it.  It references no table, and no table keeps a
+    reference to it: the kernels that consumers resume, which capture its
+    rows, are dropped when their frames complete."""
 
-    __slots__ = ("tabled", "rels", "clauses", "delta_clauses", "templates")
+    __slots__ = ("tabled", "rels", "clauses", "templates")
 
     def __init__(self, program: Program):
         self.tabled = program.tabled
         self.rels = {pred: _Rel(rows, pred[1]) for pred, rows in program.facts.items()}
         self.clauses = _unfold(program)
-        self.delta_clauses: dict[Pred, tuple] = {}
-        for pred, cls in self.clauses.items():
-            entries = []
-            for ci, cl in enumerate(cls):
-                positions = tuple(i for i, lit in enumerate(cl.body)
-                                  if lit.pred in self.tabled)
-                if positions:
-                    entries.append((ci, positions))
-            self.delta_clauses[pred] = tuple(entries)
         # (pred, *call shape) -> one template per clause, or None
         self.templates: dict[tuple, tuple] = {}
 
@@ -382,8 +390,14 @@ class _Compiled:
             or [str(TRUE_TOK)]
         # naming every variable first reads each call constant up front
         args_of = [[ref(a) for a in lit.args] for lit in clause.body]
-        # per body literal: the locals bound before it, the line taking its
-        # table entry if it is tabled, the lines before its loop, the loop
+        # later[i]: the locals read by body literal i or after it, or by the answer
+        later = [set(answer)]
+        for xs in reversed(args_of):
+            later.append(later[-1] | set(xs))
+        later.reverse()
+        # per body literal: the locals bound before it that the code from its
+        # loop on reads, its table entry line and call lines if it is
+        # tabled, and its loop
         steps = []
         for i, (lit, xs) in enumerate(zip(clause.body, args_of)):
             before = list(known)
@@ -397,14 +411,18 @@ class _Compiled:
                         x = str(var_tok(fresh.index(x)))
                     call.append(x)
                 known.update(dict.fromkeys(fresh))
-                entry = f"E{i} = table.entries[{closure(lit.pred)}]"
-                lines = _CALL.format(i=i, path=", ".join(call), complete=COMPLETE)
+                live = [x for x in before if x in later[i + 1]]
+                entry = f"E = table.entries[{closure(lit.pred)}]"
+                lines = _CALL.format(i=i, path=", ".join(call), complete=COMPLETE,
+                                     live="".join(f"{x}, " for x in live),
+                                     args="".join(f", {x}" for x in live))
                 if len(fresh) > 1:  # the callee's log: see tablespace.answer_width
-                    lines += "\nit = iter(rows)"
-                    loop = f"for {', '.join(fresh)} in zip({', '.join(['it'] * len(fresh))}):"
+                    its = ", ".join(["it"] * len(fresh))
+                    loop = f"it = iter(rows)\nfor {', '.join(fresh)} in zip({its}):"
                 else:
                     loop = f"for {fresh[0] if fresh else '_'} in rows:"
             else:
+                live = [x for x in before if x in later[i]]
                 rel = self.rels.get(lit.pred)
                 # look rows up by the first constant, of the program or the
                 # call, else the first bound variable
@@ -433,7 +451,7 @@ class _Compiled:
                 loop = f"for {', '.join(targets) or '_'}{',' * bool(targets)} in {rows}:"
                 if tests:
                     loop += f"\n    if {' or '.join(tests)}:\n        continue"
-            steps.append((before, entry, lines, loop))
+            steps.append((live, entry, lines, loop))
         source = _kernel_source(steps, list(fill.values()), len(consts),
                                 _ANSWER.format(answer=", ".join(answer)))
         # any other parameter must equal its class's constant or first parameter
@@ -456,7 +474,7 @@ def _compile(program: Program) -> _Compiled:
 
 class _Eval:
     """One thread's evaluation state: dependency stack, dfn counter and the
-    `seen` watermarks of delta rounds."""
+    consumers left on each incomplete frame."""
 
     def __init__(self, compiled: _Compiled, table: Table, tid: int, trace=None,
                  max_rounds=None):
@@ -467,7 +485,8 @@ class _Eval:
         self.max_rounds = max_rounds
         self.stack: list[SubgoalFrame] = []
         self.next_dfn = 0
-        self.seen: dict[SubgoalFrame, int] = {}
+        # callee -> [log offset read up to, r{i}, consumer frame, live locals]
+        self.consumers: dict[SubgoalFrame, list[list]] = {}
 
     # ------------------------------------------------------------------
 
@@ -502,10 +521,9 @@ class _Eval:
         self.stack.append(frame)
         if self.trace is not None:
             self.trace(("call", frame))
-        frame.acts = self.compiled.activations(frame.pred, frame.tokens[1:])
-        for act in frame.acts:
+        for act in self.compiled.activations(frame.pred, frame.tokens[1:]):
             if act is not None:
-                yield from act.kernel(self, frame, -1, None)
+                yield from act.kernel(self, frame)
         if frame.leader_dfn == frame.dfn and (yield from self._complete_scc(frame)):
             return
         if frame.stack_pos > 0:
@@ -514,48 +532,47 @@ class _Eval:
                 parent.leader_dfn = frame.leader_dfn
 
     def _complete_scc(self, leader: SubgoalFrame):
-        """Run delta rounds over the SCC led by `leader`; complete and pop it.
+        """Resume the consumers of the SCC led by `leader` in rounds until
+        none has an answer left to join; complete and pop the SCC.
 
         Returns False when a round links the SCC to an older frame, in
         which case completion is left to the real leader further down.
         """
         stack = self.stack
-        compiled = self.compiled
-        seen = self.seen
+        consumers = self.consumers
+        trace = self.trace
         base = leader.stack_pos
         rounds = 0
         while True:
             rounds += 1
             if self.max_rounds is not None and rounds > self.max_rounds:
                 raise EvaluationError(f"SCC fixpoint exceeded {self.max_rounds} rounds")
-            members = stack[base:]
-            windows = {f: (seen.get(f, 0), len(f.answers)) for f in members}
-            for f in members:
-                for ci, positions in compiled.delta_clauses.get(f.pred, ()):
-                    act = f.acts[ci]
-                    if act is None:
-                        continue
-                    for p in positions:
-                        yield from act.kernel(self, f, p, windows)
-            for f in members:
-                seen[f] = windows[f][1]
+            consumed = False
+            for g in stack[base:]:
+                # a resumption may leave more consumers on g; they come last
+                for c in consumers.get(g, ()):
+                    end = len(g.answers)
+                    if c[0] < end:
+                        rows = g.answers[c[0]:end]
+                        c[0] = end
+                        consumed = True
+                        if trace is not None:
+                            trace(("consume", g, g.state, g.on_stack))
+                        yield from c[1](self, c[2], rows, *c[3])
             # a round may link any member, not only the leader, to an older frame
-            leader.leader_dfn = min(f.leader_dfn for f in members)
+            leader.leader_dfn = min(f.leader_dfn for f in stack[base:])
             if leader.leader_dfn != leader.dfn:
                 return False
-            progress = (len(stack) > base + len(members)
-                        or any(len(f.answers) > windows[f][1] for f in members))
-            if not progress:
+            if not consumed:  # nothing ran, so nothing was pushed either
                 break
         scc = stack[base:]
         self.table.mark_complete(scc)
         for f in scc:
             f.on_stack = False
-            f.acts = None  # a complete frame is never resolved again
-            seen.pop(f, None)
+            consumers.pop(f, None)
         del stack[base:]
-        if self.trace is not None:
-            self.trace(("complete", tuple(scc)))
+        if trace is not None:
+            trace(("complete", tuple(scc)))
         return True
 
 

@@ -109,7 +109,7 @@ class SubgoalFrame:
 
     __slots__ = ("pred", "tokens", "tid", "state", "entry",
                  "answer_root", "answers",
-                 "dfn", "leader_dfn", "stack_pos", "on_stack", "acts")
+                 "dfn", "leader_dfn", "stack_pos", "on_stack")
 
     def __init__(self, pred, tokens, tid, entry=None):
         self.pred = pred
@@ -127,7 +127,6 @@ class SubgoalFrame:
         self.leader_dfn = -1
         self.stack_pos = -1
         self.on_stack = False
-        self.acts = None  # per-clause activation cache, owned by the engine
 
 
 class SubgoalEntry:

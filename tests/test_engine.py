@@ -264,7 +264,8 @@ def test_one_worker_runs_in_the_callers_thread():
 
 
 def test_nonlinear_double_recursion():
-    # two recursive literals in one clause exercise every delta position
+    # two recursive literals in one clause: a consumer on the second is
+    # left by a resumption of the consumer on the first
     program = parse_program(
         ":- table path/2.\n"
         "path(X,Z) :- path(X,Y), path(Y,Z).\n"
@@ -279,9 +280,8 @@ def test_nonlinear_double_recursion():
 
 
 def test_member_and_completed_literals_in_one_clause():
-    # q/2 completes on its own before p's rounds; delta passes over the
-    # completed position must contribute nothing while p's own position
-    # still drives the fixpoint
+    # q/2 completes on its own before p's rounds; reads of the completed
+    # q leave no consumer, while the consumer on p still drives the fixpoint
     program = parse_program(
         ":- table p/2.\n:- table q/2.\n"
         "q(X,Y) :- e(X,Y).\n"
@@ -315,7 +315,7 @@ def test_scc_leadership_lost_mid_rounds():
 
 
 def test_scc_link_found_by_a_member_in_a_round_defers_completion():
-    # a(1,Y) leads {a, b}; only in a delta round does b(1,Y) get the
+    # a(1,Y) leads {a, b}; only in a completion round does b(1,Y) get the
     # binding that makes it call p(1,Y), which sits below the leader and
     # has no answers yet.  Completing {a, b} then would lose 9, which
     # reaches a only through p's second clause
@@ -405,6 +405,41 @@ def test_random_programs_with_nontabled_rules_match_oracle(design, threads):
             result = solve_parallel(program, query,
                                     EvalConfig(design=design, threads=threads))
             assert all(a == want for a in result.answer_sets), text
+
+
+def _mutual_program(rng):
+    """Four mutually calling tabled t0..t3/2, each with a base rule over e/2
+    or f/2 and 1-3 rules of 1-3 chained literals drawn from t0..t3, e and f,
+    over 3-9 facts of each of e/2 and f/2 on 1..6; and four queries, three
+    of them with the first argument bound."""
+    preds = ["t0", "t1", "t2", "t3"]
+    lines = [f":- table {t}/2." for t in preds]
+    for t in preds:
+        lines.append(f"{t}(X,Y) :- {rng.choice('ef')}(X,Y).")
+        for _ in range(rng.randint(1, 3)):
+            lits = [rng.choice(preds + ["e", "f"]) for _ in range(rng.randint(1, 3))]
+            chain = ["X"] + [f"Z{k}" for k in range(1, len(lits))] + ["Y"]
+            body = ", ".join(f"{q}({a},{b})" for q, a, b in zip(lits, chain, chain[1:]))
+            lines.append(f"{t}(X,Y) :- {body}.")
+    for rel in "ef":
+        lines += [f"{rel}({rng.randint(1, 6)},{rng.randint(1, 6)})."
+                  for _ in range(rng.randint(3, 9))]
+    queries = [f"{rng.choice(preds)}({rng.randint(1, 6)},Y)" for _ in range(3)]
+    return "\n".join(lines), queries + [f"{rng.choice(preds)}(X,Y)"]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("design", list(Design))
+def test_random_mutually_recursive_programs_match_oracle(design, threads):
+    # seed 293 (t3(6,Y)) loses answers unless a link that a completion
+    # round gives a member, to a frame below the leader, reaches the leader
+    for seed in range(280, 310):
+        text, texts = _mutual_program(random.Random(seed))
+        program = parse_program(text)
+        for query in map(parse_query, texts):
+            want = oracle_solve(program, query)
+            result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
+            assert all(a == want for a in result.answer_sets), (seed, str(query), text)
 
 
 def test_evaluation_leaves_interpreter_settings_alone():
@@ -681,7 +716,7 @@ _WALK_TEXT = (
 @pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
 @pytest.mark.parametrize("design", list(Design))
 def test_wide_answer_logs_match_oracle(design, sync, threads):
-    # logs 3 and 2 tokens wide, read through delta windows mid-fixpoint
+    # logs 3 and 2 tokens wide, resumed in slices mid-fixpoint
     program = parse_program(_WALK_TEXT)
     for text, width in (("walk(X,Y,N)", 3), ("walk(1,Y,N)", 2), ("walk(X,3,N)", 2)):
         query = parse_query(text)
@@ -789,8 +824,8 @@ def test_cold_and_warm_template_memos_trace_alike():
 
 def test_delta_rounds_skip_answers_every_reader_has_joined():
     # an 8-ring with three chords is one SCC of eight reach(c,Y) frames;
-    # their first delta round starts where each frame's readers first read
-    # its log, not at offset 0, so only later answers are joined again
+    # completion resumes each consumer from the log offset it read up to,
+    # so only answers logged after its read are joined again
     program = _reach_program(_ring(8) + [(1, 5), (3, 7), (6, 2)])
     query = parse_query("reach(1,Y)")
     want = oracle_solve(program, query)
@@ -802,8 +837,31 @@ def test_delta_rounds_skip_answers_every_reader_has_joined():
         assert result.answer_sets[0] == want
         outcomes = [e[2] for e in events if e[0] == "new_answer"]
         assert outcomes.count(True) == 72
-        # 103 when every round's windows started at offset 0
-        assert outcomes.count(False) == 48
+        # 48 when rounds re-ran each clause up to a window of its callee's
+        # log, 103 when those windows started at offset 0
+        assert outcomes.count(False) == 40
+
+
+def test_rounds_call_each_subgoal_once_per_binding(monkeypatch):
+    # the same SCC: its rounds resume consumers and call no subgoal, so the
+    # query and each of the 11 edges met make one call apiece (56 when every
+    # round re-ran each recursive clause, calls included)
+    program = _reach_program(_ring(8) + [(1, 5), (3, 7), (6, 2)])
+    query = parse_query("reach(1,Y)")
+    real = Table.subgoal_call
+    calls = []
+
+    def counted(self, te, toks, tid):
+        calls.append(toks)
+        return real(self, te, toks, tid)
+
+    monkeypatch.setattr(Table, "subgoal_call", counted)
+    for design in Design:
+        calls.clear()
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=1))
+        assert result.answer_sets[0] == oracle_solve(program, query)
+        assert len(calls) == 12, design
+        assert len(set(calls)) == 8, design  # reach(c,Y) for each ring node
 
 
 # ----------------------------------------------------------------------
@@ -812,25 +870,34 @@ def test_delta_rounds_skip_answers_every_reader_has_joined():
 
 def _long_programs():
     # a 40-literal fact chain around a 7-ring, beside a clause whose tabled
-    # literal sits past the first generated function's loops
+    # literal sits past the first generated function's loops and one whose
+    # tabled literal comes before 20 fact literals
     ring = "".join(f"e({i},{(i + 1) % 7}). " for i in range(7))
     chain = ", ".join(f"e(X{i},X{i + 1})" for i in range(40))
     twenty = ", ".join(f"e(X{i},X{i + 1})" for i in range(20))
+    walk = ", ".join(f"e(W{i},W{i + 1})" for i in range(20))
     tabled = parse_program(f":- table t/2.\nt(X0,X40) :- {chain}.\n"
-                           f"t(X0,Y) :- {twenty}, t(X20,Y), e(Y,Z).\n{ring}")
+                           f"t(X0,Y) :- {twenty}, t(X20,Y), e(Y,Z).\n"
+                           f"t(X0,W20) :- t(X0,W0), {walk}.\n{ring}")
     # six calls of a non-tabled 5-hop rule unfold into one 30-literal body
     hops = ", ".join(f"hop(Y{i},Y{i + 1})" for i in range(6))
     unfolded = parse_program(f":- table u/2.\nu(Y0,Y6) :- {hops}.\n"
                              "hop(A,F) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,F).\n" + ring)
-    return ((tabled, ("t(X,Y)", "t(3,Y)", "t(3,1)")),
-            (unfolded, ("u(X,Y)", "u(2,Y)", "u(2,4)")))
+    # with the function that joins t's answers with the 20 fact literals
+    return ((tabled, ("t(X,Y)", "t(3,Y)", "t(3,1)"), "r0("),
+            (unfolded, ("u(X,Y)", "u(2,Y)", "u(2,4)"), None))
+
+
+def _functions(source):
+    """A kernel source's generated functions, each as its text from its name on."""
+    return source.split("\n    def ")[1:]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
 @pytest.mark.parametrize("design", list(Design))
 def test_long_bodies_solve_through_chained_kernels(design, sync, threads):
-    for program, texts in _long_programs():
+    for program, texts, joins in _long_programs():
         for text in texts:
             query = parse_query(text)
             want = oracle_solve(program, query)
@@ -848,6 +915,9 @@ def test_long_bodies_solve_through_chained_kernels(design, sync, threads):
             depths = [len(line) - len(line.lstrip()) for line in s.splitlines()
                       if line.lstrip().startswith("for ")]
             assert max(depths, default=0) <= 4 * (1 + 16)
+        # that function nests 16 loops, t's and 15, and chains the last 5
+        assert joins is None or any(f.startswith(joins) and "yield from k" in f
+                                    for s in sources for f in _functions(s))
 
 
 _SHADOWS = ("g", "frame", "rows", "row", "env", "trace", "tid", "x'); __import__('os'); ('")
