@@ -38,7 +38,6 @@ from __future__ import annotations
 # unused here, but tablebench/tracer.py reads and swaps this module's
 # `threading` to count the locks the table space makes
 import threading  # noqa: F401
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,10 +45,12 @@ from . import trie
 from .buckets import BucketArray
 from .errors import ConfigurationError, EvaluationError
 from .terms import TAG_VAR, Term, Token, TokenSeq, decode_answers
-from .trie import SyncMode, TrieNode
+from .trie import AnswerLeaf, SyncMode, TrieNode, link_child
 
 EVALUATING = 0
 COMPLETE = 1
+
+_NONE = SyncMode.NONE
 
 
 class Design(Enum):
@@ -133,10 +134,11 @@ class SubgoalEntry:
     """FS-only shared record for one subgoal call: the shared answer trie,
     its arrival-ordered flat answer log, and the bucket array of per-thread
     frames.  Creation is serialized on the table's write lock that the
-    subgoal-trie leaf selects.  An answer-trie leaf gets a payload once its
-    answer is in the log.  Every thread's frame reads this one log, so an
-    answer is new at most once table-wide, whichever thread derives it
-    first.  Threads extend the log with no lock: each answer goes in by one
+    subgoal-trie leaf selects.  Every thread's frame reads this one log, so
+    an answer is new at most once table-wide, whichever thread derives it
+    first.  The thread that links an answer's leaf extends the log first,
+    while it holds the lock of the leaf's parent, so a leaf any thread finds
+    is already logged.  Readers take no lock: each answer goes in by one
     `list.extend`, which the GIL makes atomic, so a reader on any thread
     sees whole answers only."""
 
@@ -248,26 +250,54 @@ class Table:
 
         The caller's resolution must keep backtracking regardless of the
         result; the return value only feeds tracing.  Fixpoint detection
-        watches the answer logs instead, so when the path already existed the
-        call returns only once the answer is in the log.
+        watches the answer logs instead.  An answer is logged before its
+        leaf is linked, so when the path already existed its answer is in the
+        log by the time this call finds the leaf.
         """
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
-        leaf, created, is_new_path = trie.check_insert_path_counted(
-            frame.answer_root, toks, self.answer_mode, self.locks)
+        if self.answer_mode is not _NONE:
+            # FS: the insert that links the leaf logs the answer under its lock
+            _, created, made = trie.check_insert_path_counted(
+                frame.answer_root, toks, self.answer_mode, self.locks, frame.answers)
+        else:
+            # the frame's thread owns the trie: one walk, no lock, indexed
+            # rather than over a `toks[:-1]` slice, which costs more here
+            node = frame.answer_root
+            created = 0
+            last = len(toks) - 1
+            i = 0
+            while i < last:
+                tok = toks[i]
+                i += 1
+                index = node.index
+                if index is not None:
+                    child = index.get(tok)
+                else:
+                    child = node.first_child
+                    while child is not None and child.token != tok:
+                        child = child.sibling
+                if child is None:
+                    child = link_child(node, tok, index)
+                    created += 1
+                node = child
+            tok = toks[last]
+            index = node.index
+            if index is not None:
+                made = tok not in index
+            else:
+                child = node.first_child
+                while child is not None and child.token != tok:
+                    child = child.sibling
+                made = child is None
+            if made:
+                frame.answers.extend(toks)
+                link_child(node, tok, index, AnswerLeaf)
+                created += 1
         if created:
             # the frame's own subgoal_call made its thread's tally
             self._tallies[frame.tid].ats += created
-        if is_new_path:
-            # one atomic extend, under FS of the entry's shared log
-            frame.answers.extend(toks)
-            leaf.payload = True  # logged; answer leaves carry nothing else
-            return True
-        # under FS the inserting thread may not have logged the answer yet;
-        # a round that ended before the log held it would never consume it
-        while leaf.payload is None:
-            time.sleep(0)
-        return False
+        return made
 
     def mark_complete(self, frames) -> None:
         for frame in frames:
@@ -278,12 +308,13 @@ class Table:
     def answers_of(self, frame: SubgoalFrame) -> list[tuple[Term, ...]]:
         """Decode the answer log of a completed frame as term tuples.
 
-        At completion the log holds exactly the answer trie's leaves, once
-        each.  Safe in FS even while other threads still evaluate the same
-        subgoal: the frame's thread derived every answer itself and logged
-        it, or waited until another thread had, so no answer remains to be
-        appended.  The result may include answers derived by other
-        threads, which is the same set by definition.
+        At completion the log holds every leaf of the answer trie once.
+        Safe in FS even while other threads still evaluate the same subgoal:
+        the frame's thread derived every answer itself and logged it, or
+        found its leaf, which another thread links only after logging the
+        answer, so no answer remains to be appended.  The result may include
+        answers derived by other threads, which is the same set by
+        definition.
         """
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")
@@ -325,6 +356,8 @@ class Table:
 
     @staticmethod
     def _leaves(root: TrieNode):
+        """The leaves of a subgoal trie.  Not for answer tries, whose
+        `AnswerLeaf`s have no `first_child` to read."""
         stack = [root.first_child]
         while stack:
             node = stack.pop()

@@ -28,6 +28,17 @@ any lock.
 LOCK and TRYLOCK share one path, `_check_insert_shared`, and differ only in
 whether its lock acquire blocks.
 
+An answer trie has a fixed depth, the width of its call's answers, so its
+last level holds nothing but leaves.  Those are `AnswerLeaf`s: a token and a
+sibling link, no children, no index and no payload, 48 bytes on CPython 3.11
+against a `TrieNode`'s 72.  The inner nodes of an answer trie and every node
+of a subgoal trie, whose leaves carry frames or subgoal entries, stay
+`TrieNode`s.  A leaf is linked only after its answer is in the answer log:
+the owner of an unshared trie extends the log and then links the leaf
+(`Table.new_answer_tokens`), and a shared insert does both while it holds the
+lock the link takes (the `log` of `check_insert_path_counted`), so a thread
+that finds a leaf, with or without that lock, finds its answer logged.
+
 Write locks are not per node: a table makes one small array of locks with
 `new_locks`, and a parent's writers take the lock `hash(parent)` selects
 from it (`get_or_create_payload` takes the leaf's).  All writers of one
@@ -61,15 +72,29 @@ ROOT_TOKEN = 0  # packed tokens always have a nonzero tag, so 0 never collides
 class TrieNode:
     __slots__ = ("token", "first_child", "sibling", "index", "payload")
 
-    def __init__(self, token: int, sibling: TrieNode | None = None):
+    def __init__(self, token: int, sibling: TrieNode | AnswerLeaf | None = None):
         self.token = token
-        self.first_child: TrieNode | None = None
+        self.first_child: TrieNode | AnswerLeaf | None = None
         self.sibling = sibling
-        self.index: dict[int, TrieNode] | None = None
+        self.index: dict[int, TrieNode | AnswerLeaf] | None = None
         self.payload: Any = None
 
     def __repr__(self) -> str:  # debugging aid only
         return f"<TrieNode {self.token}>"
+
+
+class AnswerLeaf:
+    """The last node of an answer path.  Not a `TrieNode` subclass, which
+    would inherit that class's slots."""
+
+    __slots__ = ("token", "sibling")
+
+    def __init__(self, token: int, sibling: TrieNode | AnswerLeaf | None = None):
+        self.token = token
+        self.sibling = sibling
+
+    def __repr__(self) -> str:  # debugging aid only
+        return f"<AnswerLeaf {self.token}>"
 
 
 def new_root() -> TrieNode:
@@ -94,10 +119,12 @@ def _hash_chain(parent: TrieNode) -> None:
     parent.index = index
 
 
-def _link(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
-    """Insert `tok` at the head of a chain known not to hold it; the caller
-    owns the chain or holds its lock."""
-    child = parent.first_child = TrieNode(tok, parent.first_child)
+def link_child(parent: TrieNode, tok: int, index: dict | None,
+               node_type: type = TrieNode) -> TrieNode | AnswerLeaf:
+    """Insert `tok`, as a `node_type`, at the head of a chain known not to
+    hold it; the caller owns the chain or holds its lock, and passes the
+    parent's `index` as it read it."""
+    child = parent.first_child = node_type(tok, parent.first_child)
     if index is not None:
         index[tok] = child
         return child
@@ -112,10 +139,14 @@ def _link(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
     return child
 
 
-def _check_insert_shared(parent: TrieNode, tok: int, locks,
-                         blocking: bool) -> tuple[TrieNode, bool]:
+def _check_insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
+                         log: list | None = None,
+                         path: TokenSeq = ()) -> tuple[TrieNode | AnswerLeaf, bool]:
     """The LOCK and TRYLOCK check/insert.  A blocking acquire always
-    succeeds, so LOCK looks twice: once without the lock, once with it."""
+    succeeds, so LOCK looks twice: once without the lock, once with it.
+
+    With a `log`, a new `tok` is an answer leaf: still holding the lock, the
+    insert extends `log` by the answer's `path` and then links the leaf."""
     seen = None  # the chain's head at the previous look
     held = False
     try:
@@ -133,7 +164,10 @@ def _check_insert_shared(parent: TrieNode, tok: int, locks,
                     child = child.sibling
                 seen = first
             if held:
-                return _link(parent, tok, index), True
+                if log is None:
+                    return link_child(parent, tok, index), True
+                log.extend(path)
+                return link_child(parent, tok, index, AnswerLeaf), True
             lock = locks[hash(parent) % len(locks)]
             held = lock.acquire(blocking)
             if not held:
@@ -155,13 +189,18 @@ def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode,
 
 
 def check_insert_path_counted(
-    root: TrieNode, toks: TokenSeq, mode: SyncMode, locks: Sequence = _LOCKS
-) -> tuple[TrieNode, int, bool]:
+    root: TrieNode, toks: TokenSeq, mode: SyncMode, locks: Sequence = _LOCKS,
+    log: list | None = None,
+) -> tuple[TrieNode | AnswerLeaf, int, bool]:
     """Fold check_insert_node over a token sequence, reporting (leaf node,
     created node count, leaf created).
 
     `leaf created` is True iff the final node of the path did not exist
     before this call, i.e. the whole path is new to the trie.
+
+    `log` makes `toks` a path of a shared answer trie (LOCK or TRYLOCK
+    only): its last node is an `AnswerLeaf`, and the insert that links it
+    first extends `log` by `toks`, holding the lock of the leaf's parent.
     """
     if not toks:
         raise ValueError("empty token path")
@@ -180,13 +219,27 @@ def check_insert_path_counted(
                     child = child.sibling
             made = child is None
             if made:
-                child = _link(node, tok, index)
+                child = link_child(node, tok, index)
                 created += 1
             node = child
     else:
         blocking = mode is _LOCK
-        for tok in toks:
-            node, made = _check_insert_shared(node, tok, locks, blocking)
+        if log is None:
+            for tok in toks:
+                node, made = _check_insert_shared(node, tok, locks, blocking)
+                if made:
+                    created += 1
+        else:
+            # indexed, not sliced: `toks[:-1]` per answer measured 8% of an
+            # FS answer insert
+            last = len(toks) - 1
+            i = 0
+            while i < last:
+                node, made = _check_insert_shared(node, toks[i], locks, blocking)
+                if made:
+                    created += 1
+                i += 1
+            node, made = _check_insert_shared(node, toks[last], locks, blocking, log, toks)
             if made:
                 created += 1
     return node, created, made

@@ -16,9 +16,10 @@ from tabling.errors import ConfigurationError, EvaluationError, ProgramError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
 from tabling.program import Program
-from tabling.tablespace import COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry
+from tabling.tablespace import (COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry,
+                                answer_width)
 from tabling.terms import Int, Term, Var, compound, intern_symbol, var_tok
-from tabling.trie import SyncMode, TrieNode
+from tabling.trie import AnswerLeaf, SyncMode, TrieNode
 
 
 def bench_program(spec):
@@ -651,7 +652,8 @@ def test_table_holds_nothing_of_the_compiled_program(release):
                            or isinstance(o, types.FunctionType)
                            and o.__code__.co_filename == "<kernel>" for o in met.values())
             # nor does the compiled program, memo included, keep a table alive
-            table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode)
+            table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode,
+                           AnswerLeaf)
             assert not any(isinstance(o, table_types)
                            for o in _reachable(compiled).values()), (design, text)
 
@@ -689,18 +691,68 @@ def test_table_holds_tokens_never_terms(release):
 
 
 def _leaf_paths(root):
-    """The token path of every leaf below `root`."""
+    """The token path of every `AnswerLeaf` below the answer-trie `root`; a
+    childless `TrieNode` there would end no path."""
     paths = []
     todo = [(root.first_child, ())]
     while todo:
         node, path = todo.pop()
         while node is not None:
-            if node.first_child is None:
+            if type(node) is AnswerLeaf:
                 paths.append(path + (node.token,))
             else:
                 todo.append((node.first_child, path + (node.token,)))
             node = node.sibling
     return paths
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("design", list(Design))
+def test_answer_tries_end_in_answer_leaves(design, threads):
+    # an answer trie is `width` levels deep: TrieNodes above, AnswerLeafs at
+    # the last level, one per logged answer; subgoal tries are all TrieNodes
+    assert sys.getsizeof(AnswerLeaf(1)) < sys.getsizeof(TrieNode(1))
+    program = parse_program(_PATH_TEXT + " edge(3,1).")
+    for text in ("path(X,Y)", "path(2,Y)", "path(3,1)"):
+        result = solve_parallel(program, parse_query(text),
+                                EvalConfig(design=design, threads=threads), release=False)
+        met = _reachable(result.table).values()
+        tries = {id(f.answer_root): f for f in met if isinstance(f, SubgoalFrame)}
+        assert tries, (design, text)
+        leaf_ids = set()
+        for frame in tries.values():
+            width = answer_width(frame.tokens)
+            log = frame.answers
+            assert len(log) % width == 0
+            leaves = []
+            todo = [(frame.answer_root, 0)]
+            while todo:
+                node, depth = todo.pop()
+                assert type(node) is TrieNode, (design, text, depth, width)
+                child = node.first_child
+                while child is not None:
+                    if depth + 1 == width:
+                        leaves.append(child)
+                    else:
+                        todo.append((child, depth + 1))
+                    child = child.sibling
+            assert all(type(leaf) is AnswerLeaf for leaf in leaves), (design, text)
+            assert len(leaves) == len(log) // width, (design, text)
+            leaf_ids.update(map(id, leaves))
+        # no AnswerLeaf sits anywhere else in the table
+        assert {id(o) for o in met if type(o) is AnswerLeaf} == leaf_ids
+        te = result.table.entries[next(iter(result.table.entries))]
+        roots = ([te.roots.get(tid) for tid in range(threads)]
+                 if design is Design.NS else [te.root])
+        todo = list(roots)
+        assert all(todo), (design, text)
+        while todo:
+            node = todo.pop()
+            assert type(node) is TrieNode, (design, text)
+            child = node.first_child
+            while child is not None:
+                todo.append(child)
+                child = child.sibling
 
 
 _WALK_TEXT = (

@@ -334,17 +334,21 @@ def test_thread_id_capacity():
             call(table, table.entries[P], capacity)
 
 
-def test_fs_new_answer_waits_until_the_answer_is_logged():
-    # thread A is held between its answer-trie insert and its append to the
-    # shared answer log; thread B derives the same answer meanwhile and must
-    # not return before the log holds it, or B's round could end without it
-    table = make_table(Design.FS)
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
+    # thread A is held inside its append to the shared answer log, holding
+    # the lock of the answer leaf's parent and with the leaf not yet linked;
+    # thread B derives the same answer meanwhile and must block (LOCK) or
+    # retry (TRYLOCK) until A links the leaf, then find the answer logged
+    table = make_table(Design.FS, sync)
     te = table.entries[P]
     fa = call(table, te, 0)
     entered, release = threading.Event(), threading.Event()
+    locked = []
 
     class HeldLog(list):
         def extend(self, toks):
+            locked.append(sum(lock.locked() for lock in table.locks))
             entered.set()
             release.wait(10)
             super().extend(toks)
@@ -356,6 +360,9 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
     a = threading.Thread(target=table.new_answer_tokens, args=(fa, toks))
     a.start()
     assert entered.wait(10)
+    assert locked == [1]
+    parent = trie.find_child(entry.answer_root, toks[0])
+    assert trie.find_child(parent, toks[1]) is None  # logging, not yet linked
     seen = []
 
     def derive_in_b():
@@ -372,3 +379,4 @@ def test_fs_new_answer_waits_until_the_answer_is_logged():
     assert not a.is_alive() and not b.is_alive()
     assert seen == [(False, True)]
     assert waited
+    assert type(trie.find_child(parent, toks[1])) is trie.AnswerLeaf

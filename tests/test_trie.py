@@ -8,6 +8,7 @@ import pytest
 from tabling.terms import atom_tok, int_tok, intern_symbol
 from tabling.trie import (
     HASH_THRESHOLD,
+    AnswerLeaf,
     SyncMode,
     check_insert_node,
     check_insert_path_counted,
@@ -59,7 +60,7 @@ def _assert_indexes(root):
             assert parent.index is not None
             assert len(parent.index) == len(chain)
             assert all(parent.index[node.token] is node for node in chain)
-        stack.extend(chain)
+        stack.extend(node for node in chain if type(node) is not AnswerLeaf)
 
 
 @pytest.mark.parametrize("mode", list(SyncMode))
@@ -159,7 +160,7 @@ def _nodes_and_leaf_paths(root):
     todo = [(root, ())]
     while todo:
         node, path = todo.pop()
-        child = node.first_child
+        child = None if type(node) is AnswerLeaf else node.first_child
         if child is None and path:
             leaves.add(path)
         while child is not None:
@@ -241,6 +242,47 @@ def test_two_parents_on_one_lock(mode):
         _assert_indexes(parent)
         for tok in tokens:
             assert {id(rec[p, tok]) for rec in recorded} == {id(find_child(parent, tok))}
+
+
+@pytest.mark.parametrize("mode", [SyncMode.LOCK, SyncMode.TRYLOCK])
+def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
+    # 8 threads insert the same two-token answer paths into one trie, with
+    # chains past the threshold: each path is new to exactly one insert,
+    # which logs it once, and every path ends in an AnswerLeaf
+    rng = random.Random(5)
+    paths = sorted({(int_tok(rng.randrange(3)), int_tok(rng.randrange(30)))
+                    for _ in range(200)})
+    root, log, locks = new_root(), [], new_locks()
+    barrier = threading.Barrier(8)
+    results = [[] for _ in range(8)]
+
+    def work(tid):
+        mine = list(paths)
+        random.Random(tid).shuffle(mine)
+        barrier.wait()
+        for path in mine:
+            leaf, _, made = check_insert_path_counted(root, path, mode, locks, log)
+            results[tid].append((path, type(leaf), made))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # preempt often, also inside critical regions
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    done = [r for rs in results for r in rs]
+    assert len(done) == 8 * len(paths)
+    assert {leaf_type for _, leaf_type, _ in done} == {AnswerLeaf}
+    assert sorted(path for path, _, made in done if made) == paths
+    assert sorted(zip(log[::2], log[1::2])) == paths
+    assert _nodes_and_leaf_paths(root) == (len({p[:1] for p in paths}) + len(paths),
+                                           set(paths))
+    _assert_indexes(root)
 
 
 class _Interloper:
