@@ -10,44 +10,17 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
 
 from .bench import make_program, default_query, parse_bench_spec
 from .engine import EvalConfig, solve_parallel
-from .errors import ConfigurationError, ParseError, ProgramError, TablingError
+from .errors import ConfigurationError, ParseError, TablingError
 from .oracle import oracle_solve
 from .parser import parse_program, parse_query
-from .tablespace import CountersSnapshot, Design
+from .tablespace import Design
 from .terms import term_str
 from .trie import SyncMode
 
 CSV_COLUMNS = "bench,design,lock,threads,time_ms,answers,te,ba,sts,sf,se,ats"
-
-
-@dataclass
-class RunReport:
-    bench: str
-    design: str
-    lock: str
-    threads: int
-    time_ms: float
-    answers: int
-    counters: CountersSnapshot
-    answer_hash: str
-
-    def csv_row(self) -> str:
-        c = self.counters
-        return (f"{self.bench},{self.design},{self.lock},{self.threads},"
-                f"{self.time_ms:.1f},{self.answers},"
-                f"{c.te},{c.ba},{c.sts},{c.sf},{c.se},{c.ats}")
-
-    def json_obj(self) -> dict:
-        out = {"bench": self.bench, "design": self.design, "lock": self.lock,
-               "threads": self.threads, "time_ms": round(self.time_ms, 1),
-               "answers": self.answers}
-        out.update(self.counters.as_dict())
-        out["answer_hash"] = self.answer_hash
-        return out
 
 
 def answer_set_hash(answers) -> str:
@@ -55,13 +28,17 @@ def answer_set_hash(answers) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-class _UsageError(Exception):
-    pass
+class _Exit(Exception):
+    """A failure the CLI reports as one stderr line, with its exit code."""
+
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise _Exit(f"usage error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,122 +64,91 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_list(text: str, what: str) -> list[str]:
+def _load(args):
+    """The program, its name in the report and the query."""
+    if args.bench:
+        inst = parse_bench_spec(args.bench)
+        program = make_program(inst, allow_paper_scale=args.paper_scale)
+        return program, inst.name, parse_query(args.query) if args.query else default_query()
+    if not args.program:
+        raise _Exit("usage error: one of --bench or --program is required")
+    if not args.query:
+        raise _Exit("usage error: --program needs --query")
+    try:
+        with open(args.program, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _Exit(f"cannot read program: {exc}") from None
+    return parse_program(text), args.program, parse_query(args.query)
+
+
+def _parse_list(text: str, what: str, kind) -> list:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
-        raise _UsageError(f"empty {what} list")
-    return items
+        raise _Exit(f"usage error: empty {what} list")
+    try:
+        return [kind(s) for s in items]
+    except ValueError as exc:
+        raise _Exit(f"usage error: {exc}") from None
+
+
+def _cell(name: str, program, query, cfg: EvalConfig, repeat: int, oracle_answers) -> dict:
+    """One report row: the mean wall time of `repeat` runs and the last
+    run's answers and counters.  Each run's result is dropped before the
+    next starts, so no run is timed with an earlier table alive."""
+    times = [solve_parallel(program, query, cfg).wall_ms for _ in range(repeat - 1)]
+    result = solve_parallel(program, query, cfg)
+    times.append(result.wall_ms)
+    where = f"({cfg.design.value}, {cfg.sync.value}, {cfg.threads} threads)"
+    hashes = {answer_set_hash(a) for a in result.answer_sets}
+    if len(hashes) != 1:
+        raise _Exit(f"verification failure: thread answer sets differ {where}", 3)
+    if oracle_answers is not None and result.answer_sets[0] != oracle_answers:
+        raise _Exit("verification failure: answers disagree with the "
+                    f"reference solver {where}", 3)
+    row = {"bench": name, "design": cfg.design.value,
+           # NS never touches shared tries; report its lock as none
+           "lock": "none" if cfg.design is Design.NS else cfg.sync.value,
+           "threads": cfg.threads, "time_ms": round(sum(times) / len(times), 1),
+           "answers": len(result.answer_sets[0])}
+    row.update(result.counters.as_dict())
+    row["answer_hash"] = hashes.pop()
+    return row
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    if args.repeat < 1:
-        print(f"usage error: --repeat must be at least 1, not {args.repeat}",
-              file=sys.stderr)
-        return 1
-
-    try:
-        if args.bench:
-            inst = parse_bench_spec(args.bench)
-            program = make_program(inst, allow_paper_scale=args.paper_scale)
-            bench_name = inst.name
-            query = parse_query(args.query) if args.query else default_query()
-        elif args.program:
-            if not args.query:
-                print("usage error: --program needs --query", file=sys.stderr)
-                return 1
-            with open(args.program, encoding="utf-8") as fh:
-                program = parse_program(fh.read())
-            bench_name = args.program
-            query = parse_query(args.query)
-        else:
-            print("usage error: one of --bench or --program is required",
-                  file=sys.stderr)
-            return 1
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        if args.repeat < 1:
+            raise _Exit(f"usage error: --repeat must be at least 1, not {args.repeat}")
+        program, name, query = _load(args)
+        designs = _parse_list(args.design, "design", Design)
+        locks = _parse_list(args.lock, "lock", SyncMode)
+        threads = _parse_list(args.threads, "threads", int)
+        oracle_answers = oracle_solve(program, query) if args.check else None
+        rows = [_cell(name, program, query, EvalConfig(design, lock, n),
+                      args.repeat, oracle_answers)
+                for design in designs for lock in locks for n in threads]
+    except _Exit as exc:
+        print(exc, file=sys.stderr)
+        return exc.code
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except ProgramError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read program: {exc}", file=sys.stderr)
+    except TablingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    try:
-        designs = [Design(d) for d in _parse_list(args.design, "design")]
-        locks = [SyncMode(m) for m in _parse_list(args.lock, "lock")]
-        threads = [int(t) for t in _parse_list(args.threads, "threads")]
-    except (ValueError, _UsageError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-
-    oracle_answers = None
-    if args.check:
-        try:
-            oracle_answers = oracle_solve(program, query)
-        except TablingError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-
-    reports: list[RunReport] = []
-    for design in designs:
-        for lock in locks:
-            for n in threads:
-                try:
-                    cfg = EvalConfig(design=design, sync=lock, threads=n)
-                    cfg.validate()
-                    times = []
-                    for _ in range(args.repeat):
-                        result = solve_parallel(program, query, cfg)
-                        times.append(result.wall_ms)
-                except ConfigurationError as exc:
-                    print(f"configuration error: {exc}", file=sys.stderr)
-                    return 1
-                except TablingError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 1
-                hashes = {answer_set_hash(a) for a in result.answer_sets}
-                if len(hashes) != 1:
-                    print(f"verification failure: thread answer sets differ "
-                          f"({design.value}, {lock.value}, {n} threads)",
-                          file=sys.stderr)
-                    return 3
-                if oracle_answers is not None and result.answer_sets[0] != oracle_answers:
-                    print(f"verification failure: answers disagree with the "
-                          f"reference solver ({design.value}, {lock.value}, "
-                          f"{n} threads)", file=sys.stderr)
-                    return 3
-                reports.append(RunReport(
-                    bench=bench_name,
-                    design=design.value,
-                    # NS never touches shared tries; report its lock as none
-                    lock="none" if design is Design.NS else lock.value,
-                    threads=n,
-                    time_ms=sum(times) / len(times),
-                    answers=len(result.answer_sets[0]),
-                    counters=result.counters,
-                    answer_hash=hashes.pop(),
-                ))
 
     if args.output == "csv":
         print(CSV_COLUMNS)
-        for r in reports:
-            print(r.csv_row())
+        for row in rows:
+            print(",".join(str(row[k]) for k in CSV_COLUMNS.split(",")))
     else:
-        for r in reports:
-            print(json.dumps(r.json_obj()))
+        for row in rows:
+            print(json.dumps(row))
     return 0
 
 

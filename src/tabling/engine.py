@@ -2,9 +2,7 @@
 
 Every thread is the generator of all its own subgoal calls: workers share
 only whatever table structures the active design designates as shared.
-They wait on each other only at the table's trie write locks and, under
-FS, for another thread to log an answer it has just inserted into the
-shared answer trie.
+They wait on each other only at the table's trie write locks.
 
 A program is compiled once, on its first solve: validation, the
 per-position indexes of its fact relations and the unfolded clauses are
@@ -82,9 +80,6 @@ class EvalConfig:
     def validate(self) -> None:
         if self.threads < 1 or self.threads > MAX_THREADS:
             raise ConfigurationError(f"thread count must be in 1..{MAX_THREADS}")
-        if self.design is not Design.NS and self.sync is SyncMode.NONE:
-            raise ConfigurationError(
-                f"design {self.design.value} shares tries and needs lock or trylock")
 
 
 @dataclass

@@ -110,12 +110,6 @@ class _Parser:
         raise self._error(f"expected a term, got {value!r}" if value else
                           "expected a term, got end of input", loc)
 
-    def _clause_end(self):
-        tok = self._next()
-        if tok[0] != ".":
-            got = tok[1] or "end of input"
-            raise self._error(f"expected '.', got {got!r}", tok[2])
-
     def parse(self) -> Program:
         tabled: set[tuple[int, int]] = set()
         items: list[tuple[Term, list[Term]]] = []
@@ -129,7 +123,7 @@ class _Parser:
                 self._expect("/")
                 arity = int(self._expect("int")[1])
                 tabled.add((intern_symbol(name), arity))
-                self._clause_end()
+                self._expect(".")
                 continue
             self._vars = {}
             head = self._term()
@@ -140,7 +134,7 @@ class _Parser:
                 while self._peek()[0] == ",":
                     self._next()
                     body.append(self._term())
-            self._clause_end()
+            self._expect(".")
             items.append((head, body))
         program = Program(tabled=frozenset(tabled))
         for head, body in items:
@@ -156,7 +150,7 @@ def parse_program(text: str) -> Program:
 def parse_query(text: str) -> Term:
     parser = _Parser(text.rstrip().rstrip(".") + ".")
     term = parser._term()
-    parser._clause_end()
+    parser._expect(".")
     if parser._peek()[0] != "eof":
         raise parser._error("trailing input after query", parser._peek()[2])
     return term

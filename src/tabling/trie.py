@@ -224,24 +224,18 @@ def check_insert_path_counted(
             node = child
     else:
         blocking = mode is _LOCK
-        if log is None:
-            for tok in toks:
-                node, made = _check_insert_shared(node, tok, locks, blocking)
-                if made:
-                    created += 1
-        else:
-            # indexed, not sliced: `toks[:-1]` per answer measured 8% of an
-            # FS answer insert
-            last = len(toks) - 1
-            i = 0
-            while i < last:
-                node, made = _check_insert_shared(node, toks[i], locks, blocking)
-                if made:
-                    created += 1
-                i += 1
-            node, made = _check_insert_shared(node, toks[last], locks, blocking, log, toks)
+        # indexed, not sliced: `toks[:-1]` per answer measured 8% of an FS
+        # answer insert; with no `log` the last token links a `TrieNode`
+        last = len(toks) - 1
+        i = 0
+        while i < last:
+            node, made = _check_insert_shared(node, toks[i], locks, blocking)
             if made:
                 created += 1
+            i += 1
+        node, made = _check_insert_shared(node, toks[last], locks, blocking, log, toks)
+        if made:
+            created += 1
     return node, created, made
 
 

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import pytest
 
@@ -199,3 +200,20 @@ def test_invalid_program_file_exits_1_without_traceback(text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert "V0" not in err  # the parser's internal name for a variable
+
+
+def test_no_earlier_result_is_alive_while_a_run_is_timed(monkeypatch, capsys):
+    real = solve_parallel
+    tables = []
+
+    def tracked(program, query, cfg):
+        assert all(ref() is None for ref in tables)
+        result = real(program, query, cfg)
+        tables.append(weakref.ref(result.table))
+        return result
+
+    monkeypatch.setattr(cli, "solve_parallel", tracked)
+    code = run_command(["--bench", "pathleft:cycle:5", "--design", "ns,fs",
+                        "--threads", "1,2", "--repeat", "2"])
+    assert code == 0
+    assert len(rows_of(capsys)) == 4 and len(tables) == 8

@@ -199,8 +199,9 @@ def test_round_watchdog_herbrand_bound_never_triggers():
 
 
 def test_config_validation():
+    program, query = bench_program("pathleft:cycle:3")
     with pytest.raises(ConfigurationError):
-        EvalConfig(design=Design.FS, sync=SyncMode.NONE).validate()
+        solve_parallel(program, query, EvalConfig(design=Design.FS, sync=SyncMode.NONE))
     with pytest.raises(ConfigurationError):
         EvalConfig(design=Design.NS, threads=0).validate()
     with pytest.raises(ConfigurationError):
