@@ -6,6 +6,13 @@ Grammar:
     name(args).                   fact
 Atoms start lowercase, variables uppercase or underscore, integers are
 signed decimals, `%` starts a line comment.  Arguments are flat (Datalog).
+
+Facts take the row path: at the start of each statement one regular
+expression tries to match a ground fact whose name and atoms are ASCII
+`[a-z][A-Za-z0-9_]*`, whose integers are `-?[0-9]+` and which has only
+spaces and tabs inside its parentheses, and a match becomes a row of packed
+tokens with no term built for it.  Every other statement goes to the token
+parser, which reads the text one token at a time and produces every error.
 """
 
 from __future__ import annotations
@@ -13,8 +20,8 @@ from __future__ import annotations
 import re
 
 from .errors import ParseError
-from .program import Program
-from .terms import Int, Term, Var, atom, compound, intern_symbol
+from .program import Pred, Program
+from .terms import Int, Term, Token, Var, atom, atom_tok, compound, int_tok, intern_symbol
 
 # one alternative per token class, tried in order at each offset; digits are
 # decimal digits (`\d`, what `int` accepts), words are letters, digits and
@@ -27,50 +34,64 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
+# a ground fact at a statement start, after blanks and whole comment lines
+# (a comment must end in a newline, so the prefix cannot backtrack); group 1
+# is its name and group 2 its comma-separated arguments
+_ARG = r"[ \t]*(?:-?[0-9]+|[a-z][A-Za-z0-9_]*)[ \t]*"
+_FACT = re.compile(rf"[ \t\r\n]*(?:%[^\n]*\n[ \t\r\n]*)*"
+                   rf"([a-z][A-Za-z0-9_]*)\(({_ARG}(?:,{_ARG})*)\)\.")
 
-def _error(text: str, msg: str, offset: int) -> ParseError:
-    """A ParseError at `offset`, located by the newlines before it."""
-    line = text.count("\n", 0, offset) + 1
-    return ParseError(msg, line, offset - text.rfind("\n", 0, offset))
 
-
-def _tokens(text: str) -> list[tuple[str, str, int]]:
-    """(kind, value, offset) for every token of `text`, then an "eof"."""
-    toks = []
-    for m in _TOKEN.finditer(text):
-        kind, value = m.lastgroup, m.group()
-        if kind == "skip":
-            continue
-        if kind == "punct":
-            kind = value
-        elif kind == "word":
-            ch = value[0]
-            if not (ch.isalpha() or ch == "_"):  # a non-decimal numeric
-                raise _error(text, f"unexpected character {ch!r}", m.start())
-            kind = "var" if (ch == "_" or ch.isupper()) else "atom"
-        elif kind == "bad":
-            raise _error(text, f"unexpected character {value!r}", m.start())
-        toks.append((kind, value, m.start()))
-    toks.append(("eof", "", len(text)))
-    return toks
+def _arg_token(text: str) -> Token:
+    """The packed token of a row-path fact argument."""
+    arg = text.strip(" \t")
+    return atom_tok(intern_symbol(arg)) if arg[0].isalpha() else int_tok(int(arg))
 
 
 class _Parser:
+    """The fact row path, and a token parser over an on-demand lexer with
+    one token of look-ahead."""
+
     def __init__(self, text: str):
         self._text = text
-        self._toks = _tokens(text)
-        self._i = 0
+        self._pos = 0  # where the lexer reads next
+        self._tok: tuple[str, str, int] | None = None  # the look-ahead token
         self._vars: dict[str, int] = {}
 
     def _error(self, msg: str, offset: int) -> ParseError:
-        return _error(self._text, msg, offset)
+        """A ParseError at `offset`, located by the newlines before it."""
+        text = self._text
+        line = text.count("\n", 0, offset) + 1
+        return ParseError(msg, line, offset - text.rfind("\n", 0, offset))
+
+    def _scan(self) -> tuple[str, str, int]:
+        """(kind, value, offset) of the token at `_pos`, or an "eof"."""
+        text = self._text
+        while (m := _TOKEN.match(text, self._pos)) is not None:
+            self._pos = m.end()
+            kind, value = m.lastgroup, m.group()
+            if kind == "skip":
+                continue
+            if kind == "punct":
+                kind = value
+            elif kind == "word":
+                ch = value[0]
+                if not (ch.isalpha() or ch == "_"):  # a non-decimal numeric
+                    raise self._error(f"unexpected character {ch!r}", m.start())
+                kind = "var" if (ch == "_" or ch.isupper()) else "atom"
+            elif kind == "bad":
+                raise self._error(f"unexpected character {value!r}", m.start())
+            return kind, value, m.start()
+        return "eof", "", len(text)
 
     def _peek(self):
-        return self._toks[self._i]
+        if self._tok is None:
+            self._tok = self._scan()
+        return self._tok
 
     def _next(self):
-        tok = self._toks[self._i]
-        self._i += 1
+        tok = self._peek()
+        self._tok = None
         return tok
 
     def _expect(self, kind: str):
@@ -111,10 +132,28 @@ class _Parser:
                           "expected a term, got end of input", loc)
 
     def parse(self) -> Program:
-        tabled: set[tuple[int, int]] = set()
-        items: list[tuple[Term, list[Term]]] = []
-        while self._peek()[0] != "eof":
-            if self._peek()[0] == ":-":
+        text, fact = self._text, _FACT.match
+        tabled: set[Pred] = set()
+        # in text order: (head, body) of a parsed clause, or (pred, rows) of
+        # a run of consecutive row-path facts of one predicate
+        items: list[tuple[Term, list[Term]] | tuple[Pred, list[tuple[Token, ...]]]] = []
+        run_name, run_arity, run_rows = None, 0, []
+        while True:  # each statement starts with no token looked ahead
+            m = fact(text, self._pos)
+            if m is not None:
+                self._pos = m.end()
+                name, args = m.groups()
+                row = tuple(map(_arg_token, args.split(",")))
+                if name != run_name or len(row) != run_arity:
+                    run_name, run_arity, run_rows = name, len(row), []
+                    items.append(((intern_symbol(name), run_arity), run_rows))
+                run_rows.append(row)
+                continue
+            run_name = None
+            kind = self._peek()[0]
+            if kind == "eof":
+                break
+            if kind == ":-":
                 self._next()
                 kind, word, loc = self._next()
                 if kind != "atom" or word != "table":
@@ -137,8 +176,11 @@ class _Parser:
             self._expect(".")
             items.append((head, body))
         program = Program(tabled=frozenset(tabled))
-        for head, body in items:
-            program.add_clause(head, body)
+        for key, value in items:
+            if isinstance(key, Term):
+                program.add_clause(key, value)
+            else:
+                program.add_rows(key, value)
         program.validate()
         return program
 

@@ -93,9 +93,9 @@ def clause_of(head: Term, body: list[Term]) -> Clause:
 @dataclass
 class Program:
     """A program, and the engine's compiled form of it once it has been
-    solved.  `add_clause`, `add_fact` and assigning a field drop the
-    compiled form, so the next solve compiles the edited program; edit the
-    clause and fact lists only through those.  Edits must not run
+    solved.  `add_clause`, `add_fact`, `add_rows` and assigning a field
+    drop the compiled form, so the next solve compiles the edited program;
+    edit the clause and fact lists only through those.  Edits must not run
     concurrently with a solve of the same program."""
 
     tabled: frozenset[Pred] = field(default_factory=frozenset)
@@ -110,19 +110,28 @@ class Program:
 
     def add_clause(self, head: Term, body: list[Term]) -> None:
         cl = clause_of(head, body)
-        if self.compiled is not None:  # read first: the parser adds every line here
-            self.compiled = None
         if not body:
-            # a ground bodyless clause is a fact; for tabled predicates it
-            # still goes through the clause path so evaluation derives it
             for k, tok in enumerate(cl.head.args, 1):
                 if tok & 7 == TAG_VAR:
                     raise ProgramError(f"non-ground fact for {pred_str(cl.head.pred)}: "
                                        f"argument {k} is a variable")
-            if cl.head.pred not in self.tabled:
-                self.facts.setdefault(cl.head.pred, []).append(cl.head.args)
-                return
+            self.add_rows(cl.head.pred, [cl.head.args])
+            return
+        if self.compiled is not None:  # read first: assigning runs __setattr__
+            self.compiled = None
         self.clauses.setdefault(cl.head.pred, []).append(cl)
+
+    def add_rows(self, pred: Pred, rows: list[tuple[int, ...]]) -> None:
+        """Add ground facts of `pred`, each a row of value tokens.  A row of
+        a tabled predicate is a bodyless clause, so evaluation derives it;
+        any other row is a fact."""
+        if self.compiled is not None:  # read first: assigning runs __setattr__
+            self.compiled = None
+        if pred in self.tabled:
+            self.clauses.setdefault(pred, []).extend(
+                Clause(Literal(pred, row), (), 0) for row in rows)
+        else:
+            self.facts.setdefault(pred, []).extend(rows)
 
     def add_fact(self, fact: Term) -> None:
         self.add_clause(fact, [])
