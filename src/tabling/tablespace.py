@@ -51,6 +51,7 @@ EVALUATING = 0
 COMPLETE = 1
 
 _NONE = SyncMode.NONE
+_LOCK = SyncMode.LOCK
 
 
 class Design(Enum):
@@ -138,9 +139,10 @@ class SubgoalEntry:
     an answer is new at most once table-wide, whichever thread derives it
     first.  The thread that links an answer's leaf extends the log first,
     while it holds the lock of the leaf's parent, so a leaf any thread finds
-    is already logged.  Readers take no lock: each answer goes in by one
-    `list.extend`, which the GIL makes atomic, so a reader on any thread
-    sees whole answers only."""
+    is already logged.  A thread that derives an answer already in the trie
+    finds it by an unlocked walk and takes no lock at all.  Readers take no
+    lock: each answer goes in by one `list.extend`, which the GIL makes
+    atomic, so a reader on any thread sees whole answers only."""
 
     __slots__ = ("answer_root", "answers", "frames")
 
@@ -253,44 +255,56 @@ class Table:
         watches the answer logs instead.  An answer is logged before its
         leaf is linked, so when the path already existed its answer is in the
         log by the time this call finds the leaf.
+
+        Every design walks the path here, without a lock and, for a token the
+        trie holds, without a call.  A missing token is linked at once in a
+        trie the frame's thread owns; under FS it goes to `trie.insert_shared`,
+        which re-checks under the lock and, for the leaf, logs the answer
+        before it links it.
         """
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
-        if self.answer_mode is not _NONE:
-            # FS: the insert that links the leaf logs the answer under its lock
-            _, created, made = trie.check_insert_path_counted(
-                frame.answer_root, toks, self.answer_mode, self.locks, frame.answers)
-        else:
-            # the frame's thread owns the trie: one walk, no lock, indexed
-            # rather than over a `toks[:-1]` slice, which costs more here
-            node = frame.answer_root
-            created = 0
-            last = len(toks) - 1
-            i = 0
-            while i < last:
-                tok = toks[i]
-                i += 1
-                index = node.index
-                if index is not None:
-                    child = index.get(tok)
-                else:
-                    child = node.first_child
-                    while child is not None and child.token != tok:
-                        child = child.sibling
-                if child is None:
-                    child = link_child(node, tok, index)
-                    created += 1
-                node = child
-            tok = toks[last]
+        shared = self.answer_mode is not _NONE
+        node = frame.answer_root
+        created = 0
+        seen = None  # where the last unhashed look started; unused once hashed
+        # indexed rather than over a `toks[:-1]` slice, which costs more here
+        last = len(toks) - 1
+        i = 0
+        while i < last:
+            tok = toks[i]
+            i += 1
             index = node.index
             if index is not None:
-                made = tok not in index
+                child = index.get(tok)
             else:
-                child = node.first_child
+                seen = child = node.first_child
                 while child is not None and child.token != tok:
                     child = child.sibling
-                made = child is None
-            if made:
+            if child is None:
+                if shared:
+                    child, made = trie.insert_shared(
+                        node, tok, self.locks, self.answer_mode is _LOCK, seen)
+                    created += made
+                else:
+                    child = link_child(node, tok, index)
+                    created += 1
+            node = child
+        tok = toks[last]
+        index = node.index
+        if index is not None:
+            made = tok not in index
+        else:
+            seen = child = node.first_child
+            while child is not None and child.token != tok:
+                child = child.sibling
+            made = child is None
+        if made:
+            if shared:
+                made = trie.insert_shared(node, tok, self.locks, self.answer_mode is _LOCK,
+                                          seen, frame.answers, toks)[1]
+                created += made
+            else:
                 frame.answers.extend(toks)
                 link_child(node, tok, index, AnswerLeaf)
                 created += 1

@@ -13,20 +13,24 @@ the chain first and then adds the index entry.  Readers look a token up
 through the index when there is one and scan the chain otherwise, without
 any lock.
 
-`check_insert_node` supports three synchronization modes:
+`check_insert_path_counted` supports three synchronization modes:
 
 * NONE     - caller owns the trie; plain lookup and insert, no locking,
              on a path of its own.
 * LOCK     - look up without the lock; if the token is absent, block on the
-             parent's lock, re-check only what was inserted in the meantime
+             parent's lock, re-check only what was linked since that look
              (the new head segment of the chain, or the index once it
-             exists), then insert.
+             exists), then insert.  LOCK thus looks once without the lock
+             and once with it.
 * TRYLOCK  - like LOCK, but never blocks: each failed lock attempt yields
-             the interpreter and re-checks what was inserted since the
+             the interpreter and re-checks what was linked since the
              previous look before it tries again.
 
-LOCK and TRYLOCK share one path, `_check_insert_shared`, and differ only in
-whether its lock acquire blocks.
+The unlocked look is the caller's own walk, in every mode: a token the trie
+already holds costs no call and no lock.  Only a missing token leaves the
+walk, under NONE for `link_child` and under LOCK and TRYLOCK for
+`insert_shared`, the one locked insert, which differs between the two only
+in whether its lock acquire blocks.
 
 An answer trie has a fixed depth, the width of its call's answers, so its
 last level holds nothing but leaves.  Those are `AnswerLeaf`s: a token and a
@@ -36,8 +40,8 @@ of a subgoal trie, whose leaves carry frames or subgoal entries, stay
 `TrieNode`s.  A leaf is linked only after its answer is in the answer log:
 the owner of an unshared trie extends the log and then links the leaf
 (`Table.new_answer_tokens`), and a shared insert does both while it holds the
-lock the link takes (the `log` of `check_insert_path_counted`), so a thread
-that finds a leaf, with or without that lock, finds its answer logged.
+lock the link takes (the `log` of `insert_shared`), so a thread that finds a
+leaf, with or without that lock, finds its answer logged.
 
 Write locks are not per node: a table makes one small array of locks with
 `new_locks`, and a parent's writers take the lock `hash(parent)` selects
@@ -139,18 +143,25 @@ def link_child(parent: TrieNode, tok: int, index: dict | None,
     return child
 
 
-def _check_insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
-                         log: list | None = None,
-                         path: TokenSeq = ()) -> tuple[TrieNode | AnswerLeaf, bool]:
-    """The LOCK and TRYLOCK check/insert.  A blocking acquire always
-    succeeds, so LOCK looks twice: once without the lock, once with it.
+def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
+                  seen: TrieNode | AnswerLeaf | None, log: list | None = None,
+                  path: TokenSeq = ()) -> tuple[TrieNode | AnswerLeaf, bool]:
+    """The LOCK and TRYLOCK insert of a `tok` that the caller's unlocked look
+    did not find under `parent`, scanning the chain down from `seen` (unused
+    once the chain is hashed).  It takes the parent's lock and re-checks only
+    what was linked since that look; a failed trylock yields and re-checks
+    before it tries again.  Returns (child, whether this call linked it).
 
     With a `log`, a new `tok` is an answer leaf: still holding the lock, the
     insert extends `log` by the answer's `path` and then links the leaf."""
-    seen = None  # the chain's head at the previous look
+    lock = locks[hash(parent) % len(locks)]
     held = False
     try:
         while True:
+            held = lock.acquire(blocking)
+            if not held:
+                # yield: under the GIL the holder cannot finish while this thread spins
+                time.sleep(0)
             index = parent.index
             if index is not None:
                 child = index.get(tok)
@@ -168,11 +179,6 @@ def _check_insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
                     return link_child(parent, tok, index), True
                 log.extend(path)
                 return link_child(parent, tok, index, AnswerLeaf), True
-            lock = locks[hash(parent) % len(locks)]
-            held = lock.acquire(blocking)
-            if not held:
-                # yield: under the GIL the holder cannot finish while this thread spins
-                time.sleep(0)
     finally:
         if held:
             lock.release()
@@ -190,52 +196,36 @@ def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode,
 
 def check_insert_path_counted(
     root: TrieNode, toks: TokenSeq, mode: SyncMode, locks: Sequence = _LOCKS,
-    log: list | None = None,
-) -> tuple[TrieNode | AnswerLeaf, int, bool]:
+) -> tuple[TrieNode, int, bool]:
     """Fold check_insert_node over a token sequence, reporting (leaf node,
     created node count, leaf created).
 
     `leaf created` is True iff the final node of the path did not exist
     before this call, i.e. the whole path is new to the trie.
-
-    `log` makes `toks` a path of a shared answer trie (LOCK or TRYLOCK
-    only): its last node is an `AnswerLeaf`, and the insert that links it
-    first extends `log` by `toks`, holding the lock of the leaf's parent.
     """
     if not toks:
         raise ValueError("empty token path")
     node = root
     created = 0
     made = False
-    if mode is _NONE:
-        # the caller owns the trie: no lock, and no call unless a token is new
-        for tok in toks:
-            index = node.index
-            if index is not None:
-                child = index.get(tok)
-            else:
-                child = node.first_child
-                while child is not None and child.token != tok:
-                    child = child.sibling
-            made = child is None
-            if made:
-                child = link_child(node, tok, index)
-                created += 1
-            node = child
-    else:
-        blocking = mode is _LOCK
-        # indexed, not sliced: `toks[:-1]` per answer measured 8% of an FS
-        # answer insert; with no `log` the last token links a `TrieNode`
-        last = len(toks) - 1
-        i = 0
-        while i < last:
-            node, made = _check_insert_shared(node, toks[i], locks, blocking)
-            if made:
-                created += 1
-            i += 1
-        node, made = _check_insert_shared(node, toks[last], locks, blocking, log, toks)
+    seen = None  # where the last unhashed look started; unused once hashed
+    for tok in toks:
+        # look without a lock; only a missing token leaves the walk
+        index = node.index
+        if index is not None:
+            child = index.get(tok)
+        else:
+            seen = child = node.first_child
+            while child is not None and child.token != tok:
+                child = child.sibling
+        made = child is None
         if made:
-            created += 1
+            if mode is _NONE:
+                child = link_child(node, tok, index)
+            else:
+                child, made = insert_shared(node, tok, locks, mode is _LOCK, seen)
+            created += made
+        node = child
     return node, created, made
 
 
@@ -258,22 +248,3 @@ def get_or_create_payload(
             return payload, True
     return payload, False
 
-
-def child_tokens(parent: TrieNode) -> list[int]:
-    """Tokens of the direct children, head (newest) first."""
-    out = []
-    child = parent.first_child
-    while child is not None:
-        out.append(child.token)
-        child = child.sibling
-    return out
-
-
-def find_child(parent: TrieNode, tok: int) -> TrieNode | None:
-    """The child carrying `tok`, found by a scan of the chain alone."""
-    child = parent.first_child
-    while child is not None:
-        if child.token == tok:
-            return child
-        child = child.sibling
-    return None

@@ -1,4 +1,5 @@
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -11,6 +12,7 @@ from tabling.parser import parse_program, parse_query
 from tabling.tablespace import Design, Table
 from tabling.terms import TRUE_TOK, Int, atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import SyncMode
+from trie_helpers import find_child
 
 P = (intern_symbol("p"), 2)
 SUBGOAL = (atom_tok(P[0]), var_tok(0), var_tok(1))  # the open call p(V0, V1)
@@ -85,6 +87,43 @@ def test_shared_tries_take_the_tables_own_locks(monkeypatch, design, sync):
     assert taken >= 4
     if design is Design.FS:
         assert taken >= 4 + table.snapshot_counters().ats
+
+
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("design", [Design.SS, Design.FS])
+def test_finding_an_existing_path_takes_no_lock_and_no_sleep(monkeypatch, design, sync):
+    acquires, sleeps = [], []
+
+    class RecordingLock(_CountingLock):
+        def acquire(self, blocking=True, timeout=-1):
+            acquires.append(blocking)
+            return super().acquire(blocking, timeout)
+
+    monkeypatch.setattr(trie, "threading", SimpleNamespace(Lock=RecordingLock))
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    table = make_table(design, sync)
+    te = table.entries[P]
+    f0 = call(table, te, 0)
+    assert acquires
+    acquires.clear()
+    # a subgoal called again, by its thread or another, finds its path
+    assert call(table, te, 0) is f0
+    f1 = call(table, te, 1)
+    assert acquires == []
+    for values, first in (((1, 2), True), ((1, 2), False), ((1, 3), True)):
+        ats = table.snapshot_counters().ats
+        assert answer(table, f0, *values) is first
+        created = table.snapshot_counters().ats - ats
+        if design is Design.FS:
+            # one acquire per new shared answer node, blocking under LOCK
+            assert acquires == [sync is SyncMode.LOCK] * created
+        else:
+            assert acquires == []  # SS answer tries are private
+        acquires.clear()
+    # under FS an answer another thread stored, found without a lock
+    assert answer(table, f1, 1, 3) is (design is Design.SS)
+    assert acquires == []
+    assert sleeps == []
 
 
 def test_ns_table_makes_no_locks():
@@ -361,8 +400,8 @@ def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
     a.start()
     assert entered.wait(10)
     assert locked == [1]
-    parent = trie.find_child(entry.answer_root, toks[0])
-    assert trie.find_child(parent, toks[1]) is None  # logging, not yet linked
+    parent = find_child(entry.answer_root, toks[0])
+    assert find_child(parent, toks[1]) is None  # logging, not yet linked
     seen = []
 
     def derive_in_b():
@@ -379,4 +418,4 @@ def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
     assert not a.is_alive() and not b.is_alive()
     assert seen == [(False, True)]
     assert waited
-    assert type(trie.find_child(parent, toks[1])) is trie.AnswerLeaf
+    assert type(find_child(parent, toks[1])) is trie.AnswerLeaf

@@ -5,21 +5,24 @@ import time
 
 import pytest
 
-from tabling.terms import atom_tok, int_tok, intern_symbol
+from tabling.tablespace import Design, Table
+from tabling.terms import atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import (
     HASH_THRESHOLD,
     AnswerLeaf,
     SyncMode,
     check_insert_node,
     check_insert_path_counted,
-    child_tokens,
-    find_child,
     get_or_create_payload,
+    link_child,
     new_locks,
     new_root,
 )
+from trie_helpers import child_tokens, find_child
 
 A = atom_tok(intern_symbol("a"))
+P = (intern_symbol("p"), 2)
+SUBGOAL = (atom_tok(P[0]), var_tok(0), var_tok(1))  # the open call p(V0, V1)
 
 
 def test_insert_into_empty_chain():
@@ -246,22 +249,28 @@ def test_two_parents_on_one_lock(mode):
 
 @pytest.mark.parametrize("mode", [SyncMode.LOCK, SyncMode.TRYLOCK])
 def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
-    # 8 threads insert the same two-token answer paths into one trie, with
-    # chains past the threshold: each path is new to exactly one insert,
-    # which logs it once, and every path ends in an AnswerLeaf
+    # 8 threads, each with its own FS frame on one subgoal entry, insert the
+    # same two-token answer paths into its one trie, with chains past the
+    # threshold: each path is new to exactly one insert, which logs it once,
+    # and every path ends in an AnswerLeaf
     rng = random.Random(5)
     paths = sorted({(int_tok(rng.randrange(3)), int_tok(rng.randrange(30)))
                     for _ in range(200)})
-    root, log, locks = new_root(), [], new_locks()
+    table = Table({P}, Design.FS, mode)
+    te = table.entries[P]
     barrier = threading.Barrier(8)
     results = [[] for _ in range(8)]
+    frames = [None] * 8
 
     def work(tid):
+        frame = frames[tid] = table.subgoal_call(te, SUBGOAL, tid)
+        root = frame.answer_root
         mine = list(paths)
         random.Random(tid).shuffle(mine)
         barrier.wait()
         for path in mine:
-            leaf, _, made = check_insert_path_counted(root, path, mode, locks, log)
+            made = table.new_answer_tokens(frame, path)
+            leaf = find_child(find_child(root, path[0]), path[1])
             results[tid].append((path, type(leaf), made))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
@@ -275,6 +284,10 @@ def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    entry = frames[0].entry
+    assert len({id(frame) for frame in frames}) == 8
+    assert all(frame.entry is entry for frame in frames)
+    root, log = entry.answer_root, entry.answers
     done = [r for rs in results for r in rs]
     assert len(done) == 8 * len(paths)
     assert {leaf_type for _, leaf_type, _ in done} == {AnswerLeaf}
@@ -288,11 +301,15 @@ def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
 class _Interloper:
     """A one-lock array whose first request first inserts `tok` under
     `parent` itself, as if another writer got in between the caller's
-    lock-free look-up and its lock; a refused trylock then fails once."""
+    lock-free look-up and its lock; a refused trylock then fails once.
 
-    def __init__(self, parent, tok, refuse):
+    With a `log`, `tok` is the leaf of the answer `path`, which the other
+    writer logs before it links the leaf, as a shared insert does."""
+
+    def __init__(self, parent, tok, refuse, log=None, path=()):
         self._lock = threading.Lock()
         self.parent, self.tok, self.refuse = parent, tok, refuse
+        self.log, self.path = log, path
         self.node = None
 
     def __len__(self):
@@ -303,7 +320,11 @@ class _Interloper:
 
     def acquire(self, blocking=True):
         if self.node is None:
-            self.node = check_insert_node(self.parent, self.tok, SyncMode.NONE)
+            if self.log is None:
+                self.node = check_insert_node(self.parent, self.tok, SyncMode.NONE)
+            else:
+                self.log.extend(self.path)
+                self.node = link_child(self.parent, self.tok, self.parent.index, AnswerLeaf)
             if self.refuse:
                 return False
         return self._lock.acquire(blocking)
@@ -332,6 +353,45 @@ def test_recheck_finds_a_child_inserted_before_the_lock(mode, refuse, children):
     node = check_insert_node(root, int_tok(999), mode, locks)
     assert node is locks.node
     assert child_tokens(root).count(int_tok(999)) == 1
+    assert not locks._lock.locked()
+    _assert_indexes(root)
+
+
+@pytest.mark.parametrize("mode, refuse", [(SyncMode.LOCK, False),
+                                          (SyncMode.TRYLOCK, False),
+                                          (SyncMode.TRYLOCK, True)])
+@pytest.mark.parametrize("children", [3, HASH_THRESHOLD - 1, HASH_THRESHOLD + 2])
+@pytest.mark.parametrize("level", ["inner", "leaf"])
+def test_fs_answer_recheck_finds_a_node_linked_before_the_lock(mode, refuse, children, level):
+    # another writer links the answer's inner node, or logs the answer and
+    # links its leaf, between the FS walk's unlocked look and its lock
+    table = Table({P}, Design.FS, mode)
+    frame = table.subgoal_call(table.entries[P], SUBGOAL, 0)
+    root, log = frame.answer_root, frame.answers
+    x = int_tok(999)
+    if level == "inner":
+        answers = [(int_tok(i), int_tok(0)) for i in range(children)]
+        toks = (x, int_tok(0))
+    else:
+        answers = [(x, int_tok(i)) for i in range(children)]
+        toks = (x, int_tok(1000))
+    for ans in answers:
+        assert table.new_answer_tokens(frame, ans)
+    if level == "inner":
+        parent, tok, other_log = root, x, None
+    else:
+        parent, tok, other_log = find_child(root, x), toks[1], log
+    locks = table.locks = _Interloper(parent, tok, refuse, other_log, toks)
+    made = table.new_answer_tokens(frame, toks)
+    assert locks.node is not None
+    # only the leaf's writer tells the answer new
+    assert made is (level == "inner")
+    answers.append(toks)
+    assert sorted(zip(log[::2], log[1::2])) == sorted(answers)
+    assert find_child(parent, tok) is locks.node
+    assert child_tokens(parent).count(tok) == 1
+    assert _nodes_and_leaf_paths(root) == (len({a[:1] for a in answers}) + len(answers),
+                                           set(answers))
     assert not locks._lock.locked()
     _assert_indexes(root)
 
