@@ -84,6 +84,10 @@ class EvalConfig:
 
 @dataclass
 class ParallelResult:
+    """Each thread's answer set, one frozenset per distinct answer log, so
+    threads may share one object; `wall_ms` covers the workers and the
+    building of their answer sets."""
+
     answer_sets: list[frozenset]
     counters: CountersSnapshot
     wall_ms: float
@@ -485,7 +489,9 @@ class _Eval:
 
     # ------------------------------------------------------------------
 
-    def solve(self, query: Term) -> frozenset:
+    def solve(self, query: Term) -> tuple[SubgoalFrame, int]:
+        """Evaluate `query` to completion: its frame and the length of the
+        frame's answer log at completion."""
         lit = literal_of(query, {})
         if lit.pred not in self.compiled.tabled:
             raise ProgramError(f"query predicate {pred_str(lit.pred)} is not tabled")
@@ -501,7 +507,7 @@ class _Eval:
                 gens.pop()
             else:
                 gens.append(self._evaluate(callee))
-        return frozenset(table.answers_of(frame))
+        return frame, len(frame.answers)
 
     # ------------------------------------------------------------------
 
@@ -580,8 +586,10 @@ def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory
     evaluates in the caller's thread; more each get a fresh thread.
 
     Returns every thread's answer set, a counter snapshot and the wall time
-    around the workers' lifetime.  Worker errors are re-raised after all
-    workers have been joined.
+    of the workers and the decoding of their answers.  Worker errors are
+    re-raised after all workers have been joined.  Answers are decoded once
+    per distinct log, after the join; a log that grew after its frame
+    completed raises, since that frame's set would have been short.
     """
     compiled = _compile(program)
     cfg.validate()
@@ -595,7 +603,7 @@ def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory
             trace = trace_factory(tid) if trace_factory is not None else None
             results[tid] = _Eval(compiled, table, tid, trace, max_rounds).solve(query)
         except BaseException as exc:  # propagated after join
-            failures.append((tid, exc))
+            failures.append(exc)
 
     workers = [threading.Thread(target=work, args=(tid,), name=f"tab-{tid}")
                for tid in range(n)] if n > 1 else []
@@ -606,10 +614,19 @@ def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory
         w.start()
     for w in workers:
         w.join()
-    wall_ms = (time.perf_counter() - t0) * 1000.0
     if failures:
-        tid, exc = failures[0]
-        raise exc
+        raise failures[0]
+    decoded: list = []  # (log, its answer set)
+    for tid, (frame, end) in enumerate(results):
+        log = frame.answers
+        if len(log) != end:
+            raise EvaluationError(f"thread {tid}: the answer log grew after its frame completed")
+        answers = next((a for other, a in decoded if other is log or other == log), None)
+        if answers is None:
+            answers = frozenset(table.answers_of(frame))
+            decoded.append((log, answers))
+        results[tid] = answers
+    wall_ms = (time.perf_counter() - t0) * 1000.0
     if release:
         for tid in range(n):
             table.release_thread(tid)

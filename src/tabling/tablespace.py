@@ -323,12 +323,14 @@ class Table:
         """Decode the answer log of a completed frame as term tuples.
 
         At completion the log holds every leaf of the answer trie once.
-        Safe in FS even while other threads still evaluate the same subgoal:
-        the frame's thread derived every answer itself and logged it, or
-        found its leaf, which another thread links only after logging the
-        answer, so no answer remains to be appended.  The result may include
-        answers derived by other threads, which is the same set by
-        definition.
+        Under FS the engine calls this after joining every thread, on the
+        one log all their frames share: at each frame's completion its
+        thread had derived every answer itself and logged it, or found its
+        leaf, which another thread links only after logging the answer, so
+        no answer remained to be appended.  `solve_parallel` holds it to
+        that: a log longer than it was at any of its frames' completion
+        raises.  The result may include answers derived by other threads,
+        which is the same set by definition.
         """
         if frame.state != COMPLETE:
             raise EvaluationError("answers_of on an incomplete subgoal")

@@ -110,6 +110,41 @@ def test_fs_preempted_answer_inserts_lose_nothing():
         sys.setswitchinterval(interval)
 
 
+def test_threads_share_one_answer_set_per_distinct_log():
+    # FS frames read one log; NS/SS private logs hold the same tokens in the
+    # same order, so every design decodes its answers once
+    program, query = bench_program("pathleft:btree:6")
+    want = oracle_solve(program, query)
+    for design in Design:
+        for sync in (SyncMode.LOCK, SyncMode.TRYLOCK):
+            for threads in (2, 4):
+                sets = solve_parallel(program, query,
+                                      EvalConfig(design, sync, threads)).answer_sets
+                assert len(sets) == threads and sets[0] == want, (design, sync, threads)
+                assert all(s is sets[0] for s in sets), (design, sync, threads)
+
+
+def test_fs_log_grown_after_completion_raises(monkeypatch):
+    # thread 1 waits until thread 0 has returned, then logs one more answer
+    # on the shared log: thread 0's set would have been short
+    program, query = bench_program("pathleft:cycle:4")
+    real = engine._Eval.solve
+    returned = threading.Event()
+
+    def solve(self, query):
+        frame, end = real(self, query)
+        if self.tid == 0:
+            returned.set()
+        else:
+            assert returned.wait(timeout=30)
+            frame.answers.extend((terms.int_tok(99), terms.int_tok(99)))
+        return frame, end
+
+    monkeypatch.setattr(engine._Eval, "solve", solve)
+    with pytest.raises(EvaluationError, match="grew after its frame completed"):
+        solve_parallel(program, query, EvalConfig(Design.FS, SyncMode.TRYLOCK, 2))
+
+
 def test_fs_ats_stays_flat_while_ns_scales():
     program, query = bench_program("pathright:cycle:20")
     base_ns = solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1))
