@@ -30,30 +30,30 @@ for it on its own list.  `_evaluate` resolves each clause once by running
 its kernel, whose loops run over fact rows, an index lookup or a callee's
 answer log, and which yields every fresh subgoal it meets: `solve` pushes
 the callee's generator and resumes the caller when that one is exhausted.
-Calls that hit an in-progress frame link strongly connected components by
-propagating the smallest depth-first number.  When a leader's initial pass
-returns, the SCC is driven to fixpoint by completion rounds and then
-completed as a whole.  Answers found mid-clause are stored and the
-resolution keeps backtracking (`new_answer` always "fails"); answers cross a
-frame boundary outward only after the frame's SCC is complete, and the
-engine asserts that discipline on every consumption.  The Python stack
-stays a few frames deep however long the chain of dependent calls, so
-evaluation changes no interpreter setting.
+Calls that hit a frame on the stack link strongly connected components by
+propagating the lowest stack slot reached: SCCs pop as suffixes, so slot
+order is call order.  When a leader's initial pass returns, the SCC is
+driven to fixpoint by completion rounds and then completed as a whole.
+Answers found mid-clause are stored and the resolution keeps backtracking
+(`new_answer` always "fails"); answers cross a frame boundary outward only
+after the frame's SCC is complete, and the engine asserts that discipline on
+every consumption.  The Python stack stays a few frames deep however long
+the chain of dependent calls, so evaluation changes no interpreter setting.
 
 The fixpoint is driven by consumers, as in YapTab's local scheduling.  A
 kernel that reads an incomplete callee's answer log first leaves a consumer
-on it in the thread's `consumers`: the log offset at the read, the
-generated function that joins the callee's answers with the rest of the
-clause, the consuming frame and the locals bound so far.  A completion
-round resumes every consumer on a member whose log has grown past its
-offset, with the answers logged since, and moves the offset to the log's
+on it, in the thread's `consumers` at the callee's slot: the log offset at
+the read, the generated function that joins the callee's answers with the
+rest of the clause, the consuming frame and the locals bound so far.  A
+completion round resumes every consumer on a member whose log has grown past
+its offset, with the answers logged since, and moves the offset to the log's
 end.  No clause is re-run up to the call, so a round calls a subgoal only
-for a binding that one of the answers it joins brings.  A round that
-resumes no consumer completes the SCC, and completion drops its members'
-consumers.  Every consumer sits in its callee's SCC, and logs only grow, so
-this one test serves every design: an answer new to a frame is appended to
-a log, and an FS answer that another thread logs after a consumer's read
-lies past its offset.
+for a binding that one of the answers it joins brings.  A round that resumes
+no consumer completes the SCC, and completion drops its members' consumers.
+Every consumer sits in its callee's SCC, and logs only grow, so this one
+test serves every design: an answer new to a frame is appended to a log, and
+an FS answer that another thread logs after a consumer's read lies past its
+offset.
 """
 
 from __future__ import annotations
@@ -100,18 +100,18 @@ class ParallelResult:
 _CALL = """\
 g = call(E, ({path},), tid)
 if g.state != {complete}:
-    if g.on_stack:
-        if frame.leader_dfn > g.leader_dfn:
-            frame.leader_dfn = g.leader_dfn
+    if g.pos >= 0:
+        if frame.leader > g.leader:
+            frame.leader = g.leader
     else:
         yield g
-        if g.state != {complete} and not g.on_stack:
+        if g.state != {complete} and g.pos < 0:
             raise violation()
 if trace is not None:
-    trace((CONSUME, g, g.state, g.on_stack))
+    trace((CONSUME, g, g.state, g.pos >= 0))
 rows = g.answers
 if g.state != {complete}:
-    consumers.setdefault(g, []).append([len(rows), r{i}, frame, ({live})])
+    consumers[g.pos].append([len(rows), r{i}, frame, ({live})])
 yield from r{i}(ev, frame, rows{args})"""
 
 # the innermost point: store the answer and fail, so resolution backtracks;
@@ -282,21 +282,34 @@ def _resolve(cl: Clause, i: int, d: Clause) -> Clause | None:
     return Clause(head, tuple(rebuild(lit) for lit in body), len(renum))
 
 
+# clauses, finished or not, that unfolding one tabled clause may make: a
+# view chain unfolding into 677 clauses makes 2,325; one level more, 458,330
+_UNFOLD_LIMIT = 10_000
+
+
 def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
     """Every tabled clause with each call of a non-tabled predicate defined
     by clauses replaced by the bodies of those clauses, and kept as one more
     variant when the predicate also has facts.  Terminates because
-    validation rejects recursion through non-tabled predicates."""
+    validation rejects recursion through non-tabled predicates, and raises
+    a ProgramError past `_UNFOLD_LIMIT` clauses made from one clause."""
     rules = {pred: cls for pred, cls in program.clauses.items()
              if pred not in program.tabled}
 
-    def expand(cl: Clause) -> list[Clause]:
+    def expand(head: Pred, cl: Clause) -> list[Clause]:
         # depth first on an explicit stack: each clause waits with the body
         # position to resume from, and its expansions are pushed in reverse
         # so that they come out in order
         out = []
         todo = [(cl, 0)]
+        views: dict[Pred, None] = {}  # the predicates unfolded, in order
+        made = 0
         while todo:
+            made += 1
+            if made > _UNFOLD_LIMIT:
+                raise ProgramError(f"unfolding a clause of {pred_str(head)} made more than "
+                                   f"{_UNFOLD_LIMIT} clauses; table the predicates it unfolds: "
+                                   + " ".join(f":- table {pred_str(v)}." for v in views))
             cl, start = todo.pop()
             i = next((i for i in range(start, len(cl.body))
                       if cl.body[i].pred in rules), None)
@@ -304,6 +317,7 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
                 out.append(cl)
                 continue
             pred = cl.body[i].pred
+            views[pred] = None
             merged = [(m, i) for m in (_resolve(cl, i, d) for d in rules[pred])
                       if m is not None]
             if pred in program.facts:
@@ -311,7 +325,7 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
             todo.extend(reversed(merged))
         return out
 
-    return {pred: tuple(c for cl in cls for c in expand(cl))
+    return {pred: tuple(c for cl in cls for c in expand(pred, cl))
             for pred, cls in program.clauses.items() if pred in program.tabled}
 
 
@@ -472,8 +486,8 @@ def _compile(program: Program) -> _Compiled:
 
 
 class _Eval:
-    """One thread's evaluation state: dependency stack, dfn counter and the
-    consumers left on each incomplete frame."""
+    """One thread's evaluation state: the dependency stack and, slot for
+    slot, the consumers left on each frame on it."""
 
     def __init__(self, compiled: _Compiled, table: Table, tid: int, trace=None,
                  max_rounds=None):
@@ -483,9 +497,8 @@ class _Eval:
         self.trace = trace
         self.max_rounds = max_rounds
         self.stack: list[SubgoalFrame] = []
-        self.next_dfn = 0
-        # callee -> [log offset read up to, r{i}, consumer frame, live locals]
-        self.consumers: dict[SubgoalFrame, list[list]] = {}
+        # per slot: [log offset read up to, r{i}, consumer frame, live locals]
+        self.consumers: list[list[list]] = []
 
     # ------------------------------------------------------------------
 
@@ -515,66 +528,61 @@ class _Eval:
         """Make this thread the generator of a fresh call: push its frame,
         resolve each of its clauses once, and complete its SCC if it leads
         one, else pass its link on to the frame below it."""
-        frame.dfn = frame.leader_dfn = self.next_dfn
-        self.next_dfn += 1
-        frame.stack_pos = len(self.stack)
-        frame.on_stack = True
+        frame.pos = frame.leader = len(self.stack)
         self.stack.append(frame)
+        self.consumers.append([])
         if self.trace is not None:
             self.trace(("call", frame))
         for act in self.compiled.activations(frame.pred, frame.tokens[1:]):
             if act is not None:
                 yield from act.kernel(self, frame)
-        if frame.leader_dfn == frame.dfn and (yield from self._complete_scc(frame)):
-            return
-        if frame.stack_pos > 0:
-            parent = self.stack[frame.stack_pos - 1]
-            if parent.leader_dfn > frame.leader_dfn:
-                parent.leader_dfn = frame.leader_dfn
+        if frame.leader == frame.pos:
+            yield from self._complete_scc(frame)
+        if frame.pos >= 0:  # linked below its own slot, so not at slot 0
+            parent = self.stack[frame.pos - 1]
+            if parent.leader > frame.leader:
+                parent.leader = frame.leader
 
     def _complete_scc(self, leader: SubgoalFrame):
         """Resume the consumers of the SCC led by `leader` in rounds until
-        none has an answer left to join; complete and pop the SCC.
-
-        Returns False when a round links the SCC to an older frame, in
-        which case completion is left to the real leader further down.
-        """
+        none has an answer left to join; complete and pop the SCC.  A round
+        that links the SCC to an older frame leaves it on the stack, for the
+        real leader further down to complete."""
         stack = self.stack
         consumers = self.consumers
         trace = self.trace
-        base = leader.stack_pos
+        base = leader.pos
         rounds = 0
         while True:
             rounds += 1
             if self.max_rounds is not None and rounds > self.max_rounds:
                 raise EvaluationError(f"SCC fixpoint exceeded {self.max_rounds} rounds")
             consumed = False
-            for g in stack[base:]:
+            for g, on_g in zip(stack[base:], consumers[base:]):
                 # a resumption may leave more consumers on g; they come last
-                for c in consumers.get(g, ()):
+                for c in on_g:
                     end = len(g.answers)
                     if c[0] < end:
                         rows = g.answers[c[0]:end]
                         c[0] = end
                         consumed = True
                         if trace is not None:
-                            trace(("consume", g, g.state, g.on_stack))
+                            trace(("consume", g, g.state, g.pos >= 0))
                         yield from c[1](self, c[2], rows, *c[3])
             # a round may link any member, not only the leader, to an older frame
-            leader.leader_dfn = min(f.leader_dfn for f in stack[base:])
-            if leader.leader_dfn != leader.dfn:
-                return False
+            leader.leader = min(f.leader for f in stack[base:])
+            if leader.leader != base:
+                return
             if not consumed:  # nothing ran, so nothing was pushed either
                 break
         scc = stack[base:]
         self.table.mark_complete(scc)
         for f in scc:
-            f.on_stack = False
-            consumers.pop(f, None)
+            f.pos = -1
         del stack[base:]
+        del consumers[base:]
         if trace is not None:
             trace(("complete", tuple(scc)))
-        return True
 
 
 # ----------------------------------------------------------------------

@@ -5,21 +5,24 @@ Grammar:
     head :- lit, ..., lit.        clause
     name(args).                   fact
 Atoms start lowercase, variables uppercase or underscore, integers are
-signed decimals, `%` starts a line comment.  Arguments are flat (Datalog).
+signed decimals, `%` starts a line comment.  Arguments are flat (Datalog):
+each is read as one token, so no input depth reaches the Python stack.
 
 Facts take the row path: at the start of each statement one regular
 expression tries to match a ground fact whose name and atoms are ASCII
-`[a-z][A-Za-z0-9_]*`, whose integers are `-?[0-9]+` and which has only
-spaces and tabs inside its parentheses, and a match becomes a row of packed
-tokens with no term built for it.  Every other statement goes to the token
-parser, which reads the text one token at a time and produces every error.
+`[a-z][A-Za-z0-9_]*`, whose integers are `-?[0-9]+` of at most 640 digits
+and which has only spaces and tabs inside its parentheses, and a match
+becomes a row of packed tokens with no term built for it.  Every other
+statement goes to the token parser, which reads the text one token at a
+time and produces every error.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 
-from .errors import ParseError
+from .errors import ParseError, ProgramError
 from .program import Pred, Program
 from .terms import Int, Term, Token, Var, atom, atom_tok, compound, int_tok, intern_symbol
 
@@ -36,8 +39,9 @@ _TOKEN = re.compile(r"""
 
 # a ground fact at a statement start, after blanks and whole comment lines
 # (a comment must end in a newline, so the prefix cannot backtrack); group 1
-# is its name and group 2 its comma-separated arguments
-_ARG = r"[ \t]*(?:-?[0-9]+|[a-z][A-Za-z0-9_]*)[ \t]*"
+# is its name and group 2 its comma-separated arguments.  640 digits is the
+# least int() limit CPython allows, so int() takes every integer here
+_ARG = r"[ \t]*(?:-?[0-9]{1,640}|[a-z][A-Za-z0-9_]*)[ \t]*"
 _FACT = re.compile(rf"[ \t\r\n]*(?:%[^\n]*\n[ \t\r\n]*)*"
                    rf"([a-z][A-Za-z0-9_]*)\(({_ARG}(?:,{_ARG})*)\)\.")
 
@@ -58,11 +62,21 @@ class _Parser:
         self._tok: tuple[str, str, int] | None = None  # the look-ahead token
         self._vars: dict[str, int] = {}
 
-    def _error(self, msg: str, offset: int) -> ParseError:
-        """A ParseError at `offset`, located by the newlines before it."""
+    def _where(self, offset: int) -> tuple[int, int]:
+        """The line and column of `offset`, counted by the newlines before it."""
         text = self._text
-        line = text.count("\n", 0, offset) + 1
-        return ParseError(msg, line, offset - text.rfind("\n", 0, offset))
+        return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+    def _error(self, msg: str, offset: int) -> ParseError:
+        return ParseError(msg, *self._where(offset))
+
+    def _int(self, digits: str, offset: int) -> int:
+        """The value of an int token, a ParseError at it past int()'s digit limit."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self._error(f"integer of {len(digits.lstrip('-'))} digits; the limit is "
+                              f"{sys.get_int_max_str_digits()}", offset) from None
 
     def _scan(self) -> tuple[str, str, int]:
         """(kind, value, offset) of the token at `_pos`, or an "eof"."""
@@ -112,20 +126,25 @@ class _Parser:
             self._vars[name] = vid
         return Var(vid)
 
-    def _term(self) -> Term:
+    def _term(self, arg: bool = False) -> Term:
+        """A literal, or with `arg` one of its arguments, which is flat."""
         kind, value, loc = self._next()
         if kind == "int":
-            return Int(int(value))
+            return Int(self._int(value, loc))
         if kind == "var":
             return self._var(value)
         if kind == "atom":
             if self._peek()[0] != "(":
                 return atom(value)
+            if arg:
+                line, col = self._where(self._peek()[2])
+                raise ProgramError(f"{line}:{col}: non-flat argument {value}(...); "
+                                   "only atoms, integers and variables allowed")
             self._next()
-            args = [self._term()]
+            args = [self._term(True)]
             while self._peek()[0] == ",":
                 self._next()
-                args.append(self._term())
+                args.append(self._term(True))
             self._expect(")")
             return compound(value, *args)
         raise self._error(f"expected a term, got {value!r}" if value else
@@ -160,7 +179,8 @@ class _Parser:
                     raise self._error(f"unknown directive {word!r}", loc)
                 name = self._expect("atom")[1]
                 self._expect("/")
-                arity = int(self._expect("int")[1])
+                _, digits, loc = self._expect("int")
+                arity = self._int(digits, loc)
                 tabled.add((intern_symbol(name), arity))
                 self._expect(".")
                 continue

@@ -38,7 +38,8 @@ from __future__ import annotations
 # unused here, but tablebench/tracer.py reads and swaps this module's
 # `threading` to count the locks the table space makes
 import threading  # noqa: F401
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from . import trie
@@ -70,10 +71,7 @@ class CountersSnapshot:
     ats: int
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "te": self.te, "ba": self.ba, "sts": self.sts,
-            "sf": self.sf, "se": self.se, "ats": self.ats,
-        }
+        return asdict(self)
 
 
 def answer_width(call: TokenSeq) -> int:
@@ -105,13 +103,12 @@ class SubgoalFrame:
     each answer enters it by one `list.extend`, atomic under the GIL, so a
     reader never sees part of an answer; the frame keeps no width of its own.
 
-    `dfn`, `leader_dfn`, `stack_pos` and `on_stack` are scheduling fields
-    used by the evaluation engine's dependency stack.
+    `pos` is the frame's slot on its thread's dependency stack, -1 off it,
+    and `leader` the lowest slot its SCC reaches; the engine sets both.
     """
 
     __slots__ = ("pred", "tokens", "tid", "state", "entry",
-                 "answer_root", "answers",
-                 "dfn", "leader_dfn", "stack_pos", "on_stack")
+                 "answer_root", "answers", "pos", "leader")
 
     def __init__(self, pred, tokens, tid, entry=None):
         self.pred = pred
@@ -125,10 +122,7 @@ class SubgoalFrame:
         else:
             self.answer_root = entry.answer_root
             self.answers = entry.answers
-        self.dfn = -1
-        self.leader_dfn = -1
-        self.stack_pos = -1
-        self.on_stack = False
+        self.pos = self.leader = -1
 
 
 class SubgoalEntry:
@@ -184,14 +178,8 @@ class Table:
         self.locks = None if design is Design.NS else trie.new_locks()
         self.entries: dict = {
             pred: TableEntry(pred, design) for pred in tabled_preds}
-        self._tallies: dict[int, _Tally] = {}
-
-    def _tally(self, tid: int) -> _Tally:
-        """Thread `tid`'s allocation counts, made on its first allocation."""
-        tally = self._tallies.get(tid)
-        if tally is None:
-            tally = self._tallies[tid] = _Tally()
-        return tally
+        # each thread's allocation counts, made on its first subgoal call
+        self._tallies: defaultdict[int, _Tally] = defaultdict(_Tally)
 
     # ------------------------------------------------------------------
     # tabled subgoal call
@@ -200,47 +188,31 @@ class Table:
         """Resolve the design-appropriate root, check/insert the subgoal path,
         and get-or-create this thread's frame at the leaf.  Idempotent per
         (subgoal, thread)."""
-        design = self.design
-        if design is Design.NS:
+        tally = self._tallies[tid]
+        if self.design is Design.NS:
             root, _, made_level = te.roots.get_or_create(tid, trie.new_root)
-            if made_level:
-                self._tally(tid).ba += 1
-            leaf, created, _ = trie.check_insert_path_counted(root, toks, SyncMode.NONE)
-            if created:
-                self._tally(tid).sts += created
+            leaf, created, _ = trie.check_insert_path_counted(root, toks, _NONE)
+            tally.ba += made_level
+            tally.sts += created
             frame = leaf.payload
             if frame is None:
-                frame = SubgoalFrame(te.pred, toks, tid)
-                leaf.payload = frame
-                self._tally(tid).sf += 1
+                frame = leaf.payload = SubgoalFrame(te.pred, toks, tid)
+                tally.sf += 1
             return frame
-
         leaf, created, _ = trie.check_insert_path_counted(
             te.root, toks, self.subgoal_mode, self.locks)
-        if created:
-            self._tally(tid).sts += created
-
-        if design is Design.SS:
-            ba, made = trie.get_or_create_payload(
-                leaf, BucketArray, self.locks)
-            if made:
-                self._tally(tid).ba += 1
-            frame, made_frame, made_level = ba.get_or_create(
-                tid, lambda: SubgoalFrame(te.pred, toks, tid))
-        else:
-            # FS: leaf -> subgoal entry -> per-thread frame
-            entry, made = trie.get_or_create_payload(
-                leaf, SubgoalEntry, self.locks)
-            if made:
-                tally = self._tally(tid)
-                tally.se += 1
-                tally.ba += 1  # the entry's bucket array
-            frame, made_frame, made_level = entry.frames.get_or_create(
-                tid, lambda: SubgoalFrame(te.pred, toks, tid, entry=entry))
-        if made_level or made_frame:
-            tally = self._tally(tid)
-            tally.ba += made_level
-            tally.sf += made_frame
+        tally.sts += created
+        if self.design is Design.SS:  # leaf -> bucket array of frames
+            entry = None
+            cells, made = trie.get_or_create_payload(leaf, BucketArray, self.locks)
+        else:  # FS: leaf -> subgoal entry -> its bucket array of frames
+            entry, made = trie.get_or_create_payload(leaf, SubgoalEntry, self.locks)
+            cells = entry.frames
+            tally.se += made
+        frame, made_frame, made_level = cells.get_or_create(
+            tid, lambda: SubgoalFrame(te.pred, toks, tid, entry))
+        tally.ba += made + made_level
+        tally.sf += made_frame
         return frame
 
     # ------------------------------------------------------------------
@@ -309,7 +281,6 @@ class Table:
                 link_child(node, tok, index, AnswerLeaf)
                 created += 1
         if created:
-            # the frame's own subgoal_call made its thread's tally
             self._tallies[frame.tid].ats += created
         return made
 

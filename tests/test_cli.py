@@ -202,6 +202,24 @@ def test_invalid_program_file_exits_1_without_traceback(text, tmp_path, capsys):
     assert "V0" not in err  # the parser's internal name for a variable
 
 
+VIEWS_5 = ":- table t/1.\nt(X) :- p0(X).\np5(X) :- e(X).\ne(1).\n" + "".join(
+    f"p{i}(X) :- e(X).\np{i}(X) :- p{i + 1}(X), p{i + 1}(X).\n" for i in range(5))
+
+
+@pytest.mark.parametrize("text, code, says", [
+    ("t(" + "f(" * 5000 + "1" + ")" * 5001 + ".\n", 1, "error: 1:4: non-flat argument f(...)"),
+    (f"t({'7' * 5000}).\n", 2, "parse error: 1:3: integer of 5000 digits"),
+    (VIEWS_5, 1, "error: unfolding a clause of t/1 made more than"),
+], ids=["nesting", "digits", "views"])
+def test_input_limits_exit_with_a_diagnosis_without_traceback(text, code, says, tmp_path,
+                                                               capsys):
+    path = tmp_path / "limit.pl"
+    path.write_text(text)
+    assert run_command(["--program", str(path), "--query", "t(X)", "--repeat", "1"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(says) and "Traceback" not in err
+
+
 def test_no_earlier_result_is_alive_while_a_run_is_timed(monkeypatch, capsys):
     real = solve_parallel
     tables = []

@@ -208,6 +208,10 @@ def test_query_must_be_tabled():
 @pytest.mark.parametrize("text", ["path(f(1),X)", "path(1,f(X))", "7", "X"])
 def test_queries_must_be_flat_literals(text):
     program, _ = bench_program("pathleft:btree:3")
+    if "f(" in text:  # the parser reads arguments flat
+        with pytest.raises(ProgramError):
+            parse_query(text)
+        return
     query = parse_query(text)
     with pytest.raises(ProgramError):
         solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1))
@@ -529,6 +533,35 @@ def test_deep_nontabled_chain_compiles_at_the_default_recursion_limit(order):
         result = solve_parallel(program, parse_query("t(X)"),
                                 EvalConfig(design=design, threads=1))
         assert result.answer_sets == [frozenset({(Int(1),)})], design
+
+
+def view_program(k: int) -> str:
+    """t/1 over k levels of non-tabled views, each calling the next twice:
+    one clause of t/1 unfolds into c(0) clauses, c(k) = 1 and
+    c(i) = 1 + c(i + 1) ** 2."""
+    rules = [f"p{i}(X) :- e(X).\np{i}(X) :- p{i + 1}(X), p{i + 1}(X).\n" for i in range(k)]
+    return f":- table t/1.\nt(X) :- p0(X).\n{''.join(rules)}p{k}(X) :- e(X).\ne(1). e(2).\n"
+
+
+def test_unfolding_that_multiplies_clauses_stops_with_a_diagnosis():
+    query = parse_query("t(X)")
+    program = parse_program(view_program(4))
+    assert len(engine._unfold(program)[(intern_symbol("t"), 1)]) == 677
+    want = oracle_solve(program, query)
+    assert want == {(Int(1),), (Int(2),)}
+    for design in Design:
+        for threads in (1, 2):
+            result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
+            assert result.answer_sets == [want] * threads, (design, threads)
+    # 458,330 clauses: the reference solver answers at once, unfolding stops
+    program = parse_program(view_program(5))
+    assert oracle_solve(program, query) == want
+    for design in Design:
+        with pytest.raises(ProgramError) as err:
+            solve_parallel(program, query, EvalConfig(design=design))
+        msg = str(err.value)
+        assert msg.startswith("unfolding a clause of t/1 made more than")
+        assert msg.endswith(" ".join(f":- table p{i}/1." for i in range(6)))
 
 
 # ----------------------------------------------------------------------

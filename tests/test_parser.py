@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -253,3 +254,40 @@ def test_errors_after_many_row_path_facts_keep_their_positions():
         parse_program(prefix + "edge(1,X).")
     assert not isinstance(err.value, ParseError)
     assert str(err.value) == "non-ground fact for edge/2: argument 2 is a variable"
+
+
+# input limits: arguments are read flat, so depth never reaches the Python
+# stack, and an integer int() refuses is a parse error at its token
+
+NESTED = "f(" * 5000 + "1" + ")" * 5000
+DIGITS = "7" * 5000
+
+# a row fact, a rule and a query with `{arg}` as an argument, and the line
+# and column where it starts
+LIMIT_SITES = [
+    (parse_program, "e(1).\np(1,{arg}).\n", (2, 5)),
+    (parse_program, ":- table p/2.\np(X,Y) :- e(X), e({arg}), e(Y).\n", (2, 19)),
+    (parse_query, "p(X, {arg})", (1, 6)),
+]
+
+
+@pytest.mark.parametrize("parse, text, where", LIMIT_SITES, ids=["fact", "rule", "query"])
+def test_nested_argument_is_a_located_program_error(parse, text, where):
+    with pytest.raises(ProgramError) as err:
+        parse(text.format(arg=NESTED))
+    assert not isinstance(err.value, ParseError)  # exit 1, as for any other non-flat argument
+    line, col = where
+    assert str(err.value) == (f"{line}:{col + 1}: non-flat argument f(...); "
+                              "only atoms, integers and variables allowed")
+
+
+@pytest.mark.parametrize("parse, text, where", LIMIT_SITES + [
+    (parse_program, "e(1).\n  :- table p/{arg}.\n", (2, 14)),
+], ids=["fact", "rule", "query", "arity"])
+def test_integer_past_the_digit_limit_is_a_located_parse_error(parse, text, where):
+    with pytest.raises(ParseError) as err:
+        parse(text.format(arg=DIGITS))
+    assert (err.value.line, err.value.col) == where
+    assert str(err.value).endswith(f"integer of 5000 digits; the limit is "
+                                   f"{sys.get_int_max_str_digits()}")
+    assert parse(text.format(arg="-" + DIGITS[:4000])) is not None  # within the limit
