@@ -36,12 +36,12 @@ from .terms import (
     intern_symbol,
     term_str,
 )
-from .trie import AnswerLeaf, SyncMode, TrieNode, check_insert_node
+from .trie import SyncMode, TrieNode, check_insert_node
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnswerLeaf", "Atom", "BenchInstance", "BucketArray", "Clause", "Compound",
+    "Atom", "BenchInstance", "BucketArray", "Clause", "Compound",
     "ConfigurationError", "Design", "Direct", "EdgeConfig", "EvalConfig",
     "EvaluationError", "GraphKind", "Indirect", "Int", "Literal",
     "ParallelResult", "ParseError", "Program",

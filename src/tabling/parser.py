@@ -1,7 +1,7 @@
 """Parser for the textual program format.
 
 Grammar:
-    :- table name/arity.          table directive
+    :- table name/arity.          table directive, arity 0 or more
     head :- lit, ..., lit.        clause
     name(args).                   fact
 Atoms start lowercase, variables uppercase or underscore, integers are
@@ -181,6 +181,8 @@ class _Parser:
                 self._expect("/")
                 _, digits, loc = self._expect("int")
                 arity = self._int(digits, loc)
+                if arity < 0:
+                    raise self._error("negative arity in a table directive", loc)
                 tabled.add((intern_symbol(name), arity))
                 self._expect(".")
                 continue

@@ -46,7 +46,7 @@ from . import trie
 from .buckets import BucketArray
 from .errors import ConfigurationError, EvaluationError
 from .terms import TAG_VAR, Term, Token, TokenSeq, decode_answers
-from .trie import AnswerLeaf, SyncMode, TrieNode, link_child
+from .trie import SyncMode, TrieNode, add_leaf, link_child
 
 EVALUATING = 0
 COMPLETE = 1
@@ -131,12 +131,12 @@ class SubgoalEntry:
     frames.  Creation is serialized on the table's write lock that the
     subgoal-trie leaf selects.  Every thread's frame reads this one log, so
     an answer is new at most once table-wide, whichever thread derives it
-    first.  The thread that links an answer's leaf extends the log first,
-    while it holds the lock of the leaf's parent, so a leaf any thread finds
-    is already logged.  A thread that derives an answer already in the trie
-    finds it by an unlocked walk and takes no lock at all.  Readers take no
-    lock: each answer goes in by one `list.extend`, which the GIL makes
-    atomic, so a reader on any thread sees whole answers only."""
+    first.  The thread that adds an answer's leaf token extends the log
+    first, while it holds the lock of the token's parent, so a leaf any
+    thread finds is already logged.  A thread that derives an answer already
+    in the trie finds it by an unlocked walk and takes no lock at all.
+    Readers take no lock: each answer goes in by one `list.extend`, which the
+    GIL makes atomic, so a reader on any thread sees whole answers only."""
 
     __slots__ = ("answer_root", "answers", "frames")
 
@@ -225,14 +225,15 @@ class Table:
         The caller's resolution must keep backtracking regardless of the
         result; the return value only feeds tracing.  Fixpoint detection
         watches the answer logs instead.  An answer is logged before its
-        leaf is linked, so when the path already existed its answer is in the
-        log by the time this call finds the leaf.
+        leaf token is added, so when the path already existed its answer is
+        in the log by the time this call finds the leaf.
 
         Every design walks the path here, without a lock and, for a token the
-        trie holds, without a call.  A missing token is linked at once in a
-        trie the frame's thread owns; under FS it goes to `trie.insert_shared`,
-        which re-checks under the lock and, for the leaf, logs the answer
-        before it links it.
+        trie holds, without a call; the last token is looked up in the leaf
+        container of the node above it.  A missing token is added at once in
+        a trie the frame's thread owns; under FS it goes to
+        `trie.insert_shared`, or for the leaf to `trie.insert_leaf_shared`,
+        which re-check under the lock.
         """
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
@@ -263,22 +264,16 @@ class Table:
                     created += 1
             node = child
         tok = toks[last]
-        index = node.index
-        if index is not None:
-            made = tok not in index
-        else:
-            seen = child = node.first_child
-            while child is not None and child.token != tok:
-                child = child.sibling
-            made = child is None
+        leaves = node.payload
+        made = leaves is None or tok not in leaves
         if made:
             if shared:
-                made = trie.insert_shared(node, tok, self.locks, self.answer_mode is _LOCK,
-                                          seen, frame.answers, toks)[1]
+                made = trie.insert_leaf_shared(node, tok, self.locks,
+                                               self.answer_mode is _LOCK, frame.answers, toks)
                 created += made
             else:
                 frame.answers.extend(toks)
-                link_child(node, tok, index, AnswerLeaf)
+                add_leaf(node, leaves, tok)
                 created += 1
         if created:
             self._tallies[frame.tid].ats += created
@@ -297,7 +292,7 @@ class Table:
         Under FS the engine calls this after joining every thread, on the
         one log all their frames share: at each frame's completion its
         thread had derived every answer itself and logged it, or found its
-        leaf, which another thread links only after logging the answer, so
+        leaf, which another thread adds only after logging the answer, so
         no answer remained to be appended.  `solve_parallel` holds it to
         that: a log longer than it was at any of its frames' completion
         raises.  The result may include answers derived by other threads,
@@ -343,8 +338,8 @@ class Table:
 
     @staticmethod
     def _leaves(root: TrieNode):
-        """The leaves of a subgoal trie.  Not for answer tries, whose
-        `AnswerLeaf`s have no `first_child` to read."""
+        """The leaves of a subgoal trie.  Not for answer tries, whose last
+        level is a token container, not nodes."""
         stack = [root.first_child]
         while stack:
             node = stack.pop()

@@ -29,19 +29,22 @@ any lock.
 The unlocked look is the caller's own walk, in every mode: a token the trie
 already holds costs no call and no lock.  Only a missing token leaves the
 walk, under NONE for `link_child` and under LOCK and TRYLOCK for
-`insert_shared`, the one locked insert, which differs between the two only
-in whether its lock acquire blocks.
+`insert_shared`, the one locked insert of a node, which differs between the
+two only in whether its lock acquire blocks.
 
 An answer trie has a fixed depth, the width of its call's answers, so its
-last level holds nothing but leaves.  Those are `AnswerLeaf`s: a token and a
-sibling link, no children, no index and no payload, 48 bytes on CPython 3.11
-against a `TrieNode`'s 72.  The inner nodes of an answer trie and every node
-of a subgoal trie, whose leaves carry frames or subgoal entries, stay
-`TrieNode`s.  A leaf is linked only after its answer is in the answer log:
-the owner of an unshared trie extends the log and then links the leaf
-(`Table.new_answer_tokens`), and a shared insert does both while it holds the
-lock the link takes (the `log` of `insert_shared`), so a thread that finds a
-leaf, with or without that lock, finds its answer logged.
+last level needs no nodes: the node above it keeps its leaf tokens in one
+container in its `payload`, which answer tries use for nothing else, a `list`
+below `HASH_THRESHOLD` tokens and a `set` from then on, in the role of
+YapTab's hashed chain.  A look is `tok in leaves`, one C call, and an answer
+costs a slot there, not an object.  Inner answer nodes and subgoal tries stay
+`TrieNode` chains.  `add_leaf` grows a container; a list that reaches the
+threshold is replaced by a set in one assignment and never written again, so
+a reader holding it misses at most a token, which it then finds under the
+lock.  A token is added only after its answer is logged, by the owner of an
+unshared trie (`Table.new_answer_tokens`) or under the parent's lock
+(`insert_leaf_shared`), so a thread that finds a token finds its answer
+logged.
 
 Write locks are not per node: a table makes one small array of locks with
 `new_locks`, and a parent's writers take the lock `hash(parent)` selects
@@ -76,29 +79,15 @@ ROOT_TOKEN = 0  # packed tokens always have a nonzero tag, so 0 never collides
 class TrieNode:
     __slots__ = ("token", "first_child", "sibling", "index", "payload")
 
-    def __init__(self, token: int, sibling: TrieNode | AnswerLeaf | None = None):
+    def __init__(self, token: int, sibling: TrieNode | None = None):
         self.token = token
-        self.first_child: TrieNode | AnswerLeaf | None = None
+        self.first_child: TrieNode | None = None
         self.sibling = sibling
-        self.index: dict[int, TrieNode | AnswerLeaf] | None = None
+        self.index: dict[int, TrieNode] | None = None
         self.payload: Any = None
 
     def __repr__(self) -> str:  # debugging aid only
         return f"<TrieNode {self.token}>"
-
-
-class AnswerLeaf:
-    """The last node of an answer path.  Not a `TrieNode` subclass, which
-    would inherit that class's slots."""
-
-    __slots__ = ("token", "sibling")
-
-    def __init__(self, token: int, sibling: TrieNode | AnswerLeaf | None = None):
-        self.token = token
-        self.sibling = sibling
-
-    def __repr__(self) -> str:  # debugging aid only
-        return f"<AnswerLeaf {self.token}>"
 
 
 def new_root() -> TrieNode:
@@ -112,6 +101,7 @@ def new_locks() -> list:
 
 _LOCKS = new_locks()  # for callers that bring no locks of their own
 _BELOW_THRESHOLD = range(HASH_THRESHOLD - 1)
+_LIST_MAX = HASH_THRESHOLD - 1  # leaf tokens a container holds as a list
 
 
 def _hash_chain(parent: TrieNode) -> None:
@@ -123,12 +113,11 @@ def _hash_chain(parent: TrieNode) -> None:
     parent.index = index
 
 
-def link_child(parent: TrieNode, tok: int, index: dict | None,
-               node_type: type = TrieNode) -> TrieNode | AnswerLeaf:
-    """Insert `tok`, as a `node_type`, at the head of a chain known not to
-    hold it; the caller owns the chain or holds its lock, and passes the
-    parent's `index` as it read it."""
-    child = parent.first_child = node_type(tok, parent.first_child)
+def link_child(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
+    """Insert `tok` at the head of a chain known not to hold it; the caller
+    owns the chain or holds its lock, and passes the parent's `index` as it
+    read it."""
+    child = parent.first_child = TrieNode(tok, parent.first_child)
     if index is not None:
         index[tok] = child
         return child
@@ -144,16 +133,12 @@ def link_child(parent: TrieNode, tok: int, index: dict | None,
 
 
 def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
-                  seen: TrieNode | AnswerLeaf | None, log: list | None = None,
-                  path: TokenSeq = ()) -> tuple[TrieNode | AnswerLeaf, bool]:
+                  seen: TrieNode | None) -> tuple[TrieNode, bool]:
     """The LOCK and TRYLOCK insert of a `tok` that the caller's unlocked look
     did not find under `parent`, scanning the chain down from `seen` (unused
     once the chain is hashed).  It takes the parent's lock and re-checks only
     what was linked since that look; a failed trylock yields and re-checks
-    before it tries again.  Returns (child, whether this call linked it).
-
-    With a `log`, a new `tok` is an answer leaf: still holding the lock, the
-    insert extends `log` by the answer's `path` and then links the leaf."""
+    before it tries again.  Returns (child, whether this call linked it)."""
     lock = locks[hash(parent) % len(locks)]
     held = False
     try:
@@ -175,10 +160,49 @@ def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
                     child = child.sibling
                 seen = first
             if held:
-                if log is None:
-                    return link_child(parent, tok, index), True
+                return link_child(parent, tok, index), True
+    finally:
+        if held:
+            lock.release()
+
+
+def add_leaf(parent: TrieNode, leaves: list | set | None, tok: int) -> None:
+    """Add the answer leaf `tok`, known to be absent, to `parent`'s leaf
+    container `leaves` as the caller read it from `payload`; the caller owns
+    the container or holds its lock.  A list that would reach
+    `HASH_THRESHOLD` tokens is replaced by a set and left as it was."""
+    if leaves is None:
+        parent.payload = [tok]
+    elif type(leaves) is set:
+        leaves.add(tok)
+    elif len(leaves) < _LIST_MAX:
+        leaves.append(tok)
+    else:
+        parent.payload = {*leaves, tok}
+
+
+def insert_leaf_shared(parent: TrieNode, tok: int, locks, blocking: bool,
+                       log: list, path: TokenSeq) -> bool:
+    """The LOCK and TRYLOCK insert of an answer leaf `tok` that the caller's
+    unlocked look did not find in `parent`'s leaf container.  It takes the
+    parent's lock, re-reads `payload` and re-checks; a failed trylock yields
+    and re-checks before it tries again.  Still holding the lock, it extends
+    `log` by the answer's `path` and then adds the leaf.  Returns whether
+    this call added it."""
+    lock = locks[hash(parent) % len(locks)]
+    held = False
+    try:
+        while True:
+            held = lock.acquire(blocking)
+            if not held:
+                time.sleep(0)  # yield, as in `insert_shared`
+            leaves = parent.payload
+            if leaves is not None and tok in leaves:
+                return False
+            if held:
                 log.extend(path)
-                return link_child(parent, tok, index, AnswerLeaf), True
+                add_leaf(parent, leaves, tok)
+                return True
     finally:
         if held:
             lock.release()

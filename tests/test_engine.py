@@ -19,7 +19,7 @@ from tabling.program import Program
 from tabling.tablespace import (COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry,
                                 answer_width)
 from tabling.terms import Int, Term, Var, compound, intern_symbol, var_tok
-from tabling.trie import AnswerLeaf, SyncMode, TrieNode
+from tabling.trie import HASH_THRESHOLD, SyncMode, TrieNode
 
 
 def bench_program(spec):
@@ -721,8 +721,7 @@ def test_table_holds_nothing_of_the_compiled_program(release):
                            or isinstance(o, types.FunctionType)
                            and o.__code__.co_filename == "<kernel>" for o in met.values())
             # nor does the compiled program, memo included, keep a table alive
-            table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode,
-                           AnswerLeaf)
+            table_types = (Table, TableEntry, SubgoalEntry, SubgoalFrame, TrieNode)
             assert not any(isinstance(o, table_types)
                            for o in _reachable(compiled).values()), (design, text)
 
@@ -760,27 +759,28 @@ def test_table_holds_tokens_never_terms(release):
 
 
 def _leaf_paths(root):
-    """The token path of every `AnswerLeaf` below the answer-trie `root`; a
-    childless `TrieNode` there would end no path."""
+    """The token path of every answer leaf below the answer-trie `root`, a
+    token in the leaf container of the node above it; a childless `TrieNode`
+    without a container would end no path."""
     paths = []
-    todo = [(root.first_child, ())]
+    todo = [(root, ())]
     while todo:
         node, path = todo.pop()
-        while node is not None:
-            if type(node) is AnswerLeaf:
-                paths.append(path + (node.token,))
-            else:
-                todo.append((node.first_child, path + (node.token,)))
-            node = node.sibling
+        if node.payload is not None:
+            paths.extend(path + (tok,) for tok in node.payload)
+        child = node.first_child
+        while child is not None:
+            todo.append((child, path + (child.token,)))
+            child = child.sibling
     return paths
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("design", list(Design))
 def test_answer_tries_end_in_answer_leaves(design, threads):
-    # an answer trie is `width` levels deep: TrieNodes above, AnswerLeafs at
-    # the last level, one per logged answer; subgoal tries are all TrieNodes
-    assert sys.getsizeof(AnswerLeaf(1)) < sys.getsizeof(TrieNode(1))
+    # an answer trie is `width` levels deep: TrieNodes above the last level,
+    # and at it one leaf token per logged answer, in the leaf container of
+    # the node above; subgoal tries are all TrieNodes
     program = parse_program(_PATH_TEXT + " edge(3,1).")
     for text in ("path(X,Y)", "path(2,Y)", "path(3,1)"):
         result = solve_parallel(program, parse_query(text),
@@ -788,7 +788,7 @@ def test_answer_tries_end_in_answer_leaves(design, threads):
         met = _reachable(result.table).values()
         tries = {id(f.answer_root): f for f in met if isinstance(f, SubgoalFrame)}
         assert tries, (design, text)
-        leaf_ids = set()
+        containers = set()
         for frame in tries.values():
             width = answer_width(frame.tokens)
             log = frame.answers
@@ -799,17 +799,27 @@ def test_answer_tries_end_in_answer_leaves(design, threads):
                 node, depth = todo.pop()
                 assert type(node) is TrieNode, (design, text, depth, width)
                 child = node.first_child
+                if depth + 1 == width:
+                    # no node below: a list below the threshold, a set from it on
+                    assert child is None and node.index is None, (design, text)
+                    container = node.payload
+                    assert type(container) is (
+                        list if len(container) < HASH_THRESHOLD else set), (design, text)
+                    containers.add(id(container))
+                    leaves.extend(container)
+                    continue
+                assert node.payload is None, (design, text)
                 while child is not None:
-                    if depth + 1 == width:
-                        leaves.append(child)
-                    else:
-                        todo.append((child, depth + 1))
+                    todo.append((child, depth + 1))
                     child = child.sibling
-            assert all(type(leaf) is AnswerLeaf for leaf in leaves), (design, text)
+            # a leaf is no object of its own: its container holds the very
+            # token object that the log holds last in its answer
+            logged = {id(tok) for tok in log[width - 1::width]}
+            assert all(id(tok) in logged for tok in leaves), (design, text)
             assert len(leaves) == len(log) // width, (design, text)
-            leaf_ids.update(map(id, leaves))
-        # no AnswerLeaf sits anywhere else in the table
-        assert {id(o) for o in met if type(o) is AnswerLeaf} == leaf_ids
+        # no leaf container sits anywhere else in the table
+        assert {id(o.payload) for o in met if type(o) is TrieNode
+                and type(o.payload) in (list, set)} == containers
         te = result.table.entries[next(iter(result.table.entries))]
         roots = ([te.roots.get(tid) for tid in range(threads)]
                  if design is Design.NS else [te.root])

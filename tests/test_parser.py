@@ -290,4 +290,13 @@ def test_integer_past_the_digit_limit_is_a_located_parse_error(parse, text, wher
     assert (err.value.line, err.value.col) == where
     assert str(err.value).endswith(f"integer of 5000 digits; the limit is "
                                    f"{sys.get_int_max_str_digits()}")
-    assert parse(text.format(arg="-" + DIGITS[:4000])) is not None  # within the limit
+    sign = "" if "table p/{arg}" in text else "-"  # an arity is never negative
+    assert parse(text.format(arg=sign + DIGITS[:4000])) is not None  # within the limit
+
+
+def test_negative_table_arity_is_a_located_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse_program(":- table p/-1.\ne(1).")
+    assert (err.value.line, err.value.col) == (1, 12)
+    assert str(err.value) == "1:12: negative arity in a table directive"
+    assert parse_program(":- table p/0.\ne(1).").tabled == {(intern_symbol("p"), 0)}

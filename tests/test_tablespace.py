@@ -12,7 +12,7 @@ from tabling.parser import parse_program, parse_query
 from tabling.tablespace import Design, Table
 from tabling.terms import TRUE_TOK, Int, atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import SyncMode
-from trie_helpers import find_child
+from trie_helpers import find_child, leaf_tokens
 
 P = (intern_symbol("p"), 2)
 SUBGOAL = (atom_tok(P[0]), var_tok(0), var_tok(1))  # the open call p(V0, V1)
@@ -376,9 +376,10 @@ def test_thread_id_capacity():
 @pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
 def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
     # thread A is held inside its append to the shared answer log, holding
-    # the lock of the answer leaf's parent and with the leaf not yet linked;
-    # thread B derives the same answer meanwhile and must block (LOCK) or
-    # retry (TRYLOCK) until A links the leaf, then find the answer logged
+    # the lock of the answer leaf's parent and with the leaf token not yet in
+    # that parent's container; thread B derives the same answer meanwhile and
+    # must block (LOCK) or retry (TRYLOCK) until A adds the leaf, then find
+    # the answer logged
     table = make_table(Design.FS, sync)
     te = table.entries[P]
     fa = call(table, te, 0)
@@ -401,7 +402,7 @@ def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
     assert entered.wait(10)
     assert locked == [1]
     parent = find_child(entry.answer_root, toks[0])
-    assert find_child(parent, toks[1]) is None  # logging, not yet linked
+    assert toks[1] not in leaf_tokens(parent)  # logging, not yet added
     seen = []
 
     def derive_in_b():
@@ -418,4 +419,4 @@ def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
     assert not a.is_alive() and not b.is_alive()
     assert seen == [(False, True)]
     assert waited
-    assert type(find_child(parent, toks[1])) is trie.AnswerLeaf
+    assert leaf_tokens(parent) == [toks[1]] and type(parent.payload) is list

@@ -9,16 +9,15 @@ from tabling.tablespace import Design, Table
 from tabling.terms import atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import (
     HASH_THRESHOLD,
-    AnswerLeaf,
     SyncMode,
+    add_leaf,
     check_insert_node,
     check_insert_path_counted,
     get_or_create_payload,
-    link_child,
     new_locks,
     new_root,
 )
-from trie_helpers import child_tokens, find_child
+from trie_helpers import child_tokens, find_child, leaf_tokens
 
 A = atom_tok(intern_symbol("a"))
 P = (intern_symbol("p"), 2)
@@ -52,7 +51,9 @@ def _chain(parent):
 
 def _assert_indexes(root):
     """Every parent has an index exactly when its chain reached the
-    threshold, and the index maps the chain's tokens to the chain's nodes."""
+    threshold, and the index maps the chain's tokens to the chain's nodes.
+    A parent of answer leaves has no chain, and its container is a list of
+    distinct tokens below the threshold and a set from there on."""
     stack = [root]
     while stack:
         parent = stack.pop()
@@ -63,7 +64,12 @@ def _assert_indexes(root):
             assert parent.index is not None
             assert len(parent.index) == len(chain)
             assert all(parent.index[node.token] is node for node in chain)
-        stack.extend(node for node in chain if type(node) is not AnswerLeaf)
+        leaves = parent.payload
+        if leaves is not None:
+            assert not chain
+            assert type(leaves) is (list if len(leaves) < HASH_THRESHOLD else set)
+            assert len(set(leaves)) == len(leaves)
+        stack.extend(chain)
 
 
 @pytest.mark.parametrize("mode", list(SyncMode))
@@ -158,13 +164,17 @@ def test_path_rejects_empty():
 
 
 def _nodes_and_leaf_paths(root):
-    """The number of nodes below `root`, and the token path to each leaf."""
+    """The number of nodes and answer leaves below `root`, and the token path
+    to each leaf: a childless node, or a token in a node's leaf container."""
     count, leaves = 0, set()
     todo = [(root, ())]
     while todo:
         node, path = todo.pop()
-        child = None if type(node) is AnswerLeaf else node.first_child
-        if child is None and path:
+        child = node.first_child
+        tokens = leaf_tokens(node)
+        count += len(tokens)
+        leaves.update(path + (tok,) for tok in tokens)
+        if child is None and path and not tokens:
             leaves.add(path)
         while child is not None:
             count += 1
@@ -252,7 +262,7 @@ def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
     # 8 threads, each with its own FS frame on one subgoal entry, insert the
     # same two-token answer paths into its one trie, with chains past the
     # threshold: each path is new to exactly one insert, which logs it once,
-    # and every path ends in an AnswerLeaf
+    # and every path ends in a leaf token in its parent's container
     rng = random.Random(5)
     paths = sorted({(int_tok(rng.randrange(3)), int_tok(rng.randrange(30)))
                     for _ in range(200)})
@@ -270,8 +280,8 @@ def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
         barrier.wait()
         for path in mine:
             made = table.new_answer_tokens(frame, path)
-            leaf = find_child(find_child(root, path[0]), path[1])
-            results[tid].append((path, type(leaf), made))
+            leaf = path[1] in leaf_tokens(find_child(root, path[0]))
+            results[tid].append((path, leaf, made))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     interval = sys.getswitchinterval()
@@ -290,7 +300,7 @@ def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
     root, log = entry.answer_root, entry.answers
     done = [r for rs in results for r in rs]
     assert len(done) == 8 * len(paths)
-    assert {leaf_type for _, leaf_type, _ in done} == {AnswerLeaf}
+    assert {leaf for _, leaf, _ in done} == {True}
     assert sorted(path for path, _, made in done if made) == paths
     assert sorted(zip(log[::2], log[1::2])) == paths
     assert _nodes_and_leaf_paths(root) == (len({p[:1] for p in paths}) + len(paths),
@@ -304,13 +314,15 @@ class _Interloper:
     lock-free look-up and its lock; a refused trylock then fails once.
 
     With a `log`, `tok` is the leaf of the answer `path`, which the other
-    writer logs before it links the leaf, as a shared insert does."""
+    writer logs before it adds the leaf to `parent`'s container, as a shared
+    insert does; `node` is then that token, and `looked` the container as the
+    caller's look left it."""
 
     def __init__(self, parent, tok, refuse, log=None, path=()):
         self._lock = threading.Lock()
         self.parent, self.tok, self.refuse = parent, tok, refuse
         self.log, self.path = log, path
-        self.node = None
+        self.node = self.looked = None
 
     def __len__(self):
         return 1
@@ -323,8 +335,10 @@ class _Interloper:
             if self.log is None:
                 self.node = check_insert_node(self.parent, self.tok, SyncMode.NONE)
             else:
+                self.looked = leaves = self.parent.payload
                 self.log.extend(self.path)
-                self.node = link_child(self.parent, self.tok, self.parent.index, AnswerLeaf)
+                add_leaf(self.parent, leaves, self.tok)
+                self.node = self.tok
             if self.refuse:
                 return False
         return self._lock.acquire(blocking)
@@ -364,7 +378,7 @@ def test_recheck_finds_a_child_inserted_before_the_lock(mode, refuse, children):
 @pytest.mark.parametrize("level", ["inner", "leaf"])
 def test_fs_answer_recheck_finds_a_node_linked_before_the_lock(mode, refuse, children, level):
     # another writer links the answer's inner node, or logs the answer and
-    # links its leaf, between the FS walk's unlocked look and its lock
+    # adds its leaf, between the FS walk's unlocked look and its lock
     table = Table({P}, Design.FS, mode)
     frame = table.subgoal_call(table.entries[P], SUBGOAL, 0)
     root, log = frame.answer_root, frame.answers
@@ -388,12 +402,49 @@ def test_fs_answer_recheck_finds_a_node_linked_before_the_lock(mode, refuse, chi
     assert made is (level == "inner")
     answers.append(toks)
     assert sorted(zip(log[::2], log[1::2])) == sorted(answers)
-    assert find_child(parent, tok) is locks.node
-    assert child_tokens(parent).count(tok) == 1
+    if level == "inner":
+        assert find_child(parent, tok) is locks.node
+        assert child_tokens(parent).count(tok) == 1
+    else:
+        assert locks.node == tok
+        assert leaf_tokens(parent).count(tok) == 1
     assert _nodes_and_leaf_paths(root) == (len({a[:1] for a in answers}) + len(answers),
                                            set(answers))
     assert not locks._lock.locked()
     _assert_indexes(root)
+
+
+@pytest.mark.parametrize("mode, refuse", [(SyncMode.LOCK, False),
+                                          (SyncMode.TRYLOCK, False),
+                                          (SyncMode.TRYLOCK, True)])
+def test_fs_leaf_recheck_finds_the_token_whose_add_made_the_set(mode, refuse):
+    # the answer's unlocked look reads a list of THRESHOLD - 1 leaf tokens;
+    # before its lock, another writer logs the answer and adds the
+    # threshold-th token, which replaces that list by a set.  The insert must
+    # find the token in the set, under the lock or on the retry after a
+    # refused trylock, and change nothing.
+    table = Table({P}, Design.FS, mode)
+    frame = table.subgoal_call(table.entries[P], SUBGOAL, 0)
+    x = int_tok(999)
+    listed = [int_tok(i) for i in range(HASH_THRESHOLD - 1)]
+    for tok in listed:
+        assert table.new_answer_tokens(frame, (x, tok))
+    parent = find_child(frame.answer_root, x)
+    assert type(parent.payload) is list
+    toks = (x, int_tok(1000))
+    locks = table.locks = _Interloper(parent, toks[1], refuse, frame.answers, toks)
+    log = frame.answers
+    ats = table.snapshot_counters().ats
+    assert not table.new_answer_tokens(frame, toks)
+    # the look held the list, which the change left as it was
+    assert type(locks.looked) is list and locks.looked == listed
+    assert type(parent.payload) is set and parent.payload == {*listed, toks[1]}
+    # only the other writer logged the answer, and this insert made nothing
+    assert frame.answers is log
+    assert log == [t for tok in listed for t in (x, tok)] + list(toks)
+    assert table.snapshot_counters().ats == ats
+    assert not locks._lock.locked()
+    _assert_indexes(frame.answer_root)
 
 
 class _HeldUntilYield:

@@ -1,4 +1,4 @@
-"""Test-only views of a trie chain."""
+"""Test-only views of a trie chain and of an answer trie's leaf container."""
 
 from tabling.trie import TrieNode
 
@@ -21,3 +21,10 @@ def find_child(parent: TrieNode, tok: int) -> TrieNode | None:
             return child
         child = child.sibling
     return None
+
+
+def leaf_tokens(parent: TrieNode) -> list[int]:
+    """The answer-leaf tokens in `parent`'s leaf container, in the order they
+    were added while it is a list; none if it has no container."""
+    leaves = parent.payload
+    return [] if leaves is None else list(leaves)
