@@ -36,7 +36,7 @@ from .terms import (
     intern_symbol,
     term_str,
 )
-from .trie import SyncMode, TrieNode, check_insert_node
+from .trie import SyncMode, TrieNode
 
 __version__ = "0.1.0"
 
@@ -47,7 +47,7 @@ __all__ = [
     "ParallelResult", "ParseError", "Program",
     "ProgramError", "Recursion", "SubgoalFrame", "SyncMode", "Table",
     "TablingError", "Term", "TrieNode", "Var",
-    "atom", "bucket_cell", "check_insert_node", "compound", "default_query",
+    "atom", "bucket_cell", "compound", "default_query",
     "desk_instances", "gen_edges",
     "intern_symbol", "make_program", "oracle_solve", "parse_bench_spec",
     "parse_program", "parse_query", "program_text", "solve_parallel",

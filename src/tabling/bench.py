@@ -80,8 +80,8 @@ def gen_edges(config: EdgeConfig, allow_paper_scale: bool = False) -> list[tuple
 
     Depths beyond the desk-scale default are refused unless
     `allow_paper_scale` is set: time and memory grow with the answers
-    (NS/1t `pathleft:btree:16`, 917,506 answers: 2.2 s reported, 249 MiB
-    peak RSS, on one vCPU under CPython 3.11.7).
+    (NS/1t `pathleft:btree:16`, 917,506 answers: 1.7-1.8 s reported,
+    218 MiB peak RSS, on one vCPU under CPython 3.11.7).
     """
     kind, d = config.kind, config.depth
     if d > DESK_DEPTHS[kind] and not allow_paper_scale:

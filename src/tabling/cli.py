@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--design", default="fs",
                    help="comma list of table designs: ns|ss|fs")
     p.add_argument("--lock", default="trylock",
-                   help="comma list of lock modes: none|lock|trylock")
+                   help="comma list of lock modes: lock|trylock")
     p.add_argument("--threads", default="1", help="comma list of thread counts")
     p.add_argument("--repeat", type=int, default=5, metavar="N",
                    help="runs to average the timing over (default 5)")

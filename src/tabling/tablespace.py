@@ -44,15 +44,12 @@ from enum import Enum
 
 from . import trie
 from .buckets import BucketArray
-from .errors import ConfigurationError, EvaluationError
+from .errors import EvaluationError
 from .terms import TAG_VAR, Term, Token, TokenSeq, decode_answers
 from .trie import SyncMode, TrieNode, add_leaf, link_child
 
 EVALUATING = 0
 COMPLETE = 1
-
-_NONE = SyncMode.NONE
-_LOCK = SyncMode.LOCK
 
 
 class Design(Enum):
@@ -128,8 +125,10 @@ class SubgoalFrame:
 class SubgoalEntry:
     """FS-only shared record for one subgoal call: the shared answer trie,
     its arrival-ordered flat answer log, and the bucket array of per-thread
-    frames.  Creation is serialized on the table's write lock that the
-    subgoal-trie leaf selects.  Every thread's frame reads this one log, so
+    frames.  The thread that links the subgoal-trie leaf makes the entry
+    while it holds the lock of the leaf's parent, and the leaf is linked
+    with the entry already in its payload, so every thread that reaches the
+    leaf finds this one entry.  Every thread's frame reads this one log, so
     an answer is new at most once table-wide, whichever thread derives it
     first.  The thread that adds an answer's leaf token extends the log
     first, while it holds the lock of the token's parent, so a leaf any
@@ -166,16 +165,12 @@ class Table:
 
     def __init__(self, tabled_preds, design: Design,
                  sync: SyncMode = SyncMode.TRYLOCK):
-        if design is not Design.NS and sync is SyncMode.NONE:
-            raise ConfigurationError(
-                f"{design.value} shares tries between threads and needs lock or trylock"
-            )
         self.design = design
-        # shared-structure modes: NS tries are all single-owner
-        self.subgoal_mode = SyncMode.NONE if design is Design.NS else sync
-        self.answer_mode = sync if design is Design.FS else SyncMode.NONE
-        # the write locks of every shared trie; NS tries are never locked
+        # the write locks of the shared tries, None for tries a thread owns:
+        # NS shares none, SS its subgoal tries and FS its answer tries too
         self.locks = None if design is Design.NS else trie.new_locks()
+        self.answer_locks = self.locks if design is Design.FS else None
+        self.blocking = sync is SyncMode.LOCK
         self.entries: dict = {
             pred: TableEntry(pred, design) for pred in tabled_preds}
         # each thread's allocation counts, made on its first subgoal call
@@ -187,31 +182,32 @@ class Table:
     def subgoal_call(self, te: TableEntry, toks: TokenSeq, tid: int) -> SubgoalFrame:
         """Resolve the design-appropriate root, check/insert the subgoal path,
         and get-or-create this thread's frame at the leaf.  Idempotent per
-        (subgoal, thread)."""
+        (subgoal, thread).  A shared leaf is linked with its payload, so the
+        call that links it counts that payload."""
         tally = self._tallies[tid]
-        if self.design is Design.NS:
+        if self.design is Design.NS:  # private leaf -> this thread's frame
             root, _, made_level = te.roots.get_or_create(tid, trie.new_root)
-            leaf, created, _ = trie.check_insert_path_counted(root, toks, _NONE)
+            leaf, created, made = trie.check_insert_path_counted(root, toks)
             tally.ba += made_level
             tally.sts += created
-            frame = leaf.payload
-            if frame is None:
-                frame = leaf.payload = SubgoalFrame(te.pred, toks, tid)
+            if made:
+                leaf.payload = SubgoalFrame(te.pred, toks, tid)
                 tally.sf += 1
-            return frame
-        leaf, created, _ = trie.check_insert_path_counted(
-            te.root, toks, self.subgoal_mode, self.locks)
+            return leaf.payload
+        ss = self.design is Design.SS
+        leaf, created, made = trie.check_insert_path_counted(
+            te.root, toks, self.locks, self.blocking, BucketArray if ss else SubgoalEntry)
         tally.sts += created
-        if self.design is Design.SS:  # leaf -> bucket array of frames
-            entry = None
-            cells, made = trie.get_or_create_payload(leaf, BucketArray, self.locks)
+        tally.ba += made
+        if ss:  # leaf -> bucket array of frames
+            entry, cells = None, leaf.payload
         else:  # FS: leaf -> subgoal entry -> its bucket array of frames
-            entry, made = trie.get_or_create_payload(leaf, SubgoalEntry, self.locks)
+            entry = leaf.payload
             cells = entry.frames
             tally.se += made
         frame, made_frame, made_level = cells.get_or_create(
             tid, lambda: SubgoalFrame(te.pred, toks, tid, entry))
-        tally.ba += made + made_level
+        tally.ba += made_level
         tally.sf += made_frame
         return frame
 
@@ -237,7 +233,7 @@ class Table:
         """
         if frame.state != EVALUATING:
             raise EvaluationError("new_answer on a completed subgoal")
-        shared = self.answer_mode is not _NONE
+        locks = self.answer_locks
         node = frame.answer_root
         created = 0
         seen = None  # where the last unhashed look started; unused once hashed
@@ -255,9 +251,8 @@ class Table:
                 while child is not None and child.token != tok:
                     child = child.sibling
             if child is None:
-                if shared:
-                    child, made = trie.insert_shared(
-                        node, tok, self.locks, self.answer_mode is _LOCK, seen)
+                if locks is not None:
+                    child, made = trie.insert_shared(node, tok, locks, self.blocking, seen)
                     created += made
                 else:
                     child = link_child(node, tok, index)
@@ -267,9 +262,9 @@ class Table:
         leaves = node.payload
         made = leaves is None or tok not in leaves
         if made:
-            if shared:
-                made = trie.insert_leaf_shared(node, tok, self.locks,
-                                               self.answer_mode is _LOCK, frame.answers, toks)
+            if locks is not None:
+                made = trie.insert_leaf_shared(node, tok, locks, self.blocking,
+                                               frame.answers, toks)
                 created += made
             else:
                 frame.answers.extend(toks)
@@ -333,8 +328,7 @@ class Table:
         elif self.design is Design.SS:
             for te in self.entries.values():
                 for leaf in self._leaves(te.root):
-                    if leaf.payload is not None:
-                        leaf.payload.clear(tid)
+                    leaf.payload.clear(tid)
 
     @staticmethod
     def _leaves(root: TrieNode):

@@ -13,45 +13,47 @@ the chain first and then adds the index entry.  Readers look a token up
 through the index when there is one and scan the chain otherwise, without
 any lock.
 
-`check_insert_path_counted` supports three synchronization modes:
+A trie is shared exactly when its writers pass `locks`, the array of write
+locks its table made with `new_locks`; `locks=None` means the caller owns
+the trie and links a missing token at once.  A shared insert looks up
+without a lock and, only if the token is absent, takes the parent's lock,
+re-checks only what was linked since that look (the new head segment of the
+chain, or the index once it exists) and links the node.  `blocking` says
+how it takes the lock, as the two `SyncMode`s name it:
 
-* NONE     - caller owns the trie; plain lookup and insert, no locking,
-             on a path of its own.
-* LOCK     - look up without the lock; if the token is absent, block on the
-             parent's lock, re-check only what was linked since that look
-             (the new head segment of the chain, or the index once it
-             exists), then insert.  LOCK thus looks once without the lock
-             and once with it.
-* TRYLOCK  - like LOCK, but never blocks: each failed lock attempt yields
-             the interpreter and re-checks what was linked since the
-             previous look before it tries again.
+* LOCK     - the acquire blocks, so a miss looks once without the lock and
+             once with it.
+* TRYLOCK  - the acquire never blocks: each failed attempt yields the
+             interpreter and re-checks what was linked since the previous
+             look before it tries again.
 
-The unlocked look is the caller's own walk, in every mode: a token the trie
+The unlocked look is the caller's own walk either way: a token the trie
 already holds costs no call and no lock.  Only a missing token leaves the
-walk, under NONE for `link_child` and under LOCK and TRYLOCK for
-`insert_shared`, the one locked insert of a node, which differs between the
-two only in whether its lock acquire blocks.
+walk, for `link_child` in an owned trie or for `insert_shared`, the one
+locked insert of a node.  In a shared trie the node that ends a path can be
+given its payload as it is linked, under that same lock, so no thread ever
+reaches it without one: a shared subgoal leaf and its frames are thus made
+by one lock acquire.
 
 An answer trie has a fixed depth, the width of its call's answers, so its
 last level needs no nodes: the node above it keeps its leaf tokens in one
-container in its `payload`, which answer tries use for nothing else, a `list`
-below `HASH_THRESHOLD` tokens and a `set` from then on, in the role of
-YapTab's hashed chain.  A look is `tok in leaves`, one C call, and an answer
-costs a slot there, not an object.  Inner answer nodes and subgoal tries stay
-`TrieNode` chains.  `add_leaf` grows a container; a list that reaches the
-threshold is replaced by a set in one assignment and never written again, so
-a reader holding it misses at most a token, which it then finds under the
-lock.  A token is added only after its answer is logged, by the owner of an
-unshared trie (`Table.new_answer_tokens`) or under the parent's lock
+container in its `payload`, which answer tries use for nothing else, a
+`tuple` below `HASH_THRESHOLD` tokens and a `set` from then on, in the role
+of YapTab's hashed chain.  A look is `tok in leaves`, one C call, and an
+answer costs a slot there, not an object.  Inner answer nodes and subgoal
+tries stay `TrieNode` chains.  `add_leaf` grows a container; a tuple is
+never changed, only replaced by a longer tuple or, at the threshold, by a
+set, each in one assignment, so a reader holding an old container misses at
+most a token, which it then finds under the lock.  A token is added only
+after its answer is logged, by the owner of an unshared trie
+(`Table.new_answer_tokens`) or under the parent's lock
 (`insert_leaf_shared`), so a thread that finds a token finds its answer
 logged.
 
-Write locks are not per node: a table makes one small array of locks with
-`new_locks`, and a parent's writers take the lock `hash(parent)` selects
-from it (`get_or_create_payload` takes the leaf's).  All writers of one
-sibling chain thus share a lock, and two chains rarely do.  No code path
-holds two of these locks at once, so a shared lock costs a wait, never a
-deadlock.
+Write locks are not per node: a parent's writers take the lock
+`hash(parent)` selects from the table's array.  All writers of one sibling
+chain thus share a lock, and two chains rarely do.  No code path holds two
+of these locks at once, so a shared lock costs a wait, never a deadlock.
 """
 
 from __future__ import annotations
@@ -59,7 +61,8 @@ from __future__ import annotations
 import threading
 import time
 from enum import Enum
-from typing import Any, Callable, Sequence
+from operator import length_hint
+from typing import Any, Callable
 
 from .terms import TokenSeq
 
@@ -68,7 +71,6 @@ N_LOCKS = 16        # write locks per table
 
 
 class SyncMode(Enum):
-    NONE = "none"
     LOCK = "lock"
     TRYLOCK = "trylock"
 
@@ -79,12 +81,12 @@ ROOT_TOKEN = 0  # packed tokens always have a nonzero tag, so 0 never collides
 class TrieNode:
     __slots__ = ("token", "first_child", "sibling", "index", "payload")
 
-    def __init__(self, token: int, sibling: TrieNode | None = None):
+    def __init__(self, token: int, sibling: TrieNode | None = None, payload: Any = None):
         self.token = token
         self.first_child: TrieNode | None = None
         self.sibling = sibling
         self.index: dict[int, TrieNode] | None = None
-        self.payload: Any = None
+        self.payload = payload
 
     def __repr__(self) -> str:  # debugging aid only
         return f"<TrieNode {self.token}>"
@@ -99,9 +101,8 @@ def new_locks() -> list:
     return [threading.Lock() for _ in range(N_LOCKS)]
 
 
-_LOCKS = new_locks()  # for callers that bring no locks of their own
 _BELOW_THRESHOLD = range(HASH_THRESHOLD - 1)
-_LIST_MAX = HASH_THRESHOLD - 1  # leaf tokens a container holds as a list
+_TUPLE_MAX = HASH_THRESHOLD - 1  # leaf tokens a container holds as a tuple
 
 
 def _hash_chain(parent: TrieNode) -> None:
@@ -113,11 +114,12 @@ def _hash_chain(parent: TrieNode) -> None:
     parent.index = index
 
 
-def link_child(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
-    """Insert `tok` at the head of a chain known not to hold it; the caller
-    owns the chain or holds its lock, and passes the parent's `index` as it
-    read it."""
-    child = parent.first_child = TrieNode(tok, parent.first_child)
+def link_child(parent: TrieNode, tok: int, index: dict | None,
+               payload: Any = None) -> TrieNode:
+    """Insert `tok`, with its `payload`, at the head of a chain known not to
+    hold it; the caller owns the chain or holds its lock, and passes the
+    parent's `index` as it read it."""
+    child = parent.first_child = TrieNode(tok, parent.first_child, payload)
     if index is not None:
         index[tok] = child
         return child
@@ -133,12 +135,15 @@ def link_child(parent: TrieNode, tok: int, index: dict | None) -> TrieNode:
 
 
 def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
-                  seen: TrieNode | None) -> tuple[TrieNode, bool]:
-    """The LOCK and TRYLOCK insert of a `tok` that the caller's unlocked look
-    did not find under `parent`, scanning the chain down from `seen` (unused
-    once the chain is hashed).  It takes the parent's lock and re-checks only
-    what was linked since that look; a failed trylock yields and re-checks
-    before it tries again.  Returns (child, whether this call linked it)."""
+                  seen: TrieNode | None,
+                  payload: Callable[[], Any] | None = None) -> tuple[TrieNode, bool]:
+    """The shared insert of a `tok` that the caller's unlocked look did not
+    find under `parent`, scanning the chain down from `seen` (unused once the
+    chain is hashed).  It takes the parent's lock, blocking or not, and
+    re-checks only what was linked since that look; a failed trylock yields
+    and re-checks before it tries again.  If it links the node, it first
+    calls `payload`, if given, under the lock for the node's payload.
+    Returns (child, whether this call linked it)."""
     lock = locks[hash(parent) % len(locks)]
     held = False
     try:
@@ -160,31 +165,32 @@ def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
                     child = child.sibling
                 seen = first
             if held:
-                return link_child(parent, tok, index), True
+                return link_child(parent, tok, index,
+                                  None if payload is None else payload()), True
     finally:
         if held:
             lock.release()
 
 
-def add_leaf(parent: TrieNode, leaves: list | set | None, tok: int) -> None:
+def add_leaf(parent: TrieNode, leaves: tuple | set | None, tok: int) -> None:
     """Add the answer leaf `tok`, known to be absent, to `parent`'s leaf
     container `leaves` as the caller read it from `payload`; the caller owns
-    the container or holds its lock.  A list that would reach
-    `HASH_THRESHOLD` tokens is replaced by a set and left as it was."""
+    the container or holds its lock.  A tuple is replaced by one a token
+    longer, or by a set once it would reach `HASH_THRESHOLD` tokens."""
     if leaves is None:
-        parent.payload = [tok]
+        parent.payload = (tok,)
     elif type(leaves) is set:
         leaves.add(tok)
-    elif len(leaves) < _LIST_MAX:
-        leaves.append(tok)
+    elif len(leaves) < _TUPLE_MAX:
+        parent.payload = (*leaves, tok)
     else:
         parent.payload = {*leaves, tok}
 
 
 def insert_leaf_shared(parent: TrieNode, tok: int, locks, blocking: bool,
                        log: list, path: TokenSeq) -> bool:
-    """The LOCK and TRYLOCK insert of an answer leaf `tok` that the caller's
-    unlocked look did not find in `parent`'s leaf container.  It takes the
+    """The shared insert of an answer leaf `tok` that the caller's unlocked
+    look did not find in `parent`'s leaf container.  It takes the
     parent's lock, re-reads `payload` and re-checks; a failed trylock yields
     and re-checks before it tries again.  Still holding the lock, it extends
     `log` by the answer's `path` and then adds the leaf.  Returns whether
@@ -208,24 +214,19 @@ def insert_leaf_shared(parent: TrieNode, tok: int, locks, blocking: bool,
             lock.release()
 
 
-_NONE = SyncMode.NONE
-_LOCK = SyncMode.LOCK
-
-
-def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode,
-                      locks: Sequence = _LOCKS) -> TrieNode:
-    """Return the unique child of `parent` carrying `tok`, inserting it if absent."""
-    return check_insert_path_counted(parent, (tok,), mode, locks)[0]
-
-
 def check_insert_path_counted(
-    root: TrieNode, toks: TokenSeq, mode: SyncMode, locks: Sequence = _LOCKS,
+    root: TrieNode, toks: TokenSeq, locks=None, blocking: bool = False,
+    payload: Callable[[], Any] | None = None,
 ) -> tuple[TrieNode, int, bool]:
-    """Fold check_insert_node over a token sequence, reporting (leaf node,
-    created node count, leaf created).
+    """Check/insert a token path below `root`, reporting (last node, created
+    node count, leaf created).  `locks` is the trie's lock array if it is
+    shared, taken blocking or not, and None if the caller owns it.
 
-    `leaf created` is True iff the final node of the path did not exist
-    before this call, i.e. the whole path is new to the trie.
+    `leaf created` is True iff this call linked the path's last node, i.e.
+    the whole path is new to the trie.  In a shared trie only then does it
+    call `payload`, if given, under the lock for that node's payload, which
+    is thus set before any thread can reach the node; the owner of an
+    unshared trie sets the payload itself.
     """
     if not toks:
         raise ValueError("empty token path")
@@ -233,7 +234,8 @@ def check_insert_path_counted(
     created = 0
     made = False
     seen = None  # where the last unhashed look started; unused once hashed
-    for tok in toks:
+    rest = iter(toks)  # a shared miss reads from its length whether it is the last node
+    for tok in rest:
         # look without a lock; only a missing token leaves the walk
         index = node.index
         if index is not None:
@@ -244,31 +246,11 @@ def check_insert_path_counted(
                 child = child.sibling
         made = child is None
         if made:
-            if mode is _NONE:
+            if locks is None:
                 child = link_child(node, tok, index)
             else:
-                child, made = insert_shared(node, tok, locks, mode is _LOCK, seen)
+                child, made = insert_shared(node, tok, locks, blocking, seen,
+                                            None if length_hint(rest) else payload)
             created += made
         node = child
     return node, created, made
-
-
-def get_or_create_payload(
-    leaf: TrieNode, factory: Callable[[], Any], locks: Sequence
-) -> tuple[Any, bool]:
-    """Get-or-create the opaque attachment of a shared leaf.
-
-    Creation is serialized on the leaf's lock from `locks`, so concurrent
-    callers agree on a single payload.
-    """
-    payload = leaf.payload
-    if payload is not None:
-        return payload, False
-    with locks[hash(leaf) % len(locks)]:
-        payload = leaf.payload
-        if payload is None:
-            payload = factory()
-            leaf.payload = payload
-            return payload, True
-    return payload, False
-

@@ -22,8 +22,8 @@ from tabling.engine import EvalConfig, solve_parallel
 from tabling.oracle import oracle_solve
 from tabling.tablespace import COMPLETE, Design
 from tabling.terms import int_tok
-from tabling.trie import SyncMode, check_insert_node, new_root
-from trie_helpers import child_tokens, find_child
+from tabling.trie import SyncMode, new_root
+from trie_helpers import check_insert_node, child_tokens, find_child
 
 WORKERS = max(1, min(4, os.cpu_count() or 1))
 THREAD_COUNTS = (1, 2, 8, 16)

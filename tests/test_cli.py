@@ -27,11 +27,14 @@ def test_bench_run_with_check(capsys):
     assert row["design"] == "fs" and row["lock"] == "trylock" and row["threads"] == "2"
 
 
-def test_shared_design_with_none_lock_is_a_configuration_error(capsys):
-    code = run_command(["--bench", "pathleft:cycle:5", "--design", "fs",
-                        "--lock", "none", "--repeat", "1"])
-    assert code == 1
-    assert "configuration error" in capsys.readouterr().err
+def test_none_lock_is_a_usage_error_under_every_design(capsys):
+    # a trie is shared exactly when it has locks: no lock mode is none
+    for design in ("ns", "ss", "fs"):
+        code = run_command(["--bench", "pathleft:cycle:5", "--design", design,
+                            "--lock", "none", "--repeat", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "'none'" in err, design
 
 
 def test_sweep_produces_cartesian_rows(capsys):

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from tabling import engine, terms
+from tabling import engine, terms, trie
 from tabling.bench import default_query, make_program, parse_bench_spec
 from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
@@ -83,6 +83,42 @@ def test_parallel_answer_sets_match_oracle(design, sync):
     result = solve_parallel(program, query,
                             EvalConfig(design=design, sync=sync, threads=8))
     assert all(a == want for a in result.answer_sets)
+
+
+class _RecordingLock:
+    """A trie write lock that records whether each acquire may block."""
+
+    def __init__(self, acquires):
+        self._lock = threading.Lock()
+        self.acquires = acquires
+
+    def acquire(self, blocking=True, timeout=-1):
+        self.acquires.append(blocking)
+        return self._lock.acquire(blocking, timeout)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        return self.acquire()
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+@pytest.mark.parametrize("design", [Design.SS, Design.FS])
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+def test_trylock_never_blocks_and_lock_always_does(monkeypatch, design, sync):
+    # every trie lock a 2-thread solve takes, subgoal leaves and their
+    # payloads included, is taken as the lock mode says
+    acquires = []
+    monkeypatch.setattr(trie, "new_locks",
+                        lambda: [_RecordingLock(acquires) for _ in range(trie.N_LOCKS)])
+    program, query = bench_program("pathright:cycle:6")
+    result = solve_parallel(program, query, EvalConfig(design, sync, 2))
+    assert all(a == oracle_solve(program, query) for a in result.answer_sets)
+    assert acquires
+    assert set(acquires) == {sync is SyncMode.LOCK}
 
 
 def test_fs_preempted_answer_inserts_lose_nothing():
@@ -238,14 +274,14 @@ def test_round_watchdog_herbrand_bound_never_triggers():
 
 
 def test_config_validation():
-    program, query = bench_program("pathleft:cycle:3")
-    with pytest.raises(ConfigurationError):
-        solve_parallel(program, query, EvalConfig(design=Design.FS, sync=SyncMode.NONE))
+    # a trie is shared exactly when it has locks, so there is no mode none
+    assert [m.value for m in SyncMode] == ["lock", "trylock"]
+    with pytest.raises(ValueError):
+        SyncMode("none")
     with pytest.raises(ConfigurationError):
         EvalConfig(design=Design.NS, threads=0).validate()
     with pytest.raises(ConfigurationError):
         EvalConfig(design=Design.NS, threads=1025).validate()
-    EvalConfig(design=Design.NS, sync=SyncMode.NONE).validate()  # fine: private tries
 
 
 def test_determinism_across_runs():
@@ -752,10 +788,13 @@ def test_table_holds_tokens_never_terms(release):
                 if isinstance(o, SubgoalFrame):
                     nvars = len({t for t in o.tokens[1:] if t & 7 == terms.TAG_VAR})
                     assert width == (nvars or 1)
-            # and no answer is kept as a tuple of its tokens
+            # and no answer is kept as a tuple of its tokens; a leaf container
+            # is a tuple of leaf tokens, which may equal an answer's
             answers = {tuple(terms.int_tok(t.value) for t in a) or (terms.TRUE_TOK,)
                        for a in result.answer_sets[0]}
-            assert not any(type(o) is tuple and o in answers for o in met), (design, text)
+            containers = {id(o.payload) for o in met if type(o) is TrieNode}
+            assert not any(type(o) is tuple and o in answers and id(o) not in containers
+                           for o in met), (design, text)
 
 
 def _leaf_paths(root):
@@ -800,11 +839,11 @@ def test_answer_tries_end_in_answer_leaves(design, threads):
                 assert type(node) is TrieNode, (design, text, depth, width)
                 child = node.first_child
                 if depth + 1 == width:
-                    # no node below: a list below the threshold, a set from it on
+                    # no node below: a tuple below the threshold, a set from it on
                     assert child is None and node.index is None, (design, text)
                     container = node.payload
                     assert type(container) is (
-                        list if len(container) < HASH_THRESHOLD else set), (design, text)
+                        tuple if len(container) < HASH_THRESHOLD else set), (design, text)
                     containers.add(id(container))
                     leaves.extend(container)
                     continue
@@ -819,7 +858,7 @@ def test_answer_tries_end_in_answer_leaves(design, threads):
             assert len(leaves) == len(log) // width, (design, text)
         # no leaf container sits anywhere else in the table
         assert {id(o.payload) for o in met if type(o) is TrieNode
-                and type(o.payload) in (list, set)} == containers
+                and type(o.payload) in (tuple, set)} == containers
         te = result.table.entries[next(iter(result.table.entries))]
         roots = ([te.roots.get(tid) for tid in range(threads)]
                  if design is Design.NS else [te.root])

@@ -82,11 +82,12 @@ def test_shared_tries_take_the_tables_own_locks(monkeypatch, design, sync):
     for t in threads:
         t.join(timeout=60)
         assert not t.is_alive()
-    # the subgoal path and its payload, and under FS every answer node
+    # the subgoal path, its leaf linked with its payload, and under FS
+    # every answer node
     taken = sum(lock.acquires for lock in table.locks)
-    assert taken >= 4
+    assert taken >= 3
     if design is Design.FS:
-        assert taken >= 4 + table.snapshot_counters().ats
+        assert taken >= 3 + table.snapshot_counters().ats
 
 
 @pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
@@ -355,11 +356,17 @@ def test_indirect_thread_ids_work():
     assert c.ba == 2  # entry bucket array + one second-level array
 
 
-def test_shared_design_rejects_none_mode():
-    with pytest.raises(ConfigurationError):
-        Table({P}, Design.FS, SyncMode.NONE)
-    with pytest.raises(ConfigurationError):
-        Table({P}, Design.SS, SyncMode.NONE)
+def test_a_table_locks_exactly_the_tries_it_shares():
+    # there is no lock mode none: NS shares no trie, SS its subgoal tries
+    # and FS its answer tries too, and the lock mode only says how to lock
+    with pytest.raises(ValueError):
+        SyncMode("none")
+    for design in Design:
+        for sync in SyncMode:
+            table = make_table(design, sync)
+            assert (table.locks is None) is (design is Design.NS)
+            assert table.answer_locks is (table.locks if design is Design.FS else None)
+            assert table.blocking is (sync is SyncMode.LOCK)
 
 
 def test_thread_id_capacity():
@@ -419,4 +426,4 @@ def test_fs_answer_is_logged_before_its_leaf_is_linked(sync):
     assert not a.is_alive() and not b.is_alive()
     assert seen == [(False, True)]
     assert waited
-    assert leaf_tokens(parent) == [toks[1]] and type(parent.payload) is list
+    assert leaf_tokens(parent) == [toks[1]] and type(parent.payload) is tuple

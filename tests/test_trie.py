@@ -11,27 +11,27 @@ from tabling.trie import (
     HASH_THRESHOLD,
     SyncMode,
     add_leaf,
-    check_insert_node,
     check_insert_path_counted,
-    get_or_create_payload,
+    link_child,
     new_locks,
     new_root,
 )
-from trie_helpers import child_tokens, find_child, leaf_tokens
+from trie_helpers import check_insert_node, child_tokens, find_child, leaf_tokens
 
 A = atom_tok(intern_symbol("a"))
 P = (intern_symbol("p"), 2)
 SUBGOAL = (atom_tok(P[0]), var_tok(0), var_tok(1))  # the open call p(V0, V1)
+MODES = (None, SyncMode.LOCK, SyncMode.TRYLOCK)  # None: the caller owns the trie
 
 
 def test_insert_into_empty_chain():
     root = new_root()
-    node = check_insert_node(root, A, SyncMode.NONE)
+    node = check_insert_node(root, A)
     assert root.first_child is node
     assert node.token == A
 
 
-@pytest.mark.parametrize("mode", list(SyncMode))
+@pytest.mark.parametrize("mode", MODES)
 def test_insert_idempotent(mode):
     root = new_root()
     first = check_insert_node(root, A, mode)
@@ -52,7 +52,7 @@ def _chain(parent):
 def _assert_indexes(root):
     """Every parent has an index exactly when its chain reached the
     threshold, and the index maps the chain's tokens to the chain's nodes.
-    A parent of answer leaves has no chain, and its container is a list of
+    A parent of answer leaves has no chain, and its container is a tuple of
     distinct tokens below the threshold and a set from there on."""
     stack = [root]
     while stack:
@@ -67,12 +67,12 @@ def _assert_indexes(root):
         leaves = parent.payload
         if leaves is not None:
             assert not chain
-            assert type(leaves) is (list if len(leaves) < HASH_THRESHOLD else set)
+            assert type(leaves) is (tuple if len(leaves) < HASH_THRESHOLD else set)
             assert len(set(leaves)) == len(leaves)
         stack.extend(chain)
 
 
-@pytest.mark.parametrize("mode", list(SyncMode))
+@pytest.mark.parametrize("mode", MODES)
 def test_index_appears_at_the_threshold(mode):
     root = new_root()
     tokens = [int_tok(i) for i in range(HASH_THRESHOLD + 3)]
@@ -145,14 +145,14 @@ def test_path_fresh_and_shared_prefix():
     p = intern_symbol("p")
     root = new_root()
     path1 = (atom_tok(p), int_tok(1), int_tok(2))
-    leaf1, created, is_new = check_insert_path_counted(root, path1, SyncMode.NONE)
+    leaf1, created, is_new = check_insert_path_counted(root, path1)
     assert created == 3 and is_new
     # common prefixes are represented only once
     path2 = (atom_tok(p), int_tok(1), int_tok(3))
-    leaf2, created, is_new = check_insert_path_counted(root, path2, SyncMode.NONE)
+    leaf2, created, is_new = check_insert_path_counted(root, path2)
     assert created == 1 and is_new
     # re-inserting an existing path allocates nothing and returns the same leaf
-    leaf3, created, is_new = check_insert_path_counted(root, path1, SyncMode.NONE)
+    leaf3, created, is_new = check_insert_path_counted(root, path1)
     assert created == 0 and not is_new
     assert leaf3 is leaf1
     assert leaf2 is not leaf1
@@ -160,7 +160,7 @@ def test_path_fresh_and_shared_prefix():
 
 def test_path_rejects_empty():
     with pytest.raises(ValueError):
-        check_insert_path_counted(new_root(), (), SyncMode.NONE)[0]
+        check_insert_path_counted(new_root(), ())[0]
 
 
 def _nodes_and_leaf_paths(root):
@@ -190,7 +190,7 @@ def test_node_count_conservation_random_paths():
     nodes = 0
     for _ in range(500):
         path = tuple(int_tok(rng.randrange(5)) for _ in range(rng.randrange(1, 6)))
-        nodes += check_insert_path_counted(root, path, SyncMode.NONE)[1]
+        nodes += check_insert_path_counted(root, path)[1]
         prefixes.update(path[:i] for i in range(1, len(path) + 1))
     assert nodes == _nodes_and_leaf_paths(root)[0] == len(prefixes)
 
@@ -198,6 +198,7 @@ def test_node_count_conservation_random_paths():
 def test_concurrent_path_insertion_shares_nodes():
     p = intern_symbol("p")
     root = new_root()
+    locks = new_locks()
     rng = random.Random(3)
     all_paths = [(atom_tok(p), int_tok(rng.randrange(20)), int_tok(rng.randrange(20)))
                  for _ in range(300)]
@@ -208,7 +209,7 @@ def test_concurrent_path_insertion_shares_nodes():
         random.Random(tid).shuffle(mine)
         barrier.wait()
         for path in mine:
-            check_insert_path_counted(root, path, SyncMode.TRYLOCK)[0]
+            check_insert_path_counted(root, path, locks)[0]
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
     for t in threads:
@@ -310,18 +311,18 @@ def test_shared_answer_paths_are_logged_once_and_end_in_leaves(mode):
 
 class _Interloper:
     """A one-lock array whose first request first inserts `tok` under
-    `parent` itself, as if another writer got in between the caller's
-    lock-free look-up and its lock; a refused trylock then fails once.
+    `parent` itself, with `payload`, as if another writer got in between the caller's lock-free look-up and its
+    lock; a refused trylock then fails once.
 
     With a `log`, `tok` is the leaf of the answer `path`, which the other
     writer logs before it adds the leaf to `parent`'s container, as a shared
     insert does; `node` is then that token, and `looked` the container as the
     caller's look left it."""
 
-    def __init__(self, parent, tok, refuse, log=None, path=()):
+    def __init__(self, parent, tok, refuse, log=None, path=(), payload=None):
         self._lock = threading.Lock()
         self.parent, self.tok, self.refuse = parent, tok, refuse
-        self.log, self.path = log, path
+        self.log, self.path, self.payload = log, path, payload
         self.node = self.looked = None
 
     def __len__(self):
@@ -333,7 +334,7 @@ class _Interloper:
     def acquire(self, blocking=True):
         if self.node is None:
             if self.log is None:
-                self.node = check_insert_node(self.parent, self.tok, SyncMode.NONE)
+                self.node = link_child(self.parent, self.tok, self.parent.index, self.payload)
             else:
                 self.looked = leaves = self.parent.payload
                 self.log.extend(self.path)
@@ -362,7 +363,7 @@ def test_recheck_finds_a_child_inserted_before_the_lock(mode, refuse, children):
     # so the re-check goes through an index the look-up did not see
     root = new_root()
     for i in range(children):
-        check_insert_node(root, int_tok(i), SyncMode.NONE)
+        check_insert_node(root, int_tok(i))
     locks = _Interloper(root, int_tok(999), refuse)
     node = check_insert_node(root, int_tok(999), mode, locks)
     assert node is locks.node
@@ -395,7 +396,7 @@ def test_fs_answer_recheck_finds_a_node_linked_before_the_lock(mode, refuse, chi
         parent, tok, other_log = root, x, None
     else:
         parent, tok, other_log = find_child(root, x), toks[1], log
-    locks = table.locks = _Interloper(parent, tok, refuse, other_log, toks)
+    locks = table.answer_locks = _Interloper(parent, tok, refuse, other_log, toks)
     made = table.new_answer_tokens(frame, toks)
     assert locks.node is not None
     # only the leaf's writer tells the answer new
@@ -418,9 +419,9 @@ def test_fs_answer_recheck_finds_a_node_linked_before_the_lock(mode, refuse, chi
                                           (SyncMode.TRYLOCK, False),
                                           (SyncMode.TRYLOCK, True)])
 def test_fs_leaf_recheck_finds_the_token_whose_add_made_the_set(mode, refuse):
-    # the answer's unlocked look reads a list of THRESHOLD - 1 leaf tokens;
+    # the answer's unlocked look reads a tuple of THRESHOLD - 1 leaf tokens;
     # before its lock, another writer logs the answer and adds the
-    # threshold-th token, which replaces that list by a set.  The insert must
+    # threshold-th token, which replaces that tuple by a set.  The insert must
     # find the token in the set, under the lock or on the retry after a
     # refused trylock, and change nothing.
     table = Table({P}, Design.FS, mode)
@@ -430,14 +431,14 @@ def test_fs_leaf_recheck_finds_the_token_whose_add_made_the_set(mode, refuse):
     for tok in listed:
         assert table.new_answer_tokens(frame, (x, tok))
     parent = find_child(frame.answer_root, x)
-    assert type(parent.payload) is list
+    assert type(parent.payload) is tuple
     toks = (x, int_tok(1000))
-    locks = table.locks = _Interloper(parent, toks[1], refuse, frame.answers, toks)
+    locks = table.answer_locks = _Interloper(parent, toks[1], refuse, frame.answers, toks)
     log = frame.answers
     ats = table.snapshot_counters().ats
     assert not table.new_answer_tokens(frame, toks)
-    # the look held the list, which the change left as it was
-    assert type(locks.looked) is list and locks.looked == listed
+    # the look held the tuple, which the change left as it was
+    assert type(locks.looked) is tuple and list(locks.looked) == listed
     assert type(parent.payload) is set and parent.payload == {*listed, toks[1]}
     # only the other writer logged the answer, and this insert made nothing
     assert frame.answers is log
@@ -487,32 +488,61 @@ def test_failed_trylock_yields_before_retrying(monkeypatch):
 
 
 def test_shared_leaf_payload_is_created_once():
-    leaf = check_insert_path_counted(new_root(), (A,), SyncMode.LOCK)[0]
-    locks = new_locks()
-    made = []
-    results = [None] * 16
-    barrier = threading.Barrier(16)
+    # 16 threads race to link one new path, each with a payload factory:
+    # one of them links the leaf, and only its factory runs
+    for blocking in (True, False):
+        root = new_root()
+        locks = new_locks()
+        made = []
+        results = [None] * 16
+        barrier = threading.Barrier(16)
 
-    def factory():
-        payload = object()
-        made.append(payload)
-        time.sleep(0.001)  # widen the window for a second creator
-        return payload
+        def factory():
+            payload = object()
+            made.append(payload)
+            time.sleep(0.001)  # widen the window for a second creator
+            return payload
 
-    def work(tid):
-        barrier.wait()
-        results[tid] = get_or_create_payload(leaf, factory, locks)
+        def work(tid):
+            barrier.wait()
+            leaf, _, created = check_insert_path_counted(
+                root, (A, int_tok(1)), locks, blocking, factory)
+            results[tid] = leaf.payload, created
 
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(16)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert len(made) == 1
-    assert {id(payload) for payload, _ in results} == {id(made[0])}
-    assert sum(created for _, created in results) == 1
-    assert leaf.payload is made[0]
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(16)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+        assert len(made) == 1
+        assert {id(payload) for payload, _ in results} == {id(made[0])}
+        assert sum(created for _, created in results) == 1
+        assert find_child(find_child(root, A), int_tok(1)).payload is made[0]
+
+
+@pytest.mark.parametrize("mode, refuse", [(SyncMode.LOCK, False),
+                                          (SyncMode.TRYLOCK, False),
+                                          (SyncMode.TRYLOCK, True)])
+@pytest.mark.parametrize("children", [3, HASH_THRESHOLD - 1, HASH_THRESHOLD + 2])
+def test_leaf_linked_before_the_lock_keeps_the_other_payload(mode, refuse, children):
+    # another writer links the path's last node, with its own payload,
+    # between the caller's unlocked look and its lock: the caller's factory
+    # never runs, and the caller gets that node and payload, not created
+    root = new_root()
+    parent = check_insert_node(root, A)
+    for i in range(children):
+        check_insert_node(parent, int_tok(i))
+    theirs, ran = object(), []
+    leaf_tok = int_tok(999)
+    locks = _Interloper(parent, leaf_tok, refuse, payload=theirs)
+    leaf, created, made = check_insert_path_counted(
+        root, (A, leaf_tok), locks, mode is SyncMode.LOCK, lambda: ran.append(1))
+    assert leaf is locks.node and leaf.payload is theirs
+    assert (created, made, ran) == (0, False, [])
+    assert child_tokens(parent).count(leaf_tok) == 1
+    assert (parent.index is not None) is (children + 1 >= HASH_THRESHOLD)
+    assert not locks._lock.locked()
 
 
 class _RecordingLocks:
@@ -545,7 +575,7 @@ def test_lock_blocks_and_trylock_tries(mode, blocking, monkeypatch):
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
     locks = _RecordingLocks()
-    leaf = check_insert_path_counted(new_root(), (A, int_tok(1), int_tok(2)), mode, locks)[0]
+    leaf = check_insert_path_counted(new_root(), (A, int_tok(1), int_tok(2)), locks, blocking)[0]
     assert leaf.token == int_tok(2)
     assert set(locks.calls) == {blocking}
     if blocking:  # one blocking acquire per new node, and never a yield

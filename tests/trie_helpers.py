@@ -1,6 +1,18 @@
-"""Test-only views of a trie chain and of an answer trie's leaf container."""
+"""Test-only one-token inserts and views of a trie chain and of an answer
+trie's leaf container."""
 
-from tabling.trie import TrieNode
+from tabling.trie import SyncMode, TrieNode, check_insert_path_counted, new_locks
+
+LOCKS = new_locks()  # for shared inserts that bring no locks of their own
+
+
+def check_insert_node(parent: TrieNode, tok: int, mode: SyncMode | None = None,
+                      locks=LOCKS) -> TrieNode:
+    """The unique child of `parent` carrying `tok`, linked if absent: by the
+    caller alone when `mode` is None, else under `locks` as `mode` says."""
+    if mode is None:
+        locks = None
+    return check_insert_path_counted(parent, (tok,), locks, mode is SyncMode.LOCK)[0]
 
 
 def child_tokens(parent: TrieNode) -> list[int]:
@@ -25,6 +37,6 @@ def find_child(parent: TrieNode, tok: int) -> TrieNode | None:
 
 def leaf_tokens(parent: TrieNode) -> list[int]:
     """The answer-leaf tokens in `parent`'s leaf container, in the order they
-    were added while it is a list; none if it has no container."""
+    were added while it is a tuple; none if it has no container."""
     leaves = parent.payload
     return [] if leaves is None else list(leaves)
