@@ -86,10 +86,15 @@ def _parse_list(text: str, what: str, kind) -> list:
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise _Exit(f"usage error: empty {what} list")
-    try:
-        return [kind(s) for s in items]
-    except ValueError as exc:
-        raise _Exit(f"usage error: {exc}") from None
+    out = []
+    for s in items:
+        try:
+            out.append(kind(s))
+        except ValueError:
+            accepted = ("an integer" if kind is int
+                        else "one of " + ", ".join(m.value for m in kind))
+            raise _Exit(f"usage error: --{what}: {s!r} is not {accepted}") from None
+    return out
 
 
 def _cell(name: str, program, query, cfg: EvalConfig, repeat: int, oracle_answers) -> dict:

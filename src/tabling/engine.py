@@ -290,8 +290,9 @@ _UNFOLD_LIMIT = 10_000
 def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
     """Every tabled clause with each call of a non-tabled predicate defined
     by clauses replaced by the bodies of those clauses, and kept as one more
-    variant when the predicate also has facts.  Terminates because
-    validation rejects recursion through non-tabled predicates, and raises
+    variant when the predicate also has facts.  Unfolding stops at tabled
+    and fact literals, so it ends unless a cycle of calls is made only of
+    non-tabled predicates with clauses, which validation rejects.  Raises
     a ProgramError past `_UNFOLD_LIMIT` clauses made from one clause."""
     rules = {pred: cls for pred, cls in program.clauses.items()
              if pred not in program.tabled}
@@ -489,13 +490,11 @@ class _Eval:
     """One thread's evaluation state: the dependency stack and, slot for
     slot, the consumers left on each frame on it."""
 
-    def __init__(self, compiled: _Compiled, table: Table, tid: int, trace=None,
-                 max_rounds=None):
+    def __init__(self, compiled: _Compiled, table: Table, tid: int, trace=None):
         self.compiled = compiled
         self.table = table
         self.tid = tid
         self.trace = trace
-        self.max_rounds = max_rounds
         self.stack: list[SubgoalFrame] = []
         # per slot: [log offset read up to, r{i}, consumer frame, live locals]
         self.consumers: list[list[list]] = []
@@ -547,16 +546,14 @@ class _Eval:
         """Resume the consumers of the SCC led by `leader` in rounds until
         none has an answer left to join; complete and pop the SCC.  A round
         that links the SCC to an older frame leaves it on the stack, for the
-        real leader further down to complete."""
+        real leader further down to complete.  Only a round that joined
+        answers logged past a consumer's offset is followed by another, and
+        logs only grow, so there are at most as many rounds as answers + 1."""
         stack = self.stack
         consumers = self.consumers
         trace = self.trace
         base = leader.pos
-        rounds = 0
         while True:
-            rounds += 1
-            if self.max_rounds is not None and rounds > self.max_rounds:
-                raise EvaluationError(f"SCC fixpoint exceeded {self.max_rounds} rounds")
             consumed = False
             for g, on_g in zip(stack[base:], consumers[base:]):
                 # a resumption may leave more consumers on g; they come last
@@ -589,12 +586,13 @@ class _Eval:
 
 
 def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory=None,
-                   max_rounds=None, release: bool = True) -> ParallelResult:
+                   release: bool = True) -> ParallelResult:
     """Run cfg.threads workers, all evaluating the same query.  One worker
     evaluates in the caller's thread; more each get a fresh thread.
 
     Returns every thread's answer set, a counter snapshot and the wall time
-    of the workers and the decoding of their answers.  Worker errors are
+    of the workers and the decoding of their answers.  Every solve of a
+    validated program ends, so no round limit is taken.  Worker errors are
     re-raised after all workers have been joined.  Answers are decoded once
     per distinct log, after the join; a log that grew after its frame
     completed raises, since that frame's set would have been short.
@@ -609,7 +607,7 @@ def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory
     def work(tid: int) -> None:
         try:
             trace = trace_factory(tid) if trace_factory is not None else None
-            results[tid] = _Eval(compiled, table, tid, trace, max_rounds).solve(query)
+            results[tid] = _Eval(compiled, table, tid, trace).solve(query)
         except BaseException as exc:  # propagated after join
             failures.append(exc)
 

@@ -137,7 +137,9 @@ class Program:
         self.add_clause(fact, [])
 
     def validate(self) -> None:
-        """Reject non-range-restricted clauses and non-tabled recursion."""
+        """Reject clauses that are not range-restricted, and every cycle of
+        calls made only of views, predicates with clauses that are not
+        tabled, which unfolding would never end; tabling ends the others."""
         for pred, clauses in self.clauses.items():
             for cl in clauses:
                 body_vars = {a for lit in cl.body for a in lit.args if a & 7 == TAG_VAR}
@@ -147,62 +149,24 @@ class Program:
                             f"clause for {pred_str(pred)} is not range-restricted: "
                             f"head argument {k} is a variable that never occurs in the body"
                         )
-        for scc in self._pred_sccs():
-            recursive = len(scc) > 1 or self._self_loop(next(iter(scc)))
-            if not recursive:
-                continue
-            for pred in scc:
-                if pred not in self.tabled and pred in self.clauses:
-                    raise ProgramError(
-                        f"recursive predicate {pred_str(pred)} must be tabled"
-                    )
-
-    def _deps(self) -> dict[Pred, set[Pred]]:
-        return {
-            pred: {lit.pred for cl in clauses for lit in cl.body}
-            for pred, clauses in self.clauses.items()
-        }
-
-    def _self_loop(self, pred: Pred) -> bool:
-        return any(lit.pred == pred
-                   for cl in self.clauses.get(pred, ())
-                   for lit in cl.body)
-
-    def _pred_sccs(self) -> list[set[Pred]]:
-        """The strongly connected components of the predicate dependency
-        graph (path-based search, on an explicit stack)."""
-        deps = self._deps()
-        index: dict[Pred, int] = {}
-        stack: list[Pred] = []
-        boundaries: list[int] = []
+        views = {pred: {lit.pred for cl in clauses for lit in cl.body}
+                 for pred, clauses in self.clauses.items() if pred not in self.tabled}
         done: set[Pred] = set()
-        sccs: list[set[Pred]] = []
-
-        def enter(v: Pred) -> tuple:
-            index[v] = len(stack)
-            stack.append(v)
-            boundaries.append(index[v])
-            return v, iter(deps.get(v, ()))
-
-        for root in list(deps):
-            if root in index:
+        for root in views:
+            if root in done:
                 continue
-            path = [enter(root)]
+            # depth first on an explicit stack: the views on the current
+            # path, in order, each with the callees it has left to visit
+            path = {root: iter(views[root])}
             while path:
-                v, successors = path[-1]
-                for w in successors:
-                    if w not in index:
-                        path.append(enter(w))
+                for callee in path[next(reversed(path))]:
+                    if callee in path:
+                        cycle = [*path][[*path].index(callee):] + [callee]
+                        raise ProgramError(
+                            f"recursive predicate {pred_str(callee)} must be tabled: "
+                            + " -> ".join(map(pred_str, cycle)))
+                    if callee in views and callee not in done:
+                        path[callee] = iter(views[callee])
                         break
-                    if w not in done:
-                        while index[w] < boundaries[-1]:
-                            boundaries.pop()
                 else:
-                    path.pop()
-                    if boundaries[-1] == index[v]:
-                        boundaries.pop()
-                        scc = set(stack[index[v]:])
-                        del stack[index[v]:]
-                        done.update(scc)
-                        sccs.append(scc)
-        return sccs
+                    done.add(path.popitem()[0])

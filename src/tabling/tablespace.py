@@ -236,7 +236,6 @@ class Table:
         locks = self.answer_locks
         node = frame.answer_root
         created = 0
-        seen = None  # where the last unhashed look started; unused once hashed
         # indexed rather than over a `toks[:-1]` slice, which costs more here
         last = len(toks) - 1
         i = 0
@@ -247,12 +246,12 @@ class Table:
             if index is not None:
                 child = index.get(tok)
             else:
-                seen = child = node.first_child
+                child = node.first_child
                 while child is not None and child.token != tok:
                     child = child.sibling
             if child is None:
                 if locks is not None:
-                    child, made = trie.insert_shared(node, tok, locks, self.blocking, seen)
+                    child, made = trie.insert_shared(node, tok, locks, self.blocking)
                     created += made
                 else:
                     child = link_child(node, tok, index)

@@ -17,15 +17,14 @@ A trie is shared exactly when its writers pass `locks`, the array of write
 locks its table made with `new_locks`; `locks=None` means the caller owns
 the trie and links a missing token at once.  A shared insert looks up
 without a lock and, only if the token is absent, takes the parent's lock,
-re-checks only what was linked since that look (the new head segment of the
-chain, or the index once it exists) and links the node.  `blocking` says
-how it takes the lock, as the two `SyncMode`s name it:
+looks again (in the index, or else along the whole chain, which is short
+until it is hashed) and links the node.  `blocking` says how it takes the
+lock, as the two `SyncMode`s name it:
 
 * LOCK     - the acquire blocks, so a miss looks once without the lock and
              once with it.
 * TRYLOCK  - the acquire never blocks: each failed attempt yields the
-             interpreter and re-checks what was linked since the previous
-             look before it tries again.
+             interpreter and looks again before it tries again.
 
 The unlocked look is the caller's own walk either way: a token the trie
 already holds costs no call and no lock.  Only a missing token leaves the
@@ -135,15 +134,14 @@ def link_child(parent: TrieNode, tok: int, index: dict | None,
 
 
 def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
-                  seen: TrieNode | None,
                   payload: Callable[[], Any] | None = None) -> tuple[TrieNode, bool]:
     """The shared insert of a `tok` that the caller's unlocked look did not
-    find under `parent`, scanning the chain down from `seen` (unused once the
-    chain is hashed).  It takes the parent's lock, blocking or not, and
-    re-checks only what was linked since that look; a failed trylock yields
-    and re-checks before it tries again.  If it links the node, it first
-    calls `payload`, if given, under the lock for the node's payload.
-    Returns (child, whether this call linked it)."""
+    find under `parent`.  It takes the parent's lock, blocking or not, and
+    looks again, in the index or else along the whole chain, which holds
+    fewer than `HASH_THRESHOLD` nodes while the lock is held; a failed
+    trylock yields and looks again before it tries again.  If it links the
+    node, it first calls `payload`, if given, under the lock for the node's
+    payload.  Returns (child, whether this call linked it)."""
     lock = locks[hash(parent) % len(locks)]
     held = False
     try:
@@ -158,12 +156,11 @@ def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
                 if child is not None:
                     return child, False
             else:
-                first = child = parent.first_child
-                while child is not seen:
+                child = parent.first_child
+                while child is not None:
                     if child.token == tok:
                         return child, False
                     child = child.sibling
-                seen = first
             if held:
                 return link_child(parent, tok, index,
                                   None if payload is None else payload()), True
@@ -233,7 +230,6 @@ def check_insert_path_counted(
     node = root
     created = 0
     made = False
-    seen = None  # where the last unhashed look started; unused once hashed
     rest = iter(toks)  # a shared miss reads from its length whether it is the last node
     for tok in rest:
         # look without a lock; only a missing token leaves the walk
@@ -241,7 +237,7 @@ def check_insert_path_counted(
         if index is not None:
             child = index.get(tok)
         else:
-            seen = child = node.first_child
+            child = node.first_child
             while child is not None and child.token != tok:
                 child = child.sibling
         made = child is None
@@ -249,7 +245,7 @@ def check_insert_path_counted(
             if locks is None:
                 child = link_child(node, tok, index)
             else:
-                child, made = insert_shared(node, tok, locks, blocking, seen,
+                child, made = insert_shared(node, tok, locks, blocking,
                                             None if length_hint(rest) else payload)
             created += made
         node = child

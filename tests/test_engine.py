@@ -257,22 +257,6 @@ def test_queries_must_be_flat_literals(text):
         oracle_solve(program, query)
 
 
-def test_round_watchdog_triggers_when_too_small():
-    program, query = bench_program("pathleft:cycle:10")
-    with pytest.raises(EvaluationError):
-        solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1),
-                       max_rounds=2)
-
-
-def test_round_watchdog_herbrand_bound_never_triggers():
-    # |Herbrand base of path/2| + 1 rounds is always enough
-    program, query = bench_program("pathright:cycle:12")
-    bound = 12 * 12 + 1
-    answers = solve_parallel(program, query, EvalConfig(design=Design.NS, threads=1),
-                             max_rounds=bound).answer_sets[0]
-    assert answers == oracle_solve(program, query)
-
-
 def test_config_validation():
     # a trie is shared exactly when it has locks, so there is no mode none
     assert [m.value for m in SyncMode] == ["lock", "trylock"]
@@ -315,11 +299,15 @@ def test_trace_consume_discipline_and_failing_new_answer():
             assert state == COMPLETE or on_stack
 
 
-def test_worker_errors_propagate_after_join():
+def test_worker_errors_propagate_after_join(monkeypatch):
+    def mark_complete(self, frames):
+        raise EvaluationError("injected")
+
+    monkeypatch.setattr(Table, "mark_complete", mark_complete)
     program, query = bench_program("pathleft:cycle:5")
-    with pytest.raises(EvaluationError):
-        solve_parallel(program, query,
-                       EvalConfig(design=Design.NS, threads=3), max_rounds=1)
+    with pytest.raises(EvaluationError, match="injected"):
+        solve_parallel(program, query, EvalConfig(design=Design.NS, threads=3))
+    assert not [t for t in threading.enumerate() if t.name.startswith("tab-")]
 
 
 def test_one_worker_runs_in_the_callers_thread():
@@ -455,9 +443,9 @@ _RANDOM_RULES = {
 }
 
 
-def _random_program(rng):
+def _random_program(rng, also=()):
     consts = ["1", "2", "3", "4", "hub"]
-    lines = [":- table p/2.", ":- table q/2.", ":- table r/2."]
+    lines = [":- table p/2.", ":- table q/2.", ":- table r/2.", *also]
     for rules in _RANDOM_RULES.values():
         picked = [r for r in rules if rng.random() < 0.6] or [rules[0]]
         lines += [r.format(c=rng.choice(consts)) for r in picked]
@@ -468,20 +456,109 @@ def _random_program(rng):
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("threads", [1, 2, 4])
-@pytest.mark.parametrize("design", list(Design))
-def test_random_programs_with_nontabled_rules_match_oracle(design, threads):
-    rng = random.Random(20121009)
+def _random_programs_match_oracle(seed, design, threads, also=()):
+    rng = random.Random(seed)
     queries = [parse_query(q) for q in
                ("p(X,Y)", "p(1,Y)", "p(X,X)", "q(X,hub)", "q(2,3)", "r(X,Y)")]
     for _ in range(12):
-        text = _random_program(rng)
+        text = _random_program(rng, also)
         program = parse_program(text)
         for query in queries:
             want = oracle_solve(program, query)
             result = solve_parallel(program, query,
                                     EvalConfig(design=design, threads=threads))
             assert all(a == want for a in result.answer_sets), text
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+@pytest.mark.parametrize("design", list(Design))
+def test_random_programs_with_nontabled_rules_match_oracle(design, threads):
+    _random_programs_match_oracle(20121009, design, threads)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("design", list(Design))
+def test_random_programs_whose_views_call_back_match_oracle(design, threads):
+    # the non-tabled m/2 calls the tabled p/2, and p/2 always calls m/2 back
+    closing = ["m(X,Z) :- r(X,Y), p(Y,Z).", "p(X,Z) :- m(X,Y), q(Y,Z)."]
+    _random_programs_match_oracle(20260601, design, threads, closing)
+
+
+def _built(text: str) -> Program:
+    """The program of `text`, one `:- table p/n.` directive or clause of
+    flat literals over integers per line, built through `Program.add_clause`
+    rather than parsed, so that nothing validates it as it is built."""
+    lines = text.strip().splitlines()
+    program = Program(tabled=frozenset(
+        (intern_symbol(name), int(n)) for name, n in
+        (re.fullmatch(r":- table (\w+)/(\d+)\.", line).groups()
+         for line in lines if line.startswith(":-"))))
+    for line in lines:
+        if not line.startswith(":-"):
+            names: dict[str, int] = {}
+            lits = [compound(name, *(Var(names.setdefault(a, len(names))) if a[0].isupper()
+                                     else Int(int(a)) for a in args.split(",")))
+                    for name, args in re.findall(r"(\w+)\(([^)]*)\)", line)]
+            program.add_clause(lits[0], lits[1:])
+    return program
+
+
+_EDGES = "e(1,2).\ne(2,3).\ne(3,1).\ne(3,4).\ne(4,5).\n"
+# views, non-tabled predicates with clauses, that call back into tabled ones:
+# every cycle of calls passes through t/2 or s/2
+_CALLBACK_PROGRAMS = {
+    "view-of-t": ":- table t/2.\n"
+                 "t(X,Z) :- v(X,Y), e(Y,Z).\n"
+                 "t(X,Y) :- e(X,Y).\n"
+                 "v(X,Y) :- t(X,Y).\n" + _EDGES,
+    "views-of-t-and-s": ":- table t/2.\n:- table s/2.\n"
+                        "t(X,Z) :- v(X,Y), w(Y,Z).\n"
+                        "t(X,Y) :- e(X,Y).\n"
+                        "v(X,Y) :- s(X,Y).\n"
+                        "v(X,Y) :- w(X,Y).\n"
+                        "v(5,1).\n"
+                        "w(X,Y) :- e(X,Y).\n"
+                        "w(X,Z) :- t(X,Y), e(Y,Z).\n"
+                        "s(X,Y) :- v(Y,X).\n"
+                        "s(X,Y) :- e(X,Y).\n" + _EDGES,
+}
+
+
+@pytest.mark.parametrize("build", [parse_program, _built], ids=["parsed", "built"])
+@pytest.mark.parametrize("name", list(_CALLBACK_PROGRAMS))
+def test_views_that_call_back_into_tabled_predicates_match_oracle(name, build):
+    program = build(_CALLBACK_PROGRAMS[name])
+    for text in ("t(X,Y)", "t(1,Y)", "t(X,5)", "t(X,X)"):
+        query = parse_query(text)
+        want = oracle_solve(program, query)
+        assert want, text
+        for design in Design:
+            for sync in SyncMode:
+                for threads in (1, 2, 4):
+                    result = solve_parallel(program, query, EvalConfig(design, sync, threads))
+                    assert result.answer_sets == [want] * threads, \
+                        (text, design, sync, threads)
+
+
+@pytest.mark.parametrize("text, cycle", [
+    (":- table t/1.\nt(X) :- v(X).\nv(X) :- v(X).\nv(1).", "v/1 -> v/1"),
+    (":- table t/1.\nt(X) :- v(X).\nv(X) :- w(X).\nw(X) :- v(X).\nw(1).",
+     "v/1 -> w/1 -> v/1"),
+    # reachable from t/1 only through the tabled u/1
+    (":- table t/1.\n:- table u/1.\nt(X) :- u(X).\nu(X) :- a(X).\n"
+     "a(X) :- b(X).\nb(X) :- c(X).\nc(X) :- a(X).\nc(1).", "a/1 -> b/1 -> c/1 -> a/1"),
+], ids=["self-loop", "2-cycle", "3-cycle"])
+def test_cycles_made_only_of_views_are_rejected_and_named(text, cycle):
+    msg = f"recursive predicate {cycle.split()[0]} must be tabled: {cycle}"
+    with pytest.raises(ProgramError) as err:
+        parse_program(text)
+    assert str(err.value) == msg
+    program, query = _built(text), parse_query("t(X)")
+    for run in (lambda: solve_parallel(program, query, EvalConfig(design=Design.FS)),
+                lambda: oracle_solve(program, query)):
+        with pytest.raises(ProgramError) as err:
+            run()
+        assert str(err.value) == msg
 
 
 def _mutual_program(rng):
