@@ -17,14 +17,13 @@ from .errors import ConfigurationError, ParseError, TablingError
 from .oracle import oracle_solve
 from .parser import parse_program, parse_query
 from .tablespace import Design
-from .terms import term_str
 from .trie import SyncMode
 
 CSV_COLUMNS = "bench,design,lock,threads,time_ms,answers,te,ba,sts,sf,se,ats"
 
 
 def answer_set_hash(answers) -> str:
-    text = "\n".join(sorted(",".join(term_str(t) for t in row) for row in answers))
+    text = "\n".join(sorted(",".join(map(str, row)) for row in answers))
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 

@@ -62,7 +62,7 @@ def _flat_arg(t: Term, varmap: dict[int, int]) -> int:
             varmap[t.vid] = idx
         return var_tok(idx)
     if isinstance(t, Int):
-        return t.value << 3 | 1
+        return int(t) << 3 | 1
     if isinstance(t, Atom):
         return t.sym << 3 | 2
     raise ProgramError(f"non-flat argument {t}; only atoms, integers and variables allowed")

@@ -2,10 +2,13 @@
 
 Terms are immutable values; they exist only between the parser and
 `program.literal_of`, and again when answers leave the table through
-`decode_answers`.  Symbol names are interned to small integer ids so equality
-is id equality.  Tries never store terms: they store *tokens*, each packed
-into a single int (tag in the low 3 bits, payload above).  Packing keeps
-sibling-chain scans and dict lookups on the hot path cheap.
+`decode_answers`.  Answers are plain values: an `Int` is an `int` and an
+`Atom` is a `str` holding its name, so `Int(1) == 1`, `atom("a") == "a"`,
+and answer tuples hash, compare and print in C.  Symbol names are interned
+to small integer ids for the tokens.  Tries never store terms: they store
+*tokens*, each packed into a single int (tag in the low 3 bits, payload
+above).  Packing keeps sibling-chain scans and dict lookups on the hot path
+cheap.
 """
 
 from __future__ import annotations
@@ -48,30 +51,36 @@ class Term:
     __slots__ = ()
 
 
-# Atom and Int hash apart by the low bit, by one shift rather than the
-# generated hash of a one-field tuple: every answer set hashes every term
+# Empty slots give a term no `__dict__`: it holds its value and nothing else.
+# `__str__` is the base's C method: without it `str()` would run the Python
+# `__repr__` below, once per term of every answer the CLI hashes.
 
 
-@dataclass(frozen=True, slots=True)
-class Atom(Term):
-    sym: int
+class Int(int, Term):
+    __slots__ = ()
+    __str__ = int.__repr__
+    value = property(int, doc="The integer, as a plain `int`.")
 
-    def __hash__(self) -> int:
-        return self.sym << 1 | 1
-
-    def __str__(self) -> str:
-        return symbol_name(self.sym)
+    def __repr__(self) -> str:
+        return f"Int({int.__repr__(self)})"
 
 
-@dataclass(frozen=True, slots=True)
-class Int(Term):
-    value: int
+class Atom(str, Term):
+    """An atom, made from its symbol id; the string is its name."""
 
-    def __hash__(self) -> int:
-        return self.value << 1
+    __slots__ = ()
+    __str__ = str.__str__
+    sym = property(intern_symbol, doc="The interned symbol id of the name.")
 
-    def __str__(self) -> str:
-        return str(self.value)
+    def __new__(cls, sym: int) -> Atom:
+        return str.__new__(cls, _sym_names[sym])
+
+    def __repr__(self) -> str:
+        return f"atom({str.__repr__(self)})"
+
+    def __reduce__(self):
+        # by name: symbol ids are per process
+        return atom, (str(self),)
 
 
 @dataclass(frozen=True, slots=True)

@@ -1,9 +1,10 @@
+import hashlib
 import json
 import weakref
 
 import pytest
 
-from tabling import cli, engine
+from tabling import Int, atom, cli, desk_instances, engine
 from tabling.cli import CSV_COLUMNS, run_command
 from tabling.engine import ParallelResult, solve_parallel
 from tabling.errors import EvaluationError
@@ -25,6 +26,36 @@ def test_bench_run_with_check(capsys):
     row = dict(zip(CSV_COLUMNS.split(","), rows[0]))
     assert row["answers"] == "100"
     assert row["design"] == "fs" and row["lock"] == "trylock" and row["threads"] == "2"
+
+
+# NS/1t answer hashes of the desk instances, which must never change: the text
+# hashed is each answer's terms as printed, comma-joined, one sorted line each
+DESK_ANSWER_HASHES = {
+    "pathleft:btree:10": "0e0cce40f6462c73",
+    "pathleft:pyramid:100": "192a20fb88832ece",
+    "pathleft:cycle:100": "cc30c699293571a1",
+    "pathleft:grid:8": "832e219ebae77811",
+    "pathright:btree:10": "0e0cce40f6462c73",
+    "pathright:pyramid:100": "192a20fb88832ece",
+    "pathright:cycle:100": "cc30c699293571a1",
+    "pathright:grid:8": "832e219ebae77811",
+}
+
+
+def test_answer_hashes_of_the_desk_instances_are_pinned(capsys):
+    assert sorted(DESK_ANSWER_HASHES) == sorted(inst.name for inst in desk_instances())
+    for name, want in DESK_ANSWER_HASHES.items():
+        code = run_command(["--bench", name, "--design", "ns", "--threads", "1",
+                            "--repeat", "1", "--output", "json"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["answer_hash"] == want, name
+
+
+def test_answer_hash_text_is_the_printed_terms():
+    answers = {(Int(-3), atom("a")), (atom("b"), Int(10))}
+    text = "-3,a\nb,10"
+    assert cli.answer_set_hash(answers) == hashlib.sha256(text.encode()).hexdigest()[:16]
+    assert cli.answer_set_hash({()}) == hashlib.sha256(b"").hexdigest()[:16]
 
 
 def test_none_lock_is_a_usage_error_under_every_design(capsys):

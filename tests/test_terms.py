@@ -1,7 +1,13 @@
+import gc
+import os
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
+import tabling
 from tabling.program import Literal, literal_of
 from tabling.terms import (
     TRUE_TOK,
@@ -143,13 +149,57 @@ def test_term_str():
 
 def test_ints_and_atoms_hash_apart():
     for k in (0, 1, 2, 3, -1, -2, -8, 1023, 2**70, -(2**70)):
-        assert hash(Int(k)) == hash(Int(int(str(k)))) and hash(Atom(k)) == hash(Atom(k))
-        assert Int(k) != Atom(k) and Atom(k) != Int(k)
-        mixed = {Int(k), Atom(k), Int(k), Atom(k)}
-        assert len(mixed) == 2 and Int(k) in mixed and Atom(k) in mixed
-    assert all(hash(Int(k)) != hash(Atom(k)) for k in range(1024))
+        a = atom(f"n{k}")  # one name per value; an atom is made from its name
+        digits = atom(str(k))  # an atom spelled like the int
+        assert hash(Int(k)) == hash(Int(int(str(k)))) and hash(a) == hash(atom(f"n{k}"))
+        for other in (a, digits):
+            assert Int(k) != other and other != Int(k)
+            mixed = {Int(k), other, Int(k), other}
+            assert len(mixed) == 2 and Int(k) in mixed and other in mixed
+        # values: an Int is its int and an Atom its name, hashed the same way
+        assert Int(k) == k and hash(Int(k)) == hash(k)
+        assert digits == str(k) and hash(digits) == hash(str(k))
+    assert atom("a") == "a" and atom("a") != "b"
     # answer tuples of either kind stay apart in an answer set
-    answers = frozenset((Int(k), Atom(k)) for k in range(-3, 3)) \
-        | frozenset((Atom(k), Int(k)) for k in range(-3, 3))
+    answers = frozenset((Int(k), atom(str(k))) for k in range(-3, 3)) \
+        | frozenset((atom(str(k)), Int(k)) for k in range(-3, 3))
     assert len(answers) == 12
     assert hash(atom("hub")) == hash(atom("hub")) and atom("hub") != atom("hub2")
+
+
+def test_decoded_terms_are_ints_and_names():
+    hub = intern_symbol("hub")
+    (i, a), = decode_answers([int_tok(7), atom_tok(hub)], 2)
+    assert type(i) is Int and type(a) is Atom
+    assert (i, a) == (7, "hub") and (i.value, a.sym) == (7, hub)
+    assert type(i.value) is int and type(str(a)) is str
+    assert (str(i), str(a), repr(i), repr(a)) == ("7", "hub", "Int(7)", "atom('hub')")
+    assert f"{i},{a}" == "7,hub"
+    for t in (i, a):
+        # a term holds nothing but its class: it can close no reference cycle
+        assert gc.get_referents(t) == [type(t)] and not hasattr(t, "__dict__")
+    with pytest.raises(AttributeError):
+        i.value = 8
+    with pytest.raises(AttributeError):
+        a.sym = 0
+
+
+def test_atoms_pickle_by_name_across_interning_orders():
+    answers = frozenset({(atom("hello"), Int(1)), (atom("world"), Int(-2)), (Int(3), atom("f"))})
+    blob = pickle.dumps(answers)
+    check = "; ".join([
+        "import pickle, sys",
+        "from tabling.terms import Atom, Int, atom, intern_symbol",
+        # interned first, in another order, so the ids differ from this process's
+        "[intern_symbol(n) for n in ('zz', 'yy', 'xx', 'world', 'f', 'ww')]",
+        "got = pickle.loads(sys.stdin.buffer.read())",
+        "want = {(atom('hello'), Int(1)), (atom('world'), Int(-2)), (Int(3), atom('f'))}",
+        "assert got == want, got",
+        "assert all(type(t) in (Atom, Int) for row in got for t in row)",
+        "assert {t.sym for row in got for t in row if type(t) is Atom} == "
+        "{intern_symbol(n) for n in ('hello', 'world', 'f')}",
+    ])
+    src = os.path.dirname(os.path.dirname(tabling.__file__))
+    done = subprocess.run([sys.executable, "-c", check], input=blob, capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr.decode()
