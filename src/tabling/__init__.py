@@ -25,23 +25,15 @@ from .oracle import oracle_solve
 from .parser import parse_program, parse_query
 from .program import Clause, Literal, Program
 from .tablespace import Design, SubgoalFrame, Table
-from .terms import (
-    Atom,
-    Compound,
-    Int,
-    Term,
-    Var,
-    atom,
-    compound,
-    intern_symbol,
-    term_str,
-)
+from .terms import Compound, Term, Var, atom, compound, intern_symbol
 from .trie import SyncMode, TrieNode
+
+Int = int  # an integer term is the int itself
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Atom", "BenchInstance", "BucketArray", "Clause", "Compound",
+    "BenchInstance", "BucketArray", "Clause", "Compound",
     "ConfigurationError", "Design", "Direct", "EdgeConfig", "EvalConfig",
     "EvaluationError", "GraphKind", "Indirect", "Int", "Literal",
     "ParallelResult", "ParseError", "Program",
@@ -51,5 +43,4 @@ __all__ = [
     "desk_instances", "gen_edges",
     "intern_symbol", "make_program", "oracle_solve", "parse_bench_spec",
     "parse_program", "parse_query", "program_text", "solve_parallel",
-    "term_str",
 ]

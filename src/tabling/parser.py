@@ -24,7 +24,7 @@ import sys
 
 from .errors import ParseError, ProgramError
 from .program import Pred, Program
-from .terms import Int, Term, Token, Var, atom, atom_tok, compound, int_tok, intern_symbol
+from .terms import Term, Token, Var, atom_tok, compound, int_tok, intern_symbol
 
 # one alternative per token class, tried in order at each offset; digits are
 # decimal digits (`\d`, what `int` accepts), words are letters, digits and
@@ -130,12 +130,12 @@ class _Parser:
         """A literal, or with `arg` one of its arguments, which is flat."""
         kind, value, loc = self._next()
         if kind == "int":
-            return Int(self._int(value, loc))
+            return self._int(value, loc)
         if kind == "var":
             return self._var(value)
         if kind == "atom":
             if self._peek()[0] != "(":
-                return atom(value)
+                return value
             if arg:
                 line, col = self._where(self._peek()[2])
                 raise ProgramError(f"{line}:{col}: non-flat argument {value}(...); "

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from .errors import ProgramError
 from .terms import (
     TAG_VAR,
-    Atom,
     Compound,
-    Int,
     Term,
     Var,
+    intern_symbol,
     symbol_name,
     tok_str,
     var_tok,
@@ -61,10 +60,10 @@ def _flat_arg(t: Term, varmap: dict[int, int]) -> int:
             idx = len(varmap)
             varmap[t.vid] = idx
         return var_tok(idx)
-    if isinstance(t, Int):
-        return int(t) << 3 | 1
-    if isinstance(t, Atom):
-        return t.sym << 3 | 2
+    if type(t) is int:  # exact: a bool is no constant
+        return t << 3 | 1
+    if type(t) is str:
+        return intern_symbol(t) << 3 | 2
     raise ProgramError(f"non-flat argument {t}; only atoms, integers and variables allowed")
 
 
@@ -73,8 +72,8 @@ def literal_of(t: Term, varmap: dict[int, int]) -> Literal:
     after those already in `varmap`.  With a fresh map this is the variant
     form of a call: two calls are variants exactly when their literals are
     equal.  Anything but a flat literal is a ProgramError."""
-    if isinstance(t, Atom):
-        return Literal((t.sym, 0), ())
+    if type(t) is str:
+        return Literal((intern_symbol(t), 0), ())
     if isinstance(t, Compound):
         return Literal((t.functor, len(t.args)),
                        tuple(_flat_arg(a, varmap) for a in t.args))

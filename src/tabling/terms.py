@@ -2,13 +2,14 @@
 
 Terms are immutable values; they exist only between the parser and
 `program.literal_of`, and again when answers leave the table through
-`decode_answers`.  Answers are plain values: an `Int` is an `int` and an
-`Atom` is a `str` holding its name, so `Int(1) == 1`, `atom("a") == "a"`,
-and answer tuples hash, compare and print in C.  Symbol names are interned
-to small integer ids for the tokens.  Tries never store terms: they store
-*tokens*, each packed into a single int (tag in the low 3 bits, payload
-above).  Packing keeps sibling-chain scans and dict lookups on the hot path
-cheap.
+`decode_answers`.  A constant is a plain value: an integer is an `int` and
+an atom is the `str` of its name, so answer tuples hash, compare and print
+in C, and a tuple of constants is one the cyclic GC stops tracking.  Only
+variables and compound literals have classes of their own.  Symbol names
+are interned to small integer ids for the tokens.  Tries never store terms:
+they store *tokens*, each packed into a single int (tag in the low 3 bits,
+payload above).  Packing keeps sibling-chain scans and dict lookups on the
+hot path cheap.
 """
 
 from __future__ import annotations
@@ -47,44 +48,8 @@ def symbol_name(sym: int) -> str:
 # terms
 
 
-class Term:
-    __slots__ = ()
-
-
-# Empty slots give a term no `__dict__`: it holds its value and nothing else.
-# `__str__` is the base's C method: without it `str()` would run the Python
-# `__repr__` below, once per term of every answer the CLI hashes.
-
-
-class Int(int, Term):
-    __slots__ = ()
-    __str__ = int.__repr__
-    value = property(int, doc="The integer, as a plain `int`.")
-
-    def __repr__(self) -> str:
-        return f"Int({int.__repr__(self)})"
-
-
-class Atom(str, Term):
-    """An atom, made from its symbol id; the string is its name."""
-
-    __slots__ = ()
-    __str__ = str.__str__
-    sym = property(intern_symbol, doc="The interned symbol id of the name.")
-
-    def __new__(cls, sym: int) -> Atom:
-        return str.__new__(cls, _sym_names[sym])
-
-    def __repr__(self) -> str:
-        return f"atom({str.__repr__(self)})"
-
-    def __reduce__(self):
-        # by name: symbol ids are per process
-        return atom, (str(self),)
-
-
 @dataclass(frozen=True, slots=True)
-class Var(Term):
+class Var:
     vid: int
 
     def __str__(self) -> str:
@@ -92,7 +57,7 @@ class Var(Term):
 
 
 @dataclass(frozen=True, slots=True)
-class Compound(Term):
+class Compound:
     functor: int
     args: tuple[Term, ...]
 
@@ -104,16 +69,16 @@ class Compound(Term):
         return f"{symbol_name(self.functor)}({', '.join(map(str, self.args))})"
 
 
-def atom(name: str) -> Atom:
-    return Atom(intern_symbol(name))
+Term = int | str | Var | Compound
+
+
+def atom(name: str) -> str:
+    """The atom `name`, which is that string itself."""
+    return name
 
 
 def compound(name: str, *args: Term) -> Compound:
     return Compound(intern_symbol(name), tuple(args))
-
-
-def term_str(t: Term) -> str:
-    return str(t)
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +127,19 @@ class _DecodeMemo(dict):
     """Token -> term for one `decode_answers` call."""
 
     def __missing__(self, tok: Token) -> Term:
-        term = self[tok] = Int(tok >> 3) if tok & 7 == TAG_INT else Atom(tok >> 3)
+        term = self[tok] = tok >> 3 if tok & 7 == TAG_INT else _sym_names[tok >> 3]
         return term
 
 
 def decode_answers(flat: Sequence[Token], width: int) -> list[tuple[Term, ...]]:
-    """The term tuples of a flat answer log, `width` ground tokens per
-    answer, in order; the TRUE_TOK answer of a variable-free subgoal (width
-    1, the only answer such a log holds) decodes to the empty tuple.  A
-    token met again in one call decodes to the same term object, and the
-    memo does not outlive the call.  The memo is mapped over the whole log
-    and its terms regrouped by `zip`, so Python code runs only for the
-    first occurrence of each token, never per answer."""
+    """The answers of a flat answer log, `width` ground tokens per answer,
+    in order, each a tuple of `int`s and atom names; the TRUE_TOK answer of
+    a variable-free subgoal (width 1, the only answer such a log holds)
+    decodes to the empty tuple.  A token met again in one call decodes to
+    the same object, and the memo does not outlive the call.  The memo is
+    mapped over the whole log and its terms regrouped by `zip`, so Python
+    code runs only for the first occurrence of each token, never per
+    answer."""
     if flat and flat[0] == TRUE_TOK:
         return [()]
     return list(zip(*[map(_DecodeMemo().__getitem__, flat)] * width))

@@ -1,5 +1,6 @@
 import pytest
 
+from tabling import Int
 from tabling.bench import (
     BenchInstance,
     DESK_DEPTHS,
@@ -18,7 +19,7 @@ from tabling.errors import ConfigurationError
 from tabling.oracle import oracle_solve
 from tabling.program import Program
 from tabling.tablespace import Design
-from tabling.terms import Int, Var, compound, intern_symbol
+from tabling.terms import Var, compound, intern_symbol
 
 
 def test_cycle_depth3():

@@ -51,6 +51,36 @@ def test_answer_hashes_of_the_desk_instances_are_pinned(capsys):
         assert json.loads(capsys.readouterr().out)["answer_hash"] == want, name
 
 
+# answers that mix atoms and ints, from atom constants in facts, in a rule
+# head, in a rule body and in the query; the hashes must never change
+_MIXED_TEXT = (":- table path/2.\n"
+               ":- table tagged/2.\n"
+               "path(X,Y) :- edge(X,Y).\n"
+               "path(X,Z) :- path(X,Y), edge(Y,Z).\n"
+               "tagged(X,hub) :- path(X,a).\n"
+               "tagged(X,leaf) :- edge(X,-2).\n"
+               "edge(a,b). edge(b,1). edge(1,c). edge(c,a). edge(b,-2). edge(-2,zed).\n")
+MIXED_ANSWER_HASHES = {
+    "path(a,X)": (6, "a663e049dbbac8aa"),
+    "path(X,Y)": (25, "e8fa9fef4d24fe68"),
+    "tagged(X,T)": (5, "bfd1f75d6c214424"),
+    "tagged(X,hub)": (4, "eb39a3adf80406c8"),
+}
+
+
+def test_answer_hashes_of_mixed_atom_and_int_answers_are_pinned(tmp_path, capsys):
+    path = tmp_path / "mixed.pl"
+    path.write_text(_MIXED_TEXT)
+    for query, want in MIXED_ANSWER_HASHES.items():
+        code = run_command(["--program", str(path), "--query", query,
+                            "--design", "ns,ss,fs", "--threads", "1,2",
+                            "--repeat", "1", "--check", "--output", "json"])
+        assert code == 0, query
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert len(rows) == 6 and {(r["answers"], r["answer_hash"]) for r in rows} == {want}, \
+            query
+
+
 def test_answer_hash_text_is_the_printed_terms():
     answers = {(Int(-3), atom("a")), (atom("b"), Int(10))}
     text = "-3,a\nb,10"

@@ -9,7 +9,7 @@ import types
 
 import pytest
 
-from tabling import engine, terms, trie
+from tabling import Int, engine, terms, trie
 from tabling.bench import default_query, make_program, parse_bench_spec
 from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
@@ -18,7 +18,7 @@ from tabling.parser import parse_program, parse_query
 from tabling.program import Program
 from tabling.tablespace import (COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry,
                                 answer_width)
-from tabling.terms import Int, Term, Var, compound, intern_symbol, var_tok
+from tabling.terms import Compound, Var, compound, intern_symbol, var_tok
 from tabling.trie import HASH_THRESHOLD, SyncMode, TrieNode
 
 
@@ -839,6 +839,25 @@ def test_table_holds_nothing_of_the_compiled_program(release):
                            for o in _reachable(compiled).values()), (design, text)
 
 
+def test_answers_leave_the_engine_as_untracked_tuples_of_ints_and_strs():
+    program = parse_program(":- table path/2.\n"
+                            "path(X,Y) :- edge(X,Y).\n"
+                            "path(X,Z) :- path(X,Y), edge(Y,Z).\n"
+                            "edge(a,1). edge(1,b). edge(b,-2).")
+    query = parse_query("path(a,X)")
+    want = oracle_solve(program, query)
+    assert want == {(1,), ("b",), (-2,)}
+    assert {type(t) for a in want for t in a} == {int, str}
+    for design in Design:
+        result = solve_parallel(program, query, EvalConfig(design=design, threads=2))
+        answers = result.answer_sets[0]
+        assert answers == want, design
+        assert {type(t) for a in answers for t in a} == {int, str}, design
+        # a tuple of untracked constants leaves the cyclic GC at its first look
+        gc.collect()
+        assert [gc.is_tracked(a) for a in answers] == [False] * 3, design
+
+
 @pytest.mark.parametrize("release", [True, False])
 def test_table_holds_tokens_never_terms(release):
     program = parse_program(_PATH_TEXT + " edge(3,1).")
@@ -848,8 +867,12 @@ def test_table_holds_tokens_never_terms(release):
                                     EvalConfig(design=design, threads=2), release=release)
             assert all(result.answer_sets), (design, text)  # answers were decoded
             met = _reachable(result.table).values()
-            assert not any(isinstance(o, (Term, terms._DecodeMemo)) for o in met), \
+            assert not any(isinstance(o, (Var, Compound, terms._DecodeMemo)) for o in met), \
                 (design, text)
+            # a decoded constant is an int or str like the table's own, so look
+            # for the decoded answers by identity; () is a shared singleton
+            decoded = {id(a) for a in result.answer_sets[0] if a}
+            assert not any(id(o) in decoded for o in met), (design, text)
             # every answer log is one flat list of tokens, `width` per answer,
             # holding each path of its answer trie once in arrival order
             logs = [o for o in met if isinstance(o, (SubgoalFrame, SubgoalEntry))]
@@ -867,7 +890,7 @@ def test_table_holds_tokens_never_terms(release):
                     assert width == (nvars or 1)
             # and no answer is kept as a tuple of its tokens; a leaf container
             # is a tuple of leaf tokens, which may equal an answer's
-            answers = {tuple(terms.int_tok(t.value) for t in a) or (terms.TRUE_TOK,)
+            answers = {tuple(terms.int_tok(t) for t in a) or (terms.TRUE_TOK,)
                        for a in result.answer_sets[0]}
             containers = {id(o.payload) for o in met if type(o) is TrieNode}
             assert not any(type(o) is tuple and o in answers and id(o) not in containers

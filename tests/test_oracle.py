@@ -2,11 +2,12 @@ import random
 
 import pytest
 
+from tabling import Int
 from tabling.errors import ProgramError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
 from tabling.program import Program
-from tabling.terms import Int, Var, compound, intern_symbol
+from tabling.terms import Var, compound, intern_symbol
 
 PATH_LEFT = """
 :- table path/2.

@@ -3,11 +3,12 @@ import sys
 
 import pytest
 
+from tabling import Int
 from tabling.bench import Recursion, desk_instances, gen_edges, program_text
 from tabling.errors import ParseError, ProgramError
 from tabling.parser import parse_program, parse_query
 from tabling.program import Program, pred_str
-from tabling.terms import Int, Var, atom, compound, intern_symbol
+from tabling.terms import Var, atom, compound, intern_symbol
 
 
 def test_basic_program():
@@ -16,7 +17,7 @@ def test_basic_program():
     edge = (intern_symbol("edge"), 2)
     assert program.tabled == frozenset({path})
     assert len(program.clauses[path]) == 1
-    assert program.facts[edge] == [(Int(1).value << 3 | 1, Int(2).value << 3 | 1)]
+    assert program.facts[edge] == [(1 << 3 | 1, 2 << 3 | 1)]
 
 
 def test_missing_period_is_a_syntax_error():

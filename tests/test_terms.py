@@ -8,12 +8,12 @@ import sys
 import pytest
 
 import tabling
+from tabling import Int
+from tabling.errors import ProgramError
 from tabling.program import Literal, literal_of
 from tabling.terms import (
     TRUE_TOK,
-    Atom,
     Compound,
-    Int,
     Var,
     atom,
     atom_tok,
@@ -21,7 +21,6 @@ from tabling.terms import (
     decode_answers,
     int_tok,
     intern_symbol,
-    term_str,
     var_tok,
     TAG_ATOM,
     TAG_INT,
@@ -54,7 +53,6 @@ def test_encode_atom():
 def test_interned_atoms_equal_iff_same_name():
     assert atom("foo") == atom("foo")
     assert atom("foo") != atom("bar")
-    assert atom("foo").sym == intern_symbol("foo")
 
 
 def test_compound_requires_args():
@@ -100,7 +98,7 @@ def test_round_trip_random_terms():
     # an int and an atom with the same payload decode apart
     sym = intern_symbol("edge")
     assert decode_answers([int_tok(sym), atom_tok(sym), atom_tok(sym), int_tok(sym)], 2) == \
-        [(Int(sym), Atom(sym)), (Atom(sym), Int(sym))]
+        [(Int(sym), atom("edge")), (atom("edge"), Int(sym))]
     # a flat log is cut into rows of its width
     assert decode_answers([int_tok(1), int_tok(2), int_tok(3)], 1) == \
         [(Int(1),), (Int(2),), (Int(3),)]
@@ -110,10 +108,11 @@ def test_round_trip_random_terms():
 
 
 def test_decode_answers_shares_one_term_per_token_within_a_call():
-    one, two = int_tok(1), int_tok(2)
+    # values past CPython's shared small ints, so identity is the memo's
+    one, two = int_tok(2**70), int_tok(-2**70)
     (a, b), (c, d), (e, g) = decode_answers([one, two, two, one, one, one], 2)
     assert a is d is e is g and b is c
-    assert (a, b) == (Int(1), Int(2))
+    assert (a, b) == (Int(2**70), Int(-2**70))
     # a second call makes its own terms: the memo does not outlive a call
     (f, _), = decode_answers([one, two], 2)
     assert f == a and f is not a
@@ -143,8 +142,8 @@ def test_variable_merge_breaks_variantness():
 
 
 def test_term_str():
-    assert term_str(compound("p", Int(1), Var(0))) == "p(1, V0)"
-    assert term_str(atom("a")) == "a"
+    assert str(compound("p", Int(1), Var(0))) == "p(1, V0)"
+    assert str(atom("a")) == "a"
 
 
 def test_ints_and_atoms_hash_apart():
@@ -156,7 +155,7 @@ def test_ints_and_atoms_hash_apart():
             assert Int(k) != other and other != Int(k)
             mixed = {Int(k), other, Int(k), other}
             assert len(mixed) == 2 and Int(k) in mixed and other in mixed
-        # values: an Int is its int and an Atom its name, hashed the same way
+        # values: an integer is its int and an atom its name
         assert Int(k) == k and hash(Int(k)) == hash(k)
         assert digits == str(k) and hash(digits) == hash(str(k))
     assert atom("a") == "a" and atom("a") != "b"
@@ -170,18 +169,25 @@ def test_ints_and_atoms_hash_apart():
 def test_decoded_terms_are_ints_and_names():
     hub = intern_symbol("hub")
     (i, a), = decode_answers([int_tok(7), atom_tok(hub)], 2)
-    assert type(i) is Int and type(a) is Atom
-    assert (i, a) == (7, "hub") and (i.value, a.sym) == (7, hub)
-    assert type(i.value) is int and type(str(a)) is str
-    assert (str(i), str(a), repr(i), repr(a)) == ("7", "hub", "Int(7)", "atom('hub')")
+    assert type(i) is int and type(a) is str
+    assert (i, a) == (7, "hub") and a is tabling.terms.symbol_name(hub)
     assert f"{i},{a}" == "7,hub"
-    for t in (i, a):
-        # a term holds nothing but its class: it can close no reference cycle
-        assert gc.get_referents(t) == [type(t)] and not hasattr(t, "__dict__")
-    with pytest.raises(AttributeError):
-        i.value = 8
-    with pytest.raises(AttributeError):
-        a.sym = 0
+    # a tuple of constants holds no object the cyclic GC tracks
+    assert not gc.is_tracked(i) and not gc.is_tracked(a)
+
+
+def test_literals_take_exactly_int_and_str_constants():
+    p = intern_symbol("p")
+    assert literal_of(compound("p", 1, "a"), {}) == \
+        Literal((p, 2), (int_tok(1), atom_tok(intern_symbol("a"))))
+    assert literal_of("p", {}) == Literal((p, 0), ())
+    # a bool is an int to isinstance, but it is no constant: p(True) never
+    # becomes p(1)
+    for bad in (True, False, 1.0, 2.5, b"a", None, (1,)):
+        with pytest.raises(ProgramError, match="non-flat argument"):
+            literal_of(compound("p", bad), {})
+        with pytest.raises(ProgramError, match="not a valid literal"):
+            literal_of(bad, {})
 
 
 def test_atoms_pickle_by_name_across_interning_orders():
@@ -189,15 +195,17 @@ def test_atoms_pickle_by_name_across_interning_orders():
     blob = pickle.dumps(answers)
     check = "; ".join([
         "import pickle, sys",
-        "from tabling.terms import Atom, Int, atom, intern_symbol",
+        "from tabling.program import literal_of",
+        "from tabling.terms import atom, compound, decode_answers, intern_symbol",
         # interned first, in another order, so the ids differ from this process's
         "[intern_symbol(n) for n in ('zz', 'yy', 'xx', 'world', 'f', 'ww')]",
         "got = pickle.loads(sys.stdin.buffer.read())",
-        "want = {(atom('hello'), Int(1)), (atom('world'), Int(-2)), (Int(3), atom('f'))}",
+        "want = {(atom('hello'), 1), (atom('world'), -2), (3, atom('f'))}",
         "assert got == want, got",
-        "assert all(type(t) in (Atom, Int) for row in got for t in row)",
-        "assert {t.sym for row in got for t in row if type(t) is Atom} == "
-        "{intern_symbol(n) for n in ('hello', 'world', 'f')}",
+        "assert all(type(t) in (int, str) for row in got for t in row)",
+        # each answer encodes to this process's tokens and decodes back
+        "assert all(decode_answers(literal_of(compound('p', *row), {}).args, 2) == [row] "
+        "for row in got)",
     ])
     src = os.path.dirname(os.path.dirname(tabling.__file__))
     done = subprocess.run([sys.executable, "-c", check], input=blob, capture_output=True,
