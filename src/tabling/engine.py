@@ -17,11 +17,15 @@ its constants left open as parameter variables, into an activation template
 kept with the compiled program; a frame only checks its call's constants.
 A template's body join is its kernel: Python source generated for that
 clause and shape, one nested loop per body literal, with every clause
-variable a local.  The source holds no program text, so its compiled code
-is kept in a bounded per-process cache that rebuilt programs reuse.  One
-unifier, `_unify`, serves both places where two flat literals meet: a call
-against a callee's head when unfolding, and a clause head against a call
-shape when a template is built.
+variable a local.  At its innermost point the kernel stores the answer
+itself: the call shape fixes the answer's width, so the answer trie's
+check/insert (`tablespace.answer_source`) is emitted there unrolled, and a
+derived answer costs a call only where the trie lacks one of its tokens.
+The source holds no program text, so its compiled code is kept in a bounded
+per-process cache that rebuilt programs reuse.  One unifier, `_unify`,
+serves both places where two flat literals meet: a call against a callee's
+head when unfolding, and a clause head against a call shape when a template
+is built.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
 than the Python call stack.  A new tabled call pushes a generator frame on
@@ -66,7 +70,8 @@ from dataclasses import dataclass
 from .buckets import MAX_THREADS
 from .errors import ConfigurationError, EvaluationError, ProgramError
 from .program import Clause, Literal, Pred, Program, literal_of, pred_str
-from .tablespace import COMPLETE, CountersSnapshot, Design, SubgoalFrame, Table
+from .tablespace import (ANSWER_GLOBALS, ANSWER_SETUP, COMPLETE, CountersSnapshot, Design,
+                         SubgoalFrame, Table, answer_source)
 from .terms import TAG_VAR, TRUE_TOK, Term, atom_tok, var_tok
 from .trie import SyncMode
 
@@ -117,7 +122,7 @@ yield from r{i}(ev, frame, rows{args})"""
 # the innermost point: store the answer and fail, so resolution backtracks;
 # fixpoint detection reads the answer logs, not whether it was new
 _ANSWER = """\
-new = add(frame, ({answer},))
+{store}
 if trace is not None:
     trace((NEW_ANSWER, frame, new))"""
 
@@ -127,7 +132,8 @@ def _violation():
                            "frame outside the dependency stack")
 
 
-_KERNEL_GLOBALS = {"violation": _violation, "CONSUME": "consume", "NEW_ANSWER": "new_answer"}
+_KERNEL_GLOBALS = {"violation": _violation, "CONSUME": "consume", "NEW_ANSWER": "new_answer",
+                   **ANSWER_GLOBALS}
 _LOOPS = 16  # loops per generated function; CPython nests at most 20 blocks
 
 
@@ -145,9 +151,11 @@ def _kernel_source(steps, fill, nconsts, answer) -> str:
     which joins `rows`, answers of the callee, with the rest of the body;
     `live` are the locals bound before the literal that the rest reads.
     k0 and each r{i} run to the next tabled literal's call, or to the
-    answer.  No function nests more than _LOOPS loops: a longer run
-    delegates from its innermost point to one more function
-    `k{n}(ev, frame, *live)`."""
+    answer.  The function that reaches the answer reads the locals of
+    `ANSWER_SETUP` and the thread's tally as it starts, raising if the frame
+    is complete, and stores each answer by the code of `answer_source`.
+    No function nests more than _LOOPS loops: a longer run delegates from
+    its innermost point to one more function `k{n}(ev, frame, *live)`."""
     src = [f"def make({', '.join(f'C{j}' for j in range(nconsts))}):"]
 
     def emit(depth, text):
@@ -174,7 +182,7 @@ def _kernel_source(steps, fill, nconsts, answer) -> str:
                 emit(2, f"table = ev.table\n{steps[hi][1]}\ncall = table.subgoal_call\n"
                         "tid = ev.tid\nconsumers = ev.consumers\ntrace = ev.trace")
             elif last:
-                emit(2, "add = ev.table.new_answer_tokens\ntrace = ev.trace")
+                emit(2, f"table = ev.table\n{ANSWER_SETUP}\ntally = ev.tally\ntrace = ev.trace")
             depth = 2
             for i in chunk:
                 emit(depth, steps[i][3])
@@ -467,7 +475,7 @@ class _Compiled:
                     loop += f"\n    if {' or '.join(tests)}:\n        continue"
             steps.append((live, entry, lines, loop))
         source = _kernel_source(steps, list(fill.values()), len(consts),
-                                _ANSWER.format(answer=", ".join(answer)))
+                                _ANSWER.format(store=answer_source(answer)))
         # any other parameter must equal its class's constant or first parameter
         checks = tuple((k, owner.get(r, -1), r) for k, r in params if owner.get(r) != k)
         out: dict = {}
@@ -495,6 +503,7 @@ class _Eval:
         self.table = table
         self.tid = tid
         self.trace = trace
+        self.tally = table.tally(tid)  # what its kernels add to the table
         self.stack: list[SubgoalFrame] = []
         # per slot: [log offset read up to, r{i}, consumer frame, live locals]
         self.consumers: list[list[list]] = []

@@ -23,17 +23,17 @@ import re
 import sys
 
 from .errors import ParseError, ProgramError
-from .program import Pred, Program
+from .program import WORD, Pred, Program, is_atom_name
 from .terms import Term, Token, Var, atom_tok, compound, int_tok, intern_symbol
 
 # one alternative per token class, tried in order at each offset; digits are
 # decimal digits (`\d`, what `int` accepts), words are letters, digits and
 # underscores, and anything else is one unexpected character
-_TOKEN = re.compile(r"""
+_TOKEN = re.compile(rf"""
     (?P<skip>[ \t\r\n]+|%[^\n]*)
   | (?P<punct>:-|[()./,])
   | (?P<int>-?\d+)
-  | (?P<word>\w+)
+  | (?P<word>{WORD})
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
@@ -92,7 +92,7 @@ class _Parser:
                 ch = value[0]
                 if not (ch.isalpha() or ch == "_"):  # a non-decimal numeric
                     raise self._error(f"unexpected character {ch!r}", m.start())
-                kind = "var" if (ch == "_" or ch.isupper()) else "atom"
+                kind = "atom" if is_atom_name(value) else "var"
             elif kind == "bad":
                 raise self._error(f"unexpected character {value!r}", m.start())
             return kind, value, m.start()

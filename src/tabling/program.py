@@ -9,6 +9,7 @@ they share nothing else.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import ProgramError
@@ -53,6 +54,26 @@ class Clause:
         return f"{self.head} :- {', '.join(map(str, self.body))}."
 
 
+WORD = r"\w+"  # the parser's word token, an atom or a variable name
+_WORD = re.compile(WORD)
+
+
+def is_atom_name(name: str) -> bool:
+    """Whether the parser reads `name` as the atom of that name: one word
+    whose first character is a letter and not an uppercase one.  Any other
+    name would print as something else, an int or a variable for one."""
+    return _WORD.fullmatch(name) is not None and name[0].isalpha() and not name[0].isupper()
+
+
+def _atom(name: str) -> int:
+    """The symbol of the atom `name`; a ProgramError unless the parser
+    would read the name back as that atom."""
+    if not is_atom_name(name):
+        raise ProgramError(f"not an atom name: {name!r}; an atom name is letters, digits "
+                           "and underscores, starting with a letter that is not uppercase")
+    return intern_symbol(name)
+
+
 def _flat_arg(t: Term, varmap: dict[int, int]) -> int:
     if isinstance(t, Var):
         idx = varmap.get(t.vid)
@@ -63,7 +84,7 @@ def _flat_arg(t: Term, varmap: dict[int, int]) -> int:
     if type(t) is int:  # exact: a bool is no constant
         return t << 3 | 1
     if type(t) is str:
-        return intern_symbol(t) << 3 | 2
+        return _atom(t) << 3 | 2
     raise ProgramError(f"non-flat argument {t}; only atoms, integers and variables allowed")
 
 
@@ -73,7 +94,7 @@ def literal_of(t: Term, varmap: dict[int, int]) -> Literal:
     form of a call: two calls are variants exactly when their literals are
     equal.  Anything but a flat literal is a ProgramError."""
     if type(t) is str:
-        return Literal((intern_symbol(t), 0), ())
+        return Literal((_atom(t), 0), ())
     if isinstance(t, Compound):
         return Literal((t.functor, len(t.args)),
                        tuple(_flat_arg(a, varmap) for a in t.args))

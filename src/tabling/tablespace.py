@@ -23,7 +23,10 @@ so a log of a call with `width` distinct variables holds `width` tokens per
 answer (width 1 and the lone TRUE_TOK for a variable-free call) and no
 object per answer.  Under the GIL one `extend` from a tuple is atomic, so a
 reader on another thread sees a log length that is always a whole number of
-answers, never part of one.
+answers, never part of one.  The check/insert of an answer is source text,
+`answer_source`, unrolled over the answer's width: the engine's join kernels
+emit it where they derive an answer, and `Table.new_answer_tokens` runs the
+same text compiled once per width.
 
 Structure allocations are tallied per kind so the per-design memory laws
 can be checked as exact counts.  Each thread id has its own `_Tally`, which
@@ -34,6 +37,9 @@ the laws are unaffected because the convention is applied uniformly.
 """
 
 from __future__ import annotations
+
+import functools
+import textwrap
 
 # unused here, but tablebench/tracer.py reads and swaps this module's
 # `threading` to count the locks the table space makes
@@ -75,6 +81,89 @@ def answer_width(call: TokenSeq) -> int:
     """Tokens per answer in the log of the subgoal path `call`: its number
     of distinct variables, or 1 for the TRUE_TOK of a variable-free call."""
     return len({t for t in call if t & 7 == TAG_VAR}) or 1
+
+
+def _completed():
+    return EvaluationError("new_answer on a completed subgoal")
+
+
+# the names the code of `answer_source` reads besides its locals
+ANSWER_GLOBALS = {"completed": _completed, "link_child": link_child, "add_leaf": add_leaf,
+                  "insert_shared": trie.insert_shared,
+                  "insert_leaf_shared": trie.insert_leaf_shared}
+
+# the locals the code of `answer_source` reads from `frame` and `table`,
+# set once before the answers of one run into `frame`, which must still be
+# evaluating; `tally`, the storing thread's `_Tally`, is the caller's to set
+ANSWER_SETUP = f"""\
+if frame.state != {EVALUATING}:
+    raise completed()
+root = frame.answer_root
+log = frame.answers
+locks = table.answer_locks
+blocking = table.blocking"""
+
+# one inner token of an answer path: look without a lock and without a
+# call, in the index or else along the chain; link a missing token at once
+# in a trie the thread owns, else insert it under the parent's lock
+_INNER = """\
+index = node.index
+if index is not None:
+    child = index.get({tok})
+else:
+    child = node.first_child
+    while child is not None and child.token != {tok}:
+        child = child.sibling
+if child is None:
+    if locks is None:
+        child = link_child(node, {tok}, index)
+        tally.ats += 1
+    else:
+        child, made = insert_shared(node, {tok}, locks, blocking)
+        tally.ats += made
+node = child"""
+
+# the last token: look in the leaf container of the node above it, and on
+# a miss log the answer before the token goes in, so a thread that finds
+# the token finds the answer logged
+_LEAF = """\
+leaves = node.payload
+new = leaves is None or {tok} not in leaves
+if new:
+    if locks is None:
+        log.extend({path})
+        add_leaf(node, leaves, {tok})
+        tally.ats += 1
+    else:
+        new = insert_leaf_shared(node, {tok}, locks, blocking, log, {path})
+        tally.ats += new"""
+
+
+def answer_source(path: list[str]) -> str:
+    """The check/insert of one answer whose tokens are the Python
+    expressions `path`, unrolled over its width: it walks the answer trie
+    at `root`, logs the answer in `log` if it is new, and sets `new` to
+    whether it was.  A trie that `locks` is None for is the storing
+    thread's own; a shared one is written only under its locks, by
+    `trie.insert_shared` and `trie.insert_leaf_shared`, which look again
+    under the lock.  Each node and leaf token added is counted in
+    `tally.ats`.  The join kernels emit this after `ANSWER_SETUP`, and
+    `Table.new_answer_tokens` runs it compiled once per width."""
+    tup = f"({', '.join(path)},)"
+    return "\n".join(["node = root", *(_INNER.format(tok=t) for t in path[:-1]),
+                      _LEAF.format(tok=path[-1], path=tup)])
+
+
+@functools.lru_cache(maxsize=64)
+def _new_answer(width: int):
+    """`Table.new_answer_tokens` for answers of `width` tokens."""
+    path = [f"t{i}" for i in range(width)]
+    body = "\n".join([ANSWER_SETUP, "tally = table.tally(frame.tid)",
+                      f"{', '.join(path)}, = toks", answer_source(path), "return new"])
+    out: dict = {}
+    exec(compile("def new_answer(table, frame, toks):\n" + textwrap.indent(body, "    "),
+                 "<new_answer>", "exec"), ANSWER_GLOBALS, out)
+    return out["new_answer"]
 
 
 class _Tally:
@@ -176,6 +265,10 @@ class Table:
         # each thread's allocation counts, made on its first subgoal call
         self._tallies: defaultdict[int, _Tally] = defaultdict(_Tally)
 
+    def tally(self, tid: int) -> _Tally:
+        """Thread `tid`'s allocation counts, which only that thread writes."""
+        return self._tallies[tid]
+
     # ------------------------------------------------------------------
     # tabled subgoal call
 
@@ -218,60 +311,14 @@ class Table:
         """Check/insert one answer and log it if new; returns whether it was
         new to the frame's answer trie, under FS the shared one.
 
-        The caller's resolution must keep backtracking regardless of the
-        result; the return value only feeds tracing.  Fixpoint detection
-        watches the answer logs instead.  An answer is logged before its
-        leaf token is added, so when the path already existed its answer is
-        in the log by the time this call finds the leaf.
-
-        Every design walks the path here, without a lock and, for a token the
-        trie holds, without a call; the last token is looked up in the leaf
-        container of the node above it.  A missing token is added at once in
-        a trie the frame's thread owns; under FS it goes to
-        `trie.insert_shared`, or for the leaf to `trie.insert_leaf_shared`,
-        which re-check under the lock.
+        The join kernels do not call this: each stores its answers by the
+        same check/insert, emitted into its own source by `answer_source`.
+        This runs that code compiled once per answer width, for callers
+        outside a kernel.  The caller's resolution must keep backtracking
+        regardless of the result; the return value only feeds tracing.
+        Fixpoint detection watches the answer logs instead.
         """
-        if frame.state != EVALUATING:
-            raise EvaluationError("new_answer on a completed subgoal")
-        locks = self.answer_locks
-        node = frame.answer_root
-        created = 0
-        # indexed rather than over a `toks[:-1]` slice, which costs more here
-        last = len(toks) - 1
-        i = 0
-        while i < last:
-            tok = toks[i]
-            i += 1
-            index = node.index
-            if index is not None:
-                child = index.get(tok)
-            else:
-                child = node.first_child
-                while child is not None and child.token != tok:
-                    child = child.sibling
-            if child is None:
-                if locks is not None:
-                    child, made = trie.insert_shared(node, tok, locks, self.blocking)
-                    created += made
-                else:
-                    child = link_child(node, tok, index)
-                    created += 1
-            node = child
-        tok = toks[last]
-        leaves = node.payload
-        made = leaves is None or tok not in leaves
-        if made:
-            if locks is not None:
-                made = trie.insert_leaf_shared(node, tok, locks, self.blocking,
-                                               frame.answers, toks)
-                created += made
-            else:
-                frame.answers.extend(toks)
-                add_leaf(node, leaves, tok)
-                created += 1
-        if created:
-            self._tallies[frame.tid].ats += created
-        return made
+        return _new_answer(len(toks))(self, frame, toks)
 
     def mark_complete(self, frames) -> None:
         for frame in frames:

@@ -44,10 +44,10 @@ tries stay `TrieNode` chains.  `add_leaf` grows a container; a tuple is
 never changed, only replaced by a longer tuple or, at the threshold, by a
 set, each in one assignment, so a reader holding an old container misses at
 most a token, which it then finds under the lock.  A token is added only
-after its answer is logged, by the owner of an unshared trie
-(`Table.new_answer_tokens`) or under the parent's lock
-(`insert_leaf_shared`), so a thread that finds a token finds its answer
-logged.
+after its answer is logged, by the owner of an unshared trie (in the code
+`tablespace.answer_source` emits into each join kernel) or under the
+parent's lock (`insert_leaf_shared`), so a thread that finds a token finds
+its answer logged.
 
 Write locks are not per node: a parent's writers take the lock
 `hash(parent)` selects from the table's array.  All writers of one sibling

@@ -15,10 +15,11 @@ from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ConfigurationError, EvaluationError, ProgramError
 from tabling.oracle import oracle_solve
 from tabling.parser import parse_program, parse_query
-from tabling.program import Program
+from tabling.program import Program, literal_of
 from tabling.tablespace import (COMPLETE, Design, SubgoalEntry, SubgoalFrame, Table, TableEntry,
                                 answer_width)
-from tabling.terms import Compound, Var, compound, intern_symbol, var_tok
+from tabling.terms import (TRUE_TOK, Compound, Var, atom_tok, compound, int_tok, intern_symbol,
+                           var_tok)
 from tabling.trie import HASH_THRESHOLD, SyncMode, TrieNode
 
 
@@ -1204,11 +1205,13 @@ def _named_program(names):
     program.add_clause(c(g, X, Y), [c(g, X, Z), c(row, Z, Y)])
     program.add_clause(c(frame, X, Y), [c(env, X, Y), c(g, Y, a(trace))])
     program.add_clause(c(frame, a(tid), Y), [c(g, a(tid), Y)])
-    program.add_clause(c(frame, X, a(bad)), [c(bad, X, a(bad))])
+    program.add_clause(c(frame, X, a(env)), [c(bad, X, a(env))])
     for p, x, y in ((rows, Int(1), Int(2)), (rows, Int(2), a(trace)), (row, a(trace), a(tid)),
                     (row, a(tid), Int(1)), (env, Int(5), Int(1)), (env, a(tid), Int(2)),
-                    (bad, Int(7), a(bad)), (bad, Int(8), a(tid))):
+                    (bad, Int(7), a(env)), (bad, Int(8), a(tid))):
         program.add_fact(c(p, x, y))
+    # an atom of any name enters as a token, never as a term (see the test)
+    program.add_rows((intern_symbol(rows), 2), [(int_tok(9), atom_tok(intern_symbol(bad)))])
     queries = (c(g, X, Y), c(g, Int(1), Y), c(frame, X, Y), c(frame, a(tid), Y))
     return program, queries
 
@@ -1219,6 +1222,9 @@ def _digits_out(source):
 
 @pytest.mark.parametrize("design", list(Design))
 def test_kernel_source_holds_no_program_text(design):
+    # an atom the parser would not read back is refused as a term
+    with pytest.raises(ProgramError, match="not an atom name"):
+        literal_of(compound(_SHADOWS[0], terms.atom(_SHADOWS[-1])), {})
     sources = []
     for names in (_SHADOWS, tuple(f"plain{i}" for i in range(len(_SHADOWS)))):
         program, queries = _named_program(names)
@@ -1262,3 +1268,130 @@ def test_kernels_compile_once_per_source():
     assert all(t.kernel.__code__ is k.__code__ for t, k in zip(templates, kernels[0]))
     maxsize = engine._kernel_code.cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and 0 < maxsize <= 4096
+
+
+def _answer_trie(node, width):
+    """An answer trie below `node` as plain data: per inner node its
+    children in chain order, each with its subtrie, and whether its index,
+    if it has one, maps each of them; at the last level the leaf container's
+    type and tokens, in order while it is a tuple."""
+    if width == 1:
+        leaves = node.payload
+        return leaves if type(leaves) is not set else ("set", sorted(leaves))
+    chain = []
+    child = node.first_child
+    while child is not None:
+        chain.append(child)
+        child = child.sibling
+    index = node.index
+    indexed = index is not None and len(index) == len(chain) and \
+        all(index[c.token] is c for c in chain)
+    return index is not None, indexed, [(c.token, _answer_trie(c, width - 1)) for c in chain]
+
+
+def _answer_streams(seed):
+    """(width, answer paths) per width 1 to 4, shuffled, with duplicates and
+    with a chain or leaf container past HASH_THRESHOLD at every level; and
+    the variable-free call's TRUE_TOK answer, offered three times."""
+    rng = random.Random(seed)
+    values = [int_tok(k) for k in range(-4, 8)] + \
+        [atom_tok(intern_symbol(f"w{k}")) for k in range(6)]
+
+    def path(head):
+        return head + tuple(rng.choice(values) for _ in range(width - len(head)))
+
+    streams = []
+    for width in range(1, 5):
+        stream = [path(()) for _ in range(30 * width)]
+        # 12 siblings below one node at each level
+        stream += [path(stream[0][:k] + (v,)) for k in range(width)
+                   for v in rng.sample(values, 12)]
+        stream += rng.sample(stream, 20)
+        rng.shuffle(stream)
+        streams.append((width, stream))
+    streams.append((1, [(TRUE_TOK,)] * 3))
+    return streams
+
+
+def _stream_program(width, stream):
+    """A program whose one kernel offers `stream` in order: t(V0, ...) :-
+    s(V0, ...), over the rows of s, or for the TRUE_TOK stream the
+    variable-free g :- s(V0), over one row per offer."""
+    if stream[0] == (TRUE_TOK,):
+        head, s, rows = "g", compound("s", Var(0)), [(int_tok(k),) for k in range(len(stream))]
+    else:
+        args = [Var(k) for k in range(width)]
+        head, s, rows = compound("t", *args), compound("s", *args), stream
+    pred = literal_of(head, {}).pred
+    program = Program(tabled=frozenset({pred}))
+    program.add_rows(literal_of(s, {}).pred, rows)
+    program.add_clause(head, [s])
+    return program, head
+
+
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("design", list(Design))
+def test_kernels_store_answers_as_new_answer_tokens_does(design, sync):
+    # each stream through its generated kernel and through the method must
+    # leave equal logs, equal tries, equal ats tallies and equal new flags
+    for seed in (1, 2, 3):
+        for width, stream in _answer_streams(seed):
+            program, query = _stream_program(width, stream)
+            events = []
+            result = solve_parallel(program, query, EvalConfig(design, sync, 1),
+                                    trace_factory=lambda tid: events.append, release=False)
+            frame = events[0][1]
+            news = [e[2] for e in events if e[0] == "new_answer"]
+            assert len(news) == len(stream)
+
+            table = Table(program.tabled, design, sync)
+            lit = literal_of(query, {})
+            other = table.subgoal_call(table.entries[lit.pred],
+                                       (atom_tok(lit.pred[0]),) + lit.args, 0)
+            assert [table.new_answer_tokens(other, path) for path in stream] == news
+            assert other.answers == frame.answers
+            assert len(frame.answers) == width * len(set(stream))
+            assert _answer_trie(other.answer_root, width) == \
+                _answer_trie(frame.answer_root, width)
+            assert table.snapshot_counters().ats == result.counters.ats
+            if stream[0] == (TRUE_TOK,):
+                assert frame.answers == [TRUE_TOK] and news == [True, False, False]
+                continue
+            # some chain is hashed at every inner level, and some leaf container
+            hashed = {depth for depth, node in _nodes(frame.answer_root)
+                      if node.index is not None or type(node.payload) is set}
+            assert hashed == set(range(width)), (width, hashed)
+
+
+def _nodes(root):
+    """(depth, node) for each node of a trie, the root at depth 0."""
+    stack = [(0, root)]
+    while stack:
+        depth, node = stack.pop()
+        yield depth, node
+        child = node.first_child
+        while child is not None:
+            stack.append((depth + 1, child))
+            child = child.sibling
+
+
+@pytest.mark.parametrize("design", list(Design))
+def test_a_kernel_entered_on_a_completed_frame_raises(design):
+    program = parse_program(":- table t/2.\nt(X,Y) :- e(X,Y).\nt(X,Z) :- t(X,Y), e(Y,Z).\n"
+                            "e(1,2). e(2,3).\n")
+    compiled = engine._compile(program)
+    table = Table(compiled.tabled, design)
+    ev = engine._Eval(compiled, table, 0)
+    lit = literal_of(parse_query("t(X,Y)"), {})
+    frame = table.subgoal_call(table.entries[lit.pred], (atom_tok(lit.pred[0]),) + lit.args, 0)
+    table.mark_complete([frame])
+    acts = [act for act in compiled.activations(lit.pred, lit.args) if act is not None]
+    # the fact clause stores from k0; the recursive one joins its own
+    # complete frame's log in r0
+    assert len(acts) == 2 and "def r0(" in acts[1].source
+    for act in acts:
+        with pytest.raises(EvaluationError, match="^new_answer on a completed subgoal$"):
+            next(act.kernel(ev, frame))
+    with pytest.raises(EvaluationError, match="^new_answer on a completed subgoal$"):
+        table.new_answer_tokens(frame, (int_tok(1), int_tok(2)))
+    assert frame.answers == [] and table.snapshot_counters().ats == 0

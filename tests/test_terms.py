@@ -9,8 +9,11 @@ import pytest
 
 import tabling
 from tabling import Int
+from tabling.engine import EvalConfig, solve_parallel
 from tabling.errors import ProgramError
+from tabling.parser import parse_program, parse_query
 from tabling.program import Literal, literal_of
+from tabling.tablespace import Design
 from tabling.terms import (
     TRUE_TOK,
     Compound,
@@ -188,6 +191,28 @@ def test_literals_take_exactly_int_and_str_constants():
             literal_of(compound("p", bad), {})
         with pytest.raises(ProgramError, match="not a valid literal"):
             literal_of(bad, {})
+
+
+def test_atom_names_are_those_the_parser_reads_back():
+    for name in ("a", "zed", "a_B9", "\u00e9t\u00e9", "x1"):
+        lit = literal_of(compound("p", name), {})
+        assert lit == literal_of(parse_query(f"p({name})"), {}), name
+        assert literal_of(name, {}) == literal_of(parse_query(name), {}), name
+    # each of these would print as an int, a variable, two words or nothing
+    for name in ("1", "-1", "X", "_x", "a b", "a.", "", "p(1)"):
+        with pytest.raises(ProgramError, match="not an atom name"):
+            literal_of(compound("p", name), {})
+        with pytest.raises(ProgramError, match="not an atom name"):
+            literal_of(name, {})
+
+
+def test_an_atom_spelled_like_an_int_cannot_enter_a_program():
+    # e("1") would decode to the str "1", print as 1 and so hash as e(1) does
+    program = parse_program(":- table t/1.\nt(X) :- e(X).\ne(1).\n")
+    with pytest.raises(ProgramError, match="not an atom name: '1'"):
+        program.add_fact(compound("e", "1"))
+    result = solve_parallel(program, parse_query("t(X)"), EvalConfig(Design.NS))
+    assert result.answer_sets == [frozenset({(1,)})]
 
 
 def test_atoms_pickle_by_name_across_interning_orders():
