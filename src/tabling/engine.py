@@ -20,7 +20,9 @@ clause and shape, one nested loop per body literal, with every clause
 variable a local.  At its innermost point the kernel stores the answer
 itself: the call shape fixes the answer's width, so the answer trie's
 check/insert (`tablespace.answer_source`) is emitted there unrolled, and a
-derived answer costs a call only where the trie lacks one of its tokens.
+derived answer costs a call only where it adds an inner trie node or is
+refused a trylock: a new leaf token is stored inline under every design, and
+under FS the kernel takes and releases the lock of its parent itself.
 The source holds no program text, so its compiled code is kept in a bounded
 per-process cache that rebuilt programs reuse.  One unifier, `_unify`,
 serves both places where two flat literals meet: a call against a callee's

@@ -26,7 +26,10 @@ reader on another thread sees a log length that is always a whole number of
 answers, never part of one.  The check/insert of an answer is source text,
 `answer_source`, unrolled over the answer's width: the engine's join kernels
 emit it where they derive an answer, and `Table.new_answer_tokens` runs the
-same text compiled once per width.
+same text compiled once per width.  Under FS that text also takes the lock
+of a new answer's leaf and logs the answer under it, so a new answer costs a
+Python call under no design unless it adds an inner trie node or is refused
+a trylock.
 
 Structure allocations are tallied per kind so the per-design memory laws
 can be checked as exact counts.  Each thread id has its own `_Tally`, which
@@ -52,7 +55,7 @@ from . import trie
 from .buckets import BucketArray
 from .errors import EvaluationError
 from .terms import TAG_VAR, Term, Token, TokenSeq, decode_answers
-from .trie import SyncMode, TrieNode, add_leaf, link_child
+from .trie import SyncMode, TrieNode, link_child
 
 EVALUATING = 0
 COMPLETE = 1
@@ -88,9 +91,8 @@ def _completed():
 
 
 # the names the code of `answer_source` reads besides its locals
-ANSWER_GLOBALS = {"completed": _completed, "link_child": link_child, "add_leaf": add_leaf,
-                  "insert_shared": trie.insert_shared,
-                  "insert_leaf_shared": trie.insert_leaf_shared}
+ANSWER_GLOBALS = {"completed": _completed, "link_child": link_child,
+                  "insert_shared": trie.insert_shared, "retry_leaf": trie.retry_leaf}
 
 # the locals the code of `answer_source` reads from `frame` and `table`,
 # set once before the answers of one run into `frame`, which must still be
@@ -125,18 +127,31 @@ node = child"""
 
 # the last token: look in the leaf container of the node above it, and on
 # a miss log the answer before the token goes in, so a thread that finds
-# the token finds the answer logged
+# the token finds the answer logged.  A shared container is written under
+# the lock `trie.insert_shared` would take for its node, after a look again,
+# and the lock is released however that ends; only a refused trylock makes
+# a call, `trie.retry_leaf`, which yields and looks again until it finds
+# the token or takes the lock
 _LEAF = """\
 leaves = node.payload
 new = leaves is None or {tok} not in leaves
 if new:
     if locks is None:
         log.extend({path})
-        add_leaf(node, leaves, {tok})
-        tally.ats += 1
+{owned}
     else:
-        new = insert_leaf_shared(node, {tok}, locks, blocking, log, {path})
-        tally.ats += new"""
+        lock = locks[hash(node) % len(locks)]
+        new = lock.acquire(blocking) or retry_leaf(node, {tok}, lock)
+        if new:
+            try:
+                leaves = node.payload
+                new = leaves is None or {tok} not in leaves
+                if new:
+                    log.extend({path})
+{shared}
+            finally:
+                lock.release()
+    tally.ats += new"""
 
 
 def answer_source(path: list[str]) -> str:
@@ -144,14 +159,19 @@ def answer_source(path: list[str]) -> str:
     expressions `path`, unrolled over its width: it walks the answer trie
     at `root`, logs the answer in `log` if it is new, and sets `new` to
     whether it was.  A trie that `locks` is None for is the storing
-    thread's own; a shared one is written only under its locks, by
-    `trie.insert_shared` and `trie.insert_leaf_shared`, which look again
-    under the lock.  Each node and leaf token added is counted in
-    `tally.ats`.  The join kernels emit this after `ANSWER_SETUP`, and
-    `Table.new_answer_tokens` runs it compiled once per width."""
+    thread's own; a shared one is written only under its locks, each taken
+    to look again before a write: by `trie.insert_shared` for an inner
+    node, and for a leaf token by this code itself, which grows the
+    container by `trie.add_leaf_source` either way.  A new answer thus
+    costs a call only for an inner node it adds or a trylock it is refused.
+    Each node and leaf token added is counted in `tally.ats`.  The join
+    kernels emit this after `ANSWER_SETUP`, and `Table.new_answer_tokens`
+    runs it compiled once per width."""
     tup = f"({', '.join(path)},)"
+    add = trie.add_leaf_source(path[-1])
     return "\n".join(["node = root", *(_INNER.format(tok=t) for t in path[:-1]),
-                      _LEAF.format(tok=path[-1], path=tup)])
+                      _LEAF.format(tok=path[-1], path=tup, owned=textwrap.indent(add, " " * 8),
+                                   shared=textwrap.indent(add, " " * 20))])
 
 
 @functools.lru_cache(maxsize=64)
@@ -220,9 +240,10 @@ class SubgoalEntry:
     leaf finds this one entry.  Every thread's frame reads this one log, so
     an answer is new at most once table-wide, whichever thread derives it
     first.  The thread that adds an answer's leaf token extends the log
-    first, while it holds the lock of the token's parent, so a leaf any
-    thread finds is already logged.  A thread that derives an answer already
-    in the trie finds it by an unlocked walk and takes no lock at all.
+    first, while it holds the lock of the token's parent, in the code that
+    `answer_source` emits, so a leaf any thread finds is already logged.  A
+    thread that derives an answer already in the trie finds it by an
+    unlocked walk and takes no lock at all.
     Readers take no lock: each answer goes in by one `list.extend`, which the
     GIL makes atomic, so a reader on any thread sees whole answers only."""
 

@@ -40,14 +40,16 @@ container in its `payload`, which answer tries use for nothing else, a
 `tuple` below `HASH_THRESHOLD` tokens and a `set` from then on, in the role
 of YapTab's hashed chain.  A look is `tok in leaves`, one C call, and an
 answer costs a slot there, not an object.  Inner answer nodes and subgoal
-tries stay `TrieNode` chains.  `add_leaf` grows a container; a tuple is
+tries stay `TrieNode` chains.  A container grows by the code
+`add_leaf_source` returns, which the join kernels run inline: a tuple is
 never changed, only replaced by a longer tuple or, at the threshold, by a
 set, each in one assignment, so a reader holding an old container misses at
 most a token, which it then finds under the lock.  A token is added only
-after its answer is logged, by the owner of an unshared trie (in the code
-`tablespace.answer_source` emits into each join kernel) or under the
-parent's lock (`insert_leaf_shared`), so a thread that finds a token finds
-its answer logged.
+after its answer is logged, by the owner of an unshared trie or under the
+parent's lock, both in the code `tablespace.answer_source` emits into each
+join kernel, so a thread that finds a token finds its answer logged.  That
+code takes a shared container's lock itself; only a refused trylock leaves
+it, for `retry_leaf`, which yields and looks again before it tries again.
 
 Write locks are not per node: a parent's writers take the lock
 `hash(parent)` selects from the table's array.  All writers of one sibling
@@ -169,46 +171,30 @@ def insert_shared(parent: TrieNode, tok: int, locks, blocking: bool,
             lock.release()
 
 
-def add_leaf(parent: TrieNode, leaves: tuple | set | None, tok: int) -> None:
-    """Add the answer leaf `tok`, known to be absent, to `parent`'s leaf
-    container `leaves` as the caller read it from `payload`; the caller owns
-    the container or holds its lock.  A tuple is replaced by one a token
-    longer, or by a set once it would reach `HASH_THRESHOLD` tokens."""
-    if leaves is None:
-        parent.payload = (tok,)
-    elif type(leaves) is set:
-        leaves.add(tok)
-    elif len(leaves) < _TUPLE_MAX:
-        parent.payload = (*leaves, tok)
-    else:
-        parent.payload = {*leaves, tok}
+def add_leaf_source(tok: str) -> str:
+    """The code that adds the answer leaf `tok`, a Python expression, to the
+    leaf container `leaves`, which the code before it read from
+    `node.payload` and found `tok` absent from, in a trie the thread owns or
+    under the lock of `node`.  A tuple is replaced by one a token longer, or
+    by a set once it would reach `HASH_THRESHOLD` tokens."""
+    return (f"if leaves is None:\n    node.payload = ({tok},)\n"
+            f"elif type(leaves) is set:\n    leaves.add({tok})\n"
+            f"elif len(leaves) < {_TUPLE_MAX}:\n    node.payload = (*leaves, {tok})\n"
+            f"else:\n    node.payload = {{*leaves, {tok}}}")
 
 
-def insert_leaf_shared(parent: TrieNode, tok: int, locks, blocking: bool,
-                       log: list, path: TokenSeq) -> bool:
-    """The shared insert of an answer leaf `tok` that the caller's unlocked
-    look did not find in `parent`'s leaf container.  It takes the
-    parent's lock, re-reads `payload` and re-checks; a failed trylock yields
-    and re-checks before it tries again.  Still holding the lock, it extends
-    `log` by the answer's `path` and then adds the leaf.  Returns whether
-    this call added it."""
-    lock = locks[hash(parent) % len(locks)]
-    held = False
-    try:
-        while True:
-            held = lock.acquire(blocking)
-            if not held:
-                time.sleep(0)  # yield, as in `insert_shared`
-            leaves = parent.payload
-            if leaves is not None and tok in leaves:
-                return False
-            if held:
-                log.extend(path)
-                add_leaf(parent, leaves, tok)
-                return True
-    finally:
-        if held:
-            lock.release()
+def retry_leaf(node: TrieNode, tok: int, lock) -> bool:
+    """After a refused trylock of `node`'s `lock`, for the answer leaf `tok`
+    that an unlocked look did not find in its container: yield, look again
+    and try again, until the look finds `tok`, which returns False, or the
+    lock is taken, which returns True with the lock held."""
+    while True:
+        time.sleep(0)  # yield, as in `insert_shared`
+        leaves = node.payload
+        if leaves is not None and tok in leaves:
+            return False
+        if lock.acquire(False):
+            return True
 
 
 def check_insert_path_counted(

@@ -1363,6 +1363,30 @@ def test_kernels_store_answers_as_new_answer_tokens_does(design, sync):
             assert hashed == set(range(width)), (width, hashed)
 
 
+@pytest.mark.parametrize("design", list(Design))
+def test_a_solve_makes_fewer_python_calls_than_it_finds_answers(design):
+    # every answer is checked and stored inside its join kernel, under FS
+    # with the lock taken there too, so no Python call is made per answer
+    program, query = bench_program("pathleft:btree:8")
+    solve_parallel(program, query, EvalConfig(design))  # compiles the program
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":  # a Python call or a generator's resumption
+            calls += 1
+
+    profiler = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        result = solve_parallel(program, query, EvalConfig(design))
+    finally:
+        sys.setprofile(profiler)
+    (answers,) = result.answer_sets
+    assert len(answers) == 1538
+    assert calls < len(answers), calls
+
+
 def _nodes(root):
     """(depth, node) for each node of a trie, the root at depth 0."""
     stack = [(0, root)]

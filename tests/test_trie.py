@@ -5,18 +5,21 @@ import time
 
 import pytest
 
-from tabling.tablespace import Design, Table
+from tabling import engine, tablespace
+from tabling.engine import EvalConfig, solve_parallel
+from tabling.parser import parse_program, parse_query
+from tabling.program import literal_of
+from tabling.tablespace import Design, SubgoalEntry, Table
 from tabling.terms import atom_tok, int_tok, intern_symbol, var_tok
 from tabling.trie import (
     HASH_THRESHOLD,
     SyncMode,
-    add_leaf,
     check_insert_path_counted,
     link_child,
     new_locks,
     new_root,
 )
-from trie_helpers import check_insert_node, child_tokens, find_child, leaf_tokens
+from trie_helpers import add_leaf, check_insert_node, child_tokens, find_child, leaf_tokens
 
 A = atom_tok(intern_symbol("a"))
 P = (intern_symbol("p"), 2)
@@ -485,6 +488,153 @@ def test_failed_trylock_yields_before_retrying(monkeypatch):
     node = check_insert_node(root, A, SyncMode.TRYLOCK, locks)
     assert locks.refusals == 1
     assert child_tokens(root) == [A] and node.token == A
+
+
+PROGRAM = ":- table t/2.\nt(X,Y) :- e(X,Y).\ne(1,2). e(1,3).\n"
+
+
+class _Interrupt(Exception):
+    pass
+
+
+class _LogThatFailsOnce(list):
+    """An answer log whose first `extend` raises, as an interrupt might
+    while a writer holds the lock of the answer leaf's parent."""
+
+    def __init__(self):
+        super().__init__()
+        self.failed = None  # the path whose extend raised
+
+    def extend(self, path):
+        if self.failed is None:
+            self.failed = tuple(path)
+            raise _Interrupt
+        super().extend(path)
+
+
+@pytest.mark.parametrize("mode", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("route", ["method", "kernel"])
+def test_a_failed_fs_leaf_insert_leaves_no_lock_held(monkeypatch, mode, route):
+    # the log append inside the locked section raises: the error must reach
+    # the caller with the lock released and the leaf not added, so the same
+    # answer then goes in as new
+    toks = (int_tok(1), int_tok(2))
+    if route == "method":
+        table = Table({P}, Design.FS, mode)
+        frame = table.subgoal_call(table.entries[P], SUBGOAL, 0)
+        entry = frame.entry
+        entry.answers = frame.answers = _LogThatFailsOnce()
+        with pytest.raises(_Interrupt):
+            table.new_answer_tokens(frame, toks)
+    else:
+        tables, entries = [], []
+
+        class RecordingTable(Table):
+            def __init__(self, *args):
+                super().__init__(*args)
+                tables.append(self)
+
+        class FailingEntry(SubgoalEntry):
+            def __init__(self):
+                super().__init__()
+                self.answers = _LogThatFailsOnce()
+                entries.append(self)
+
+        monkeypatch.setattr(engine, "Table", RecordingTable)
+        monkeypatch.setattr(tablespace, "SubgoalEntry", FailingEntry)
+        program, query = parse_program(PROGRAM), parse_query("t(X,Y)")
+        with pytest.raises(_Interrupt):
+            solve_parallel(program, query, EvalConfig(Design.FS, mode, 1))
+        (table,), (entry,) = tables, entries
+    log = entry.answers
+    assert log.failed == toks and log == []
+    assert not any(lock.locked() for lock in table.locks)
+    assert toks[1] not in leaf_tokens(find_child(entry.answer_root, toks[0]))
+    if route == "method":
+        assert table.new_answer_tokens(frame, toks)
+        assert log == list(toks)
+    else:
+        events = []
+        frame, end = engine._Eval(engine._compile(program), table, 0, events.append).solve(query)
+        assert [e[2] for e in events if e[0] == "new_answer"] == [True, True]
+        assert log == [*toks, int_tok(1), int_tok(3)] and end == 4
+    assert not any(lock.locked() for lock in table.locks)
+
+
+class _RefusingLocks:
+    """A one-lock array that records each try as ("acquire", blocking, got)
+    in `events` and refuses the first `refusals` of them."""
+
+    def __init__(self, events, refusals):
+        self._lock = threading.Lock()
+        self.events, self.refusals = events, refusals
+
+    def __len__(self):
+        return 1
+
+    def __getitem__(self, i):
+        return self
+
+    def acquire(self, blocking=True):
+        got = self.refusals <= 0 and self._lock.acquire(blocking)
+        self.refusals -= 1
+        self.events.append(("acquire", blocking, got))
+        return got
+
+    def release(self):
+        self._lock.release()
+
+
+@pytest.mark.parametrize("route", ["method", "kernel"])
+def test_failed_trylock_on_an_answer_leaf_yields_before_retrying(monkeypatch, route):
+    # the answer leaf (1, 2) is refused its lock twice, and another writer
+    # stores that answer during the second yield: each refusal yields once
+    # before the next look, and that look finds the leaf and logs nothing.
+    # The uncontended new answer (1, 3) takes one lock, and answers already
+    # present take none
+    program, query = parse_program(PROGRAM), parse_query("t(X,Y)")
+    compiled = engine._compile(program)
+    table = Table(compiled.tabled, Design.FS, SyncMode.TRYLOCK)
+    lit = literal_of(query, {})
+    frame = table.subgoal_call(table.entries[lit.pred], (atom_tok(lit.pred[0]),) + lit.args, 0)
+    one, two, three, five = map(int_tok, (1, 2, 3, 5))
+    assert table.new_answer_tokens(frame, (one, five))  # links the inner node
+    parent, log = find_child(frame.answer_root, one), frame.answers
+    events = []
+    locks = table.answer_locks = _RefusingLocks(events, 2)
+
+    def sleep(seconds):
+        events.append(("sleep", seconds))
+        if events.count(("sleep", 0)) == 2:  # the other writer stores (1, 2)
+            log.extend((one, two))
+            add_leaf(parent, parent.payload, two)
+
+    monkeypatch.setattr(time, "sleep", sleep)
+    if route == "method":
+        def store():
+            for path in ((one, two), (one, three)):
+                events.append(("new", table.new_answer_tokens(frame, path)))
+    else:
+        (act,) = [a for a in compiled.activations(lit.pred, lit.args) if a is not None]
+
+        def trace(event):
+            if event[0] == "new_answer":
+                events.append(("new", event[2]))
+
+        ev = engine._Eval(compiled, table, 0, trace)
+
+        def store():
+            assert list(act.kernel(ev, frame)) == []
+    store()
+    refused, taken = ("acquire", False, False), ("acquire", False, True)
+    assert events == [refused, ("sleep", 0), refused, ("sleep", 0), ("new", False),
+                      taken, ("new", True)]
+    assert log == [one, five, one, two, one, three]
+    events.clear()
+    store()
+    assert events == [("new", False), ("new", False)]
+    assert log == [one, five, one, two, one, three]
+    assert not locks._lock.locked()
 
 
 def test_shared_leaf_payload_is_created_once():

@@ -1,7 +1,8 @@
-"""Test-only one-token inserts and views of a trie chain and of an answer
-trie's leaf container."""
+"""Test-only one-token inserts and views of a trie chain, and the add and
+view of an answer trie's leaf container."""
 
-from tabling.trie import SyncMode, TrieNode, check_insert_path_counted, new_locks
+from tabling.trie import (SyncMode, TrieNode, add_leaf_source, check_insert_path_counted,
+                          new_locks)
 
 LOCKS = new_locks()  # for shared inserts that bring no locks of their own
 
@@ -40,3 +41,10 @@ def leaf_tokens(parent: TrieNode) -> list[int]:
     were added while it is a tuple; none if it has no container."""
     leaves = parent.payload
     return [] if leaves is None else list(leaves)
+
+
+def add_leaf(parent: TrieNode, leaves, tok: int) -> None:
+    """Add the answer leaf `tok` to `leaves`, `parent`'s leaf container as
+    read from its `payload` and known not to hold `tok`, by the growth rule
+    that the join kernels run."""
+    exec(add_leaf_source("tok"), {}, {"node": parent, "leaves": leaves, "tok": tok})
