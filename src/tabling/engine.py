@@ -12,21 +12,25 @@ one in a tabled clause is replaced by the bodies of its clauses (and kept
 as a call of its facts when it also has facts), so every clause the solver
 resolves is made of tabled and fact literals only.  Unfolding multiplies
 clauses: a body with several such calls gets one clause per combination of
-their clauses.  A clause is specialized once per call shape, the call with
-its constants left open as parameter variables, into an activation template
-kept with the compiled program; a frame only checks its call's constants.
-A template's body join is its kernel: Python source generated for that
-clause and shape, one nested loop per body literal, with every clause
-variable a local.  At its innermost point the kernel stores the answer
-itself: the call shape fixes the answer's width, so the answer trie's
-check/insert (`tablespace.answer_source`) is emitted there unrolled, and a
-derived answer costs a call only where it adds an inner trie node or is
-refused a trylock: a new leaf token is stored inline under every design, and
-under FS the kernel takes and releases the lock of its parent itself.
-The source holds no program text, so its compiled code is kept in a bounded
+their clauses.  A call shape is the call with its constants left open as
+parameter variables, and each has one activation kept with the compiled
+program, built on its first call: a kernel per clause whose head unifies
+with the shape.  A kernel is Python source generated for that clause and
+shape, one nested loop per body literal, with every clause variable a
+local; its first lines check what the head asks of the call's constants
+(equal to a head constant, or to each other).  A tabled literal's shape is
+fixed when its caller's kernel is built, so the kernel carries the callee's
+activation and a new frame reads its kernels with no analysis at run time.
+At its innermost point the kernel stores the answer itself: the call shape
+fixes the answer's width, so the answer trie's check/insert
+(`tablespace.answer_source`) is emitted there unrolled, and a derived
+answer costs a call only where it adds an inner trie node or is refused a
+trylock: a new leaf token is stored inline under every design, and under FS
+the kernel takes and releases the lock of its parent itself.  The source
+holds no program text, so its compiled code is kept in a bounded
 per-process cache that rebuilt programs reuse.  One unifier, `_unify`,
 serves both places where two flat literals meet: a call against a callee's
-head when unfolding, and a clause head against a call shape when a template
+head when unfolding, and a clause head against a call shape when a kernel
 is built.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
@@ -34,8 +38,9 @@ than the Python call stack.  A new tabled call pushes a generator frame on
 the thread's dependency stack, and `solve` pushes an `_evaluate` generator
 for it on its own list.  `_evaluate` resolves each clause once by running
 its kernel, whose loops run over fact rows, an index lookup or a callee's
-answer log, and which yields every fresh subgoal it meets: `solve` pushes
-the callee's generator and resumes the caller when that one is exhausted.
+answer log, and which yields every fresh subgoal it meets with the
+callee's activation: `solve` pushes the callee's generator and resumes the
+caller when that one is exhausted.
 Calls that hit a frame on the stack link strongly connected components by
 propagating the lowest stack slot reached: SCCs pop as suffixes, so slot
 order is call order.  When a leader's initial pass returns, the SCC is
@@ -102,8 +107,9 @@ class ParallelResult:
 
 
 # the innermost point before tabled literal {i}: call the subgoal, link its
-# SCC or have `solve` evaluate it, leave a consumer on it while it is
-# incomplete, and join its whole answer log in r{i}
+# SCC or have `solve` evaluate it by {act}, the activation of the call's
+# shape, leave a consumer on it while it is incomplete, and join its whole
+# answer log in r{i}
 _CALL = """\
 g = call(E, ({path},), tid)
 if g.state != {complete}:
@@ -111,7 +117,7 @@ if g.state != {complete}:
         if frame.leader > g.leader:
             frame.leader = g.leader
     else:
-        yield g
+        yield g, {act}
         if g.state != {complete} and g.pos < 0:
             raise violation()
 if trace is not None:
@@ -202,25 +208,27 @@ def _kernel_source(steps, fill, nconsts, answer) -> str:
 
 
 class _Act:
-    """A clause specialized once against one call shape: head unification
-    is folded away, and the body join left is `kernel`, a generator function
-    compiled from `source`.  Each body literal is one nested loop and each
-    clause variable a local; constants are int literals, and the rows,
-    indexes and predicates the join reads come in as closure constants, so
-    the source holds no program text.  At each tabled literal i the kernel
-    calls the subgoal and joins its answer log in the generated function
-    r{i}; while the callee is incomplete it first leaves a consumer, which
-    completion resumes in r{i} with the answers logged since.  A frame runs
-    the template when its call passes `checks`: each (argument position,
-    other position or -1, token) asks the call's constant there to equal its
-    constant at the other position, or else the token."""
+    """The activation of one call shape: `kernels`, the generator functions
+    `(eval, frame)` of the clauses whose heads unify with the shape, in
+    clause order, and their `sources`; both None until the shape is first
+    called.  A kernel is its clause specialized against the shape: head
+    unification is folded away, and what is left is the body join, one
+    nested loop per body literal and each clause variable a local, after
+    first lines that return unless the call's constants are what the head
+    asks (equal to a head constant, or to each other).  Constants are int
+    literals, and the rows, indexes, predicates and callee activations the
+    join reads come in as closure constants, so the source holds no program
+    text.  At each tabled literal i the kernel calls the subgoal and joins
+    its answer log in the generated function r{i}; while the callee is
+    incomplete it first leaves a consumer, which completion resumes in r{i}
+    with the answers logged since."""
 
-    __slots__ = ("kernel", "source", "checks")
+    __slots__ = ("shape", "kernels", "sources")
 
-    def __init__(self, kernel, source, checks):
-        self.kernel = kernel    # (eval, frame) -> generator
-        self.source = source
-        self.checks = checks
+    def __init__(self, shape):
+        self.shape = shape      # (pred, None or the variable, per argument)
+        self.kernels = None
+        self.sources = None
 
 
 class _Rel:
@@ -342,13 +350,15 @@ def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
 
 class _Compiled:
     """A program compiled once for evaluation: fact relations, unfolded
-    tabled clauses and a memo of activation templates.  Built on the
-    program's first solve and cached on it until the program is edited.
-    Read-only but for the memo, which single assignments fill (two threads
-    may both build a template; either is complete), so every run and worker
-    thread shares it.  It references no table, and no table keeps a
-    reference to it: the kernels that consumers resume, which capture its
-    rows, are dropped when their frames complete."""
+    tabled clauses and the activation of each call shape met so far.  Built
+    on the program's first solve and cached on it until the program is
+    edited.  Every run and worker thread shares it: it is read-only but for
+    the activations, and `setdefault` gives each shape one, so every kernel
+    that calls the shape carries the same one, which a single assignment
+    fills (two threads may both build its kernels; either result is
+    complete).  It references no table, and no table keeps a reference to it: the
+    kernels that consumers resume, which capture its rows, are dropped when
+    their frames complete."""
 
     __slots__ = ("tabled", "rels", "clauses", "templates")
 
@@ -356,22 +366,20 @@ class _Compiled:
         self.tabled = program.tabled
         self.rels = {pred: _Rel(rows, pred[1]) for pred, rows in program.facts.items()}
         self.clauses = _unfold(program)
-        # (pred, *call shape) -> one template per clause, or None
-        self.templates: dict[tuple, tuple] = {}
+        self.templates: dict[tuple, _Act] = {}  # call shape -> its activation
 
-    def activations(self, pred: Pred, args: tuple[int, ...]) -> list:
-        """The template of each clause of `pred` that the call `args`
-        passes, None where the head does not match it: the templates of the
-        call's shape (its variables, each constant replaced by None), built
-        on first use."""
-        shape = (pred, *(a if a & 7 == TAG_VAR else None for a in args))
-        templates = self.templates.get(shape)
-        if templates is None:
-            templates = self.templates[shape] = tuple(
-                self._template(cl, shape[1:]) for cl in self.clauses.get(pred, ()))
-        return [t if t is not None and all(args[k] == (tok if j < 0 else args[j])
-                                           for k, j, tok in t.checks) else None
-                for t in templates]
+    def act(self, shape: tuple) -> _Act:
+        """The one activation of `shape`: the predicate, then per argument
+        None for a constant or the call's variable."""
+        return self.templates.setdefault(shape, _Act(shape))
+
+    def build(self, act: _Act) -> tuple:
+        """Build and return the kernels of `act`."""
+        made = [t for t in (self._template(cl, act.shape[1:])
+                            for cl in self.clauses.get(act.shape[0], ())) if t is not None]
+        act.sources = tuple(source for _, source in made)
+        act.kernels = kernels = tuple(kernel for kernel, _ in made)
+        return kernels
 
     def _template(self, clause: Clause, shape: tuple):
         # the call's variables are numbered after the clause's, and its
@@ -426,18 +434,23 @@ class _Compiled:
         for i, (lit, xs) in enumerate(zip(clause.body, args_of)):
             before = list(known)
             if lit.pred in self.tabled:
-                # the variant call: unbound variables numbered in first occurrence
-                call, fresh = [str(atom_tok(lit.pred[0]))], []
+                # the variant call: unbound variables numbered in first
+                # occurrence, and its shape
+                call, fresh, callee = [str(atom_tok(lit.pred[0]))], [], [lit.pred]
                 for x in xs:
+                    tok = None
                     if x[0] != "(" and x not in known:
                         if x not in fresh:
                             fresh.append(x)
-                        x = str(var_tok(fresh.index(x)))
+                        tok = var_tok(fresh.index(x))
+                        x = str(tok)
                     call.append(x)
+                    callee.append(tok)
                 known.update(dict.fromkeys(fresh))
                 live = [x for x in before if x in later[i + 1]]
                 entry = f"E = table.entries[{closure(lit.pred)}]"
                 lines = _CALL.format(i=i, path=", ".join(call), complete=COMPLETE,
+                                     act=closure(self.act(tuple(callee))),
                                      live="".join(f"{x}, " for x in live),
                                      args="".join(f", {x}" for x in live))
                 if len(fresh) > 1:  # the callee's log: see tablespace.answer_width
@@ -476,13 +489,16 @@ class _Compiled:
                 if tests:
                     loop += f"\n    if {' or '.join(tests)}:\n        continue"
             steps.append((live, entry, lines, loop))
-        source = _kernel_source(steps, list(fill.values()), len(consts),
-                                _ANSWER.format(store=answer_source(answer)))
         # any other parameter must equal its class's constant or first parameter
-        checks = tuple((k, owner.get(r, -1), r) for k, r in params if owner.get(r) != k)
+        checks = [f"frame.tokens[{k + 1}] != "
+                  + (f"({r})" if r not in owner else f"frame.tokens[{owner[r] + 1}]")
+                  for k, r in params if owner.get(r) != k]
+        guard = [f"if {' or '.join(checks)}:\n    return"] if checks else []
+        source = _kernel_source(steps, guard + list(fill.values()), len(consts),
+                                _ANSWER.format(store=answer_source(answer)))
         out: dict = {}
         exec(_kernel_code(source), _KERNEL_GLOBALS, out)
-        return _Act(out["make"](*consts), source, checks)
+        return out["make"](*consts), source
 
 
 def _compile(program: Program) -> _Compiled:
@@ -521,31 +537,36 @@ class _Eval:
         table = self.table
         frame = table.subgoal_call(table.entries[lit.pred],
                                    (atom_tok(lit.pred[0]),) + lit.args, self.tid)
+        act = self.compiled.act((lit.pred, *(a if a & 7 == TAG_VAR else None
+                                              for a in lit.args)))
         # one generator per fresh call on the dependency stack; the top one
-        # runs until it yields a fresh callee, pushed above it, or finishes
-        gens = [self._evaluate(frame)]
+        # runs until it yields a fresh callee and its activation, pushed
+        # above it, or finishes
+        gens = [self._evaluate(frame, act)]
         while gens:
             callee = next(gens[-1], None)
             if callee is None:
                 gens.pop()
             else:
-                gens.append(self._evaluate(callee))
+                gens.append(self._evaluate(*callee))
         return frame, len(frame.answers)
 
     # ------------------------------------------------------------------
 
-    def _evaluate(self, frame: SubgoalFrame):
+    def _evaluate(self, frame: SubgoalFrame, act: _Act):
         """Make this thread the generator of a fresh call: push its frame,
-        resolve each of its clauses once, and complete its SCC if it leads
-        one, else pass its link on to the frame below it."""
+        resolve each clause of its activation `act` once, and complete its
+        SCC if it leads one, else pass its link on to the frame below it."""
         frame.pos = frame.leader = len(self.stack)
         self.stack.append(frame)
         self.consumers.append([])
         if self.trace is not None:
             self.trace(("call", frame))
-        for act in self.compiled.activations(frame.pred, frame.tokens[1:]):
-            if act is not None:
-                yield from act.kernel(self, frame)
+        kernels = act.kernels
+        if kernels is None:
+            kernels = self.compiled.build(act)
+        for kernel in kernels:
+            yield from kernel(self, frame)
         if frame.leader == frame.pos:
             yield from self._complete_scc(frame)
         if frame.pos >= 0:  # linked below its own slot, so not at slot 0

@@ -402,28 +402,75 @@ def test_scc_link_found_by_a_member_in_a_round_defers_completion():
             assert all(a == want for a in result.answer_sets), (design, threads)
 
 
+# h/2 has facts and clauses; its heads carry a constant and a repeated
+# variable, one call of it carries a constant no head has, and k/2 reaches
+# the tabled r/2 only through h/2
+_HEADS_TEXT = (":- table p/2.\n:- table r/2.\n"
+               "r(X,Y) :- e(X,Y).\n"
+               "h(X,hub) :- e(X,Y), g(Y).\n"
+               "h(X,X) :- g(X).\n"
+               "h(X,Y) :- r(X,Y).\n"
+               "k(X,Z) :- h(X,Y), h(Y,Z).\n"
+               "p(X,Y) :- k(X,Y).\n"
+               "p(X,X) :- h(X,X).\n"
+               "p(X,hub) :- h(X,3).\n"
+               "h(5,5). e(1,2). e(2,3). g(2). g(5).")
+# p(5,3) fails the guard of the p(X,X) kernel, and p(1,hub) passes the
+# p(X,hub) kernel's but fails p(X,X)'s
+_HEADS_QUERIES = ("p(X,Y)", "p(X,X)", "p(1,Y)", "p(X,hub)", "p(5,5)", "p(5,3)", "p(1,hub)")
+
+
 def test_unfolding_constants_and_repeated_head_vars():
-    # h/2 has facts and clauses; its heads carry a constant and a repeated
-    # variable, one call of it carries a constant no head has, and k/2
-    # reaches the tabled r/2 only through h/2
-    program = parse_program(
-        ":- table p/2.\n:- table r/2.\n"
-        "r(X,Y) :- e(X,Y).\n"
-        "h(X,hub) :- e(X,Y), g(Y).\n"
-        "h(X,X) :- g(X).\n"
-        "h(X,Y) :- r(X,Y).\n"
-        "k(X,Z) :- h(X,Y), h(Y,Z).\n"
-        "p(X,Y) :- k(X,Y).\n"
-        "p(X,X) :- h(X,X).\n"
-        "p(X,hub) :- h(X,3).\n"
-        "h(5,5). e(1,2). e(2,3). g(2). g(5).")
-    for text in ("p(X,Y)", "p(X,X)", "p(1,Y)", "p(X,hub)", "p(5,5)"):
+    program = parse_program(_HEADS_TEXT)
+    for text in _HEADS_QUERIES:
         query = parse_query(text)
         want = oracle_solve(program, query)
         for design in Design:
             got = solve_parallel(program, query,
                                  EvalConfig(design=design, threads=1)).answer_sets[0]
             assert got == want, (text, design)
+            for sync in (SyncMode.LOCK, SyncMode.TRYLOCK):
+                result = solve_parallel(program, query,
+                                        EvalConfig(design=design, sync=sync, threads=2))
+                assert all(a == want for a in result.answer_sets), (text, design, sync)
+
+
+def _closure_acts(compiled):
+    """Each activation that a built kernel of `compiled` carries as a
+    closure constant, through the functions it nests."""
+    found = []
+    todo = [k for act in compiled.templates.values() for k in act.kernels or ()]
+    while todo:
+        for cell in todo.pop().__closure__ or ():
+            value = cell.cell_contents
+            if isinstance(value, types.FunctionType):
+                todo.append(value)
+            elif isinstance(value, engine._Act):
+                found.append(value)
+    return found
+
+
+@pytest.mark.parametrize("threads", [2, 4])
+@pytest.mark.parametrize("sync", [SyncMode.LOCK, SyncMode.TRYLOCK])
+@pytest.mark.parametrize("design", list(Design))
+def test_threads_building_the_kernels_at_once_share_each_activation(design, sync, threads):
+    # every thread makes the first solve of a fresh program, so they build
+    # the activations' kernels at once; a switch every microsecond preempts
+    # them inside those builds
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for text in _HEADS_QUERIES:
+            program, query = parse_program(_HEADS_TEXT), parse_query(text)
+            want = oracle_solve(program, query)
+            result = solve_parallel(program, query,
+                                    EvalConfig(design=design, sync=sync, threads=threads))
+            assert all(a == want for a in result.answer_sets), text
+            memo = program.compiled.templates
+            acts = _closure_acts(program.compiled)
+            assert acts and all(memo[act.shape] is act for act in acts), text
+    finally:
+        sys.setswitchinterval(interval)
 
 
 _RANDOM_RULES = {
@@ -823,12 +870,12 @@ def test_table_holds_nothing_of_the_compiled_program(release):
             for rel in compiled.rels.values():
                 banned.update((id(rel), id(rel.rows), id(rel.index)))
                 banned.update(id(d) for d in rel.index)
-            for templates in compiled.templates.values():
-                banned.add(id(templates))
-                for t in templates:
-                    if t is not None:
-                        banned.add(id(t))
-                        banned.update(_kernel_parts(t.kernel, compiled.tabled))
+            for act in compiled.templates.values():
+                banned.add(id(act))
+                if act.kernels is not None:
+                    banned.add(id(act.kernels))
+                    for kernel in act.kernels:
+                        banned.update(_kernel_parts(kernel, compiled.tabled))
             met = _reachable(result.table)
             assert not banned & met.keys(), (design, text)
             assert not any(isinstance(o, (engine._Rel, engine._Compiled, engine._Act))
@@ -999,7 +1046,8 @@ def test_wide_answer_logs_match_oracle(design, sync, threads):
 
 
 # ----------------------------------------------------------------------
-# activation templates: one per clause and call shape, filled per frame
+# activations: one per call shape, a kernel per clause whose head unifies
+# with it, run with each call's constants
 
 
 _TEMPLATE_TEXT = (
@@ -1063,13 +1111,14 @@ def test_distinct_call_constants_share_one_template_per_clause(design):
         result = solve_parallel(program, parse_query(f"reach({c},Y)"), cfg)
         want = {(y,) for x, y in closure if x == Int(c)}
         assert want and all(a == want for a in result.answer_sets)
-        memo = program.compiled.templates
-        first = first or dict(memo)
-        assert memo == first  # the same template objects, built once
-    ((shape, templates),) = first.items()
+        memo = {shape: (act, act.kernels) for shape, act in program.compiled.templates.items()}
+        first = first or memo
+        assert memo == first  # the same activation and kernels, built once
+    ((shape, (act, kernels)),) = first.items()
     assert shape == (reach, None, var_tok(0))
-    assert len(templates) == len(program.compiled.clauses[reach]) == 3
-    assert all(isinstance(t, engine._Act) for t in templates)
+    assert len(kernels) == len(program.compiled.clauses[reach]) == 3
+    assert isinstance(act, engine._Act)
+    assert all(k.__code__.co_filename == "<kernel>" for k in kernels)
     # an open call adds its own shape; its callees reuse reach(c,Y)'s
     solve_parallel(program, parse_query("reach(X,Y)"), cfg)
     assert program.compiled.templates.keys() == {shape, (reach, var_tok(0), var_tok(1))}
@@ -1178,7 +1227,7 @@ def test_long_bodies_solve_through_chained_kernels(design, sync, threads):
             assert all(a == want for a in result.answer_sets), text
         longest = max(len(cl.body) for cls in program.compiled.clauses.values() for cl in cls)
         assert longest in (40, 30)
-        sources = [t.source for ts in program.compiled.templates.values() for t in ts if t]
+        sources = [s for act in program.compiled.templates.values() for s in act.sources or ()]
         # no generated function nests more than 16 loops, so the longest
         # body's kernel delegates to one more function per 16 literals
         assert any(f"yield from k{(longest - 1) // 16}(" in s for s in sources)
@@ -1234,13 +1283,13 @@ def test_kernel_source_holds_no_program_text(design):
             for threads in (1, 2):
                 result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
                 assert all(a == want for a in result.answer_sets)
-        templates = [t for ts in program.compiled.templates.values() for t in ts if t]
-        for t in templates:
-            toks = list(tokenize.generate_tokens(io.StringIO(t.source).readline))
+        built = [s for act in program.compiled.templates.values() for s in act.sources or ()]
+        for source in built:
+            toks = list(tokenize.generate_tokens(io.StringIO(source).readline))
             assert not any(tok.type == tokenize.STRING for tok in toks)
             assert all(tok.string.isdigit() for tok in toks if tok.type == tokenize.NUMBER)
-            assert _SHADOWS[-1] not in t.source and "plain" not in t.source
-        sources.append([_digits_out(t.source) for t in templates])
+            assert _SHADOWS[-1] not in source and "plain" not in source
+        sources.append([_digits_out(source) for source in built])
     # renaming every symbol changes no kernel but for its int literals
     assert sources[0] == sources[1] and len(sources[0]) >= 5
 
@@ -1250,8 +1299,8 @@ def test_kernels_compile_once_per_source():
     for _ in range(2):
         program = _reach_program(_ring(8))
         solve_parallel(program, parse_query("reach(3,Y)"), EvalConfig(design=Design.NS))
-        (templates,) = program.compiled.templates.values()
-        kernels.append([t.kernel for t in templates])
+        (act,) = program.compiled.templates.values()
+        kernels.append(act.kernels)
     # a rebuilt program reuses the code, but binds its own rows
     assert all(a.__code__ is b.__code__ and a is not b for a, b in zip(*kernels))
     # a program that differs in one fact constant shares the code too, and
@@ -1263,9 +1312,9 @@ def test_kernels_compile_once_per_source():
         for design in Design:
             result = solve_parallel(program, query, EvalConfig(design=design, threads=2))
             assert all(a == want for a in result.answer_sets), text
-    templates = program.compiled.templates[((intern_symbol("reach"), 2), None, var_tok(0))]
-    assert len(templates) == len(kernels[0]) == 3
-    assert all(t.kernel.__code__ is k.__code__ for t, k in zip(templates, kernels[0]))
+    act = program.compiled.templates[((intern_symbol("reach"), 2), None, var_tok(0))]
+    assert len(act.kernels) == len(kernels[0]) == 3
+    assert all(a.__code__ is k.__code__ for a, k in zip(act.kernels, kernels[0]))
     maxsize = engine._kernel_code.cache_parameters()["maxsize"]
     assert isinstance(maxsize, int) and 0 < maxsize <= 4096
 
@@ -1387,6 +1436,30 @@ def test_a_solve_makes_fewer_python_calls_than_it_finds_answers(design):
     assert calls < len(answers), calls
 
 
+@pytest.mark.parametrize("design", list(Design))
+def test_a_warm_solve_dispatches_its_calls_with_no_compiler_call(design):
+    # each call site carries its callee's activation, so a new frame finds
+    # its kernels in one attribute read: the solve looks up the query's
+    # own activation, and the compiled program is not called again
+    program, query = bench_program("pathright:btree:6")
+    solve_parallel(program, query, EvalConfig(design))  # builds every kernel
+    compiler = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code.co_qualname.startswith("_Compiled"):
+            compiler.append(frame.f_code.co_qualname)
+
+    profiler = sys.getprofile()
+    sys.setprofile(record)
+    try:
+        result = solve_parallel(program, query, EvalConfig(design))
+    finally:
+        sys.setprofile(profiler)
+    (answers,) = result.answer_sets
+    assert answers == oracle_solve(program, query) and result.counters.sf == 63
+    assert len(compiler) <= 1, compiler
+
+
 def _nodes(root):
     """(depth, node) for each node of a trie, the root at depth 0."""
     stack = [(0, root)]
@@ -1409,13 +1482,14 @@ def test_a_kernel_entered_on_a_completed_frame_raises(design):
     lit = literal_of(parse_query("t(X,Y)"), {})
     frame = table.subgoal_call(table.entries[lit.pred], (atom_tok(lit.pred[0]),) + lit.args, 0)
     table.mark_complete([frame])
-    acts = [act for act in compiled.activations(lit.pred, lit.args) if act is not None]
+    act = compiled.act((lit.pred, *lit.args))  # both arguments are variables
+    kernels = compiled.build(act)
     # the fact clause stores from k0; the recursive one joins its own
     # complete frame's log in r0
-    assert len(acts) == 2 and "def r0(" in acts[1].source
-    for act in acts:
+    assert len(kernels) == 2 and "def r0(" in act.sources[1]
+    for kernel in kernels:
         with pytest.raises(EvaluationError, match="^new_answer on a completed subgoal$"):
-            next(act.kernel(ev, frame))
+            next(kernel(ev, frame))
     with pytest.raises(EvaluationError, match="^new_answer on a completed subgoal$"):
         table.new_answer_tokens(frame, (int_tok(1), int_tok(2)))
     assert frame.answers == [] and table.snapshot_counters().ats == 0

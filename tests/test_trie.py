@@ -615,7 +615,7 @@ def test_failed_trylock_on_an_answer_leaf_yields_before_retrying(monkeypatch, ro
             for path in ((one, two), (one, three)):
                 events.append(("new", table.new_answer_tokens(frame, path)))
     else:
-        (act,) = [a for a in compiled.activations(lit.pred, lit.args) if a is not None]
+        (kernel,) = compiled.build(compiled.act((lit.pred, *lit.args)))  # t(X,Y)
 
         def trace(event):
             if event[0] == "new_answer":
@@ -624,7 +624,7 @@ def test_failed_trylock_on_an_answer_leaf_yields_before_retrying(monkeypatch, ro
         ev = engine._Eval(compiled, table, 0, trace)
 
         def store():
-            assert list(act.kernel(ev, frame)) == []
+            assert list(kernel(ev, frame)) == []
     store()
     refused, taken = ("acquire", False, False), ("acquire", False, True)
     assert events == [refused, ("sleep", 0), refused, ("sleep", 0), ("new", False),
