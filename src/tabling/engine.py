@@ -5,20 +5,21 @@ only whatever table structures the active design designates as shared.
 They wait on each other only at the table's trie write locks.
 
 A program is compiled once, on its first solve: validation, the
-per-position indexes of its fact relations and the unfolded clauses are
+per-position indexes of its fact relations and the tabled clauses are
 cached on the `Program` until it is edited, and each run builds only its
-table.  Non-tabled predicates defined by rules are unfolded: each call of
-one in a tabled clause is replaced by the bodies of its clauses (and kept
-as a call of its facts when it also has facts), so every clause the solver
-resolves is made of tabled and fact literals only.  Unfolding multiplies
-clauses: a body with several such calls gets one clause per combination of
-their clauses.  A call shape is the call with its constants left open as
-parameter variables, and each has one activation kept with the compiled
-program, built on its first call: a kernel per clause whose head unifies
-with the shape.  A kernel is Python source generated for that clause and
-shape, one nested loop per body literal, with every clause variable a
-local; its first lines check what the head asks of the call's constants
-(equal to a head constant, or to each other).  A tabled literal's shape is
+table.  A view, a non-tabled predicate defined by rules, is never
+unfolded.  One that reaches a tabled predicate, directly or through other
+views, is tabled as well, and its facts become bodyless clauses.  Every
+other view reads only facts, so compilation solves its open call once, on
+a private NS table, into one more fact relation.  So every clause the
+solver resolves is made of tabled and fact literals only.  A call shape
+is the call with its constants left open as parameter variables, and each
+has one activation kept with the compiled program, built on its first
+call: a kernel per clause whose head unifies with the shape.  A kernel is
+Python source generated for that clause and shape, one nested loop per
+body literal, with every clause variable a local; its first lines check
+what the head asks of the call's constants (equal to a head constant, or
+to each other).  A tabled literal's shape is
 fixed when its caller's kernel is built, so the kernel carries the callee's
 activation and a new frame reads its kernels with no analysis at run time.
 At its innermost point the kernel stores the answer itself: the call shape
@@ -28,10 +29,8 @@ answer costs a call only where it adds an inner trie node or is refused a
 trylock: a new leaf token is stored inline under every design, and under FS
 the kernel takes and releases the lock of its parent itself.  The source
 holds no program text, so its compiled code is kept in a bounded
-per-process cache that rebuilt programs reuse.  One unifier, `_unify`,
-serves both places where two flat literals meet: a call against a callee's
-head when unfolding, and a clause head against a call shape when a kernel
-is built.
+per-process cache that rebuilt programs reuse.  `_unify` meets a clause
+head with a call shape when a kernel is built.
 
 Scheduling follows classic local evaluation, kept on explicit stacks rather
 than the Python call stack.  A new tabled call pushes a generator frame on
@@ -257,7 +256,7 @@ def _walk(subst: dict[int, int], t: int) -> int:
 def _unify(xs: tuple[int, ...], ys: tuple[int, ...]) -> dict[int, int] | None:
     """The most general unifier of two flat argument tuples whose variables
     are kept apart, as a substitution to read through `_walk`; None when
-    they do not unify.  The one unifier of unfolding and activation."""
+    they do not unify."""
     subst: dict[int, int] = {}
     for a, b in zip(xs, ys):
         a, b = _walk(subst, a), _walk(subst, b)
@@ -272,101 +271,62 @@ def _unify(xs: tuple[int, ...], ys: tuple[int, ...]) -> dict[int, int] | None:
     return subst
 
 
-def _resolve(cl: Clause, i: int, d: Clause) -> Clause | None:
-    """Replace body literal `i` of `cl` by the body of `d`, unified with
-    d's head; None when the literal and the head do not unify."""
-    n = cl.nvars
-
-    def shift(lit: Literal) -> Literal:  # rename d's variables apart
-        return Literal(lit.pred, tuple(a + (n << 3) if a & 7 == TAG_VAR else a
-                                       for a in lit.args))
-
-    subst = _unify(cl.body[i].args, shift(d.head).args)
-    if subst is None:
-        return None
-    renum: dict[int, int] = {}  # first occurrence over head then body
-
-    def rebuild(lit: Literal) -> Literal:
-        args = []
-        for t in lit.args:
-            t = _walk(subst, t)
-            if t & 7 == TAG_VAR:
-                t = renum.setdefault(t, var_tok(len(renum)))
-            args.append(t)
-        return Literal(lit.pred, tuple(args))
-
-    head = rebuild(cl.head)
-    body = cl.body[:i] + tuple(shift(lit) for lit in d.body) + cl.body[i + 1:]
-    return Clause(head, tuple(rebuild(lit) for lit in body), len(renum))
-
-
-# clauses, finished or not, that unfolding one tabled clause may make: a
-# view chain unfolding into 677 clauses makes 2,325; one level more, 458,330
-_UNFOLD_LIMIT = 10_000
-
-
-def _unfold(program: Program) -> dict[Pred, tuple[Clause, ...]]:
-    """Every tabled clause with each call of a non-tabled predicate defined
-    by clauses replaced by the bodies of those clauses, and kept as one more
-    variant when the predicate also has facts.  Unfolding stops at tabled
-    and fact literals, so it ends unless a cycle of calls is made only of
-    non-tabled predicates with clauses, which validation rejects.  Raises
-    a ProgramError past `_UNFOLD_LIMIT` clauses made from one clause."""
-    rules = {pred: cls for pred, cls in program.clauses.items()
-             if pred not in program.tabled}
-
-    def expand(head: Pred, cl: Clause) -> list[Clause]:
-        # depth first on an explicit stack: each clause waits with the body
-        # position to resume from, and its expansions are pushed in reverse
-        # so that they come out in order
-        out = []
-        todo = [(cl, 0)]
-        views: dict[Pred, None] = {}  # the predicates unfolded, in order
-        made = 0
-        while todo:
-            made += 1
-            if made > _UNFOLD_LIMIT:
-                raise ProgramError(f"unfolding a clause of {pred_str(head)} made more than "
-                                   f"{_UNFOLD_LIMIT} clauses; table the predicates it unfolds: "
-                                   + " ".join(f":- table {pred_str(v)}." for v in views))
-            cl, start = todo.pop()
-            i = next((i for i in range(start, len(cl.body))
-                      if cl.body[i].pred in rules), None)
-            if i is None:
-                out.append(cl)
-                continue
-            pred = cl.body[i].pred
-            views[pred] = None
-            merged = [(m, i) for m in (_resolve(cl, i, d) for d in rules[pred])
-                      if m is not None]
-            if pred in program.facts:
-                merged.insert(0, (cl, i + 1))
-            todo.extend(reversed(merged))
-        return out
-
-    return {pred: tuple(c for cl in cls for c in expand(pred, cl))
-            for pred, cls in program.clauses.items() if pred in program.tabled}
-
-
 class _Compiled:
-    """A program compiled once for evaluation: fact relations, unfolded
-    tabled clauses and the activation of each call shape met so far.  Built
-    on the program's first solve and cached on it until the program is
-    edited.  Every run and worker thread shares it: it is read-only but for
-    the activations, and `setdefault` gives each shape one, so every kernel
-    that calls the shape carries the same one, which a single assignment
-    fills (two threads may both build its kernels; either result is
-    complete).  It references no table, and no table keeps a reference to it: the
-    kernels that consumers resume, which capture its rows, are dropped when
-    their frames complete."""
+    """A program compiled once for evaluation: fact relations, the clauses
+    of each tabled predicate and the activation of each call shape met so
+    far.  A view, a predicate with clauses that is not declared tabled, is
+    tabled here too when it reaches a tabled predicate, directly or through
+    other views, and its facts become bodyless clauses.  Every other view
+    reads only facts and such views, so it is solved here, once, into a
+    fact relation.  Built on the program's first solve and cached on it
+    until the program is edited.  Every run and worker thread shares it: it
+    is read-only but for the activations, and `setdefault` gives each shape
+    one, so every kernel that calls the shape carries the same one, which a
+    single assignment fills (two threads may both build its kernels; either
+    result is complete).  It references no table, and no table keeps a
+    reference to it: the kernels that consumers resume, which capture its
+    rows, are dropped when their frames complete."""
 
     __slots__ = ("tabled", "rels", "clauses", "templates")
 
     def __init__(self, program: Program):
-        self.tabled = program.tabled
-        self.rels = {pred: _Rel(rows, pred[1]) for pred, rows in program.facts.items()}
-        self.clauses = _unfold(program)
+        # the views that call each predicate, to walk up from the tabled ones
+        callers: dict[Pred, list[Pred]] = {}
+        for pred, cls in program.clauses.items():
+            if pred not in program.tabled:
+                for cl in cls:
+                    for lit in cl.body:
+                        callers.setdefault(lit.pred, []).append(pred)
+        tabled = set(program.tabled)
+        todo = list(tabled)
+        while todo:
+            for view in callers.pop(todo.pop(), ()):
+                if view not in tabled:
+                    tabled.add(view)
+                    todo.append(view)
+        views = [pred for pred in program.clauses if pred not in tabled]
+        self.clauses = {pred: (*program.clauses.get(pred, ()),
+                               *(Clause(Literal(pred, row), (), 0)
+                                 for row in program.facts.get(pred, ())))
+                        for pred in (*tabled, *views)}
+        self.rels = {pred: _Rel(rows, pred[1]) for pred, rows in program.facts.items()
+                     if pred not in self.clauses}
         self.templates: dict[tuple, _Act] = {}  # call shape -> its activation
+        if views:
+            self.tabled = frozenset(views)  # while they are solved
+            self._solve(views)
+        self.tabled = frozenset(tabled)
+
+    def _solve(self, views: list[Pred]) -> None:
+        """Solve each view's open call on one private NS table and keep its
+        answers as the view's fact relation.  The activations built meanwhile
+        call views as tabled predicates, so they are dropped."""
+        ev = _Eval(self, Table(views, Design.NS), 0)
+        for pred in views:
+            log = ev.solve(Literal(pred, tuple(map(var_tok, range(pred[1])))))[0].answers
+            rows = zip(*[iter(log)] * pred[1]) if pred[1] else [()] * bool(log)
+            self.rels[pred] = _Rel(rows, pred[1])
+        self.templates.clear()
 
     def act(self, shape: tuple) -> _Act:
         """The one activation of `shape`: the predicate, then per argument
@@ -528,15 +488,15 @@ class _Eval:
 
     # ------------------------------------------------------------------
 
-    def solve(self, query: Term) -> tuple[SubgoalFrame, int]:
-        """Evaluate `query` to completion: its frame and the length of the
-        frame's answer log at completion."""
-        lit = literal_of(query, {})
-        if lit.pred not in self.compiled.tabled:
-            raise ProgramError(f"query predicate {pred_str(lit.pred)} is not tabled")
+    def solve(self, lit: Literal) -> tuple[SubgoalFrame, int]:
+        """Evaluate the tabled call `lit`, in variant form, to completion:
+        its frame and the length of the frame's answer log at completion.
+        A frame complete already is returned as it is."""
         table = self.table
         frame = table.subgoal_call(table.entries[lit.pred],
                                    (atom_tok(lit.pred[0]),) + lit.args, self.tid)
+        if frame.state == COMPLETE:
+            return frame, len(frame.answers)
         act = self.compiled.act((lit.pred, *(a if a & 7 == TAG_VAR else None
                                               for a in lit.args)))
         # one generator per fresh call on the dependency stack; the top one
@@ -631,6 +591,9 @@ def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory
     """
     compiled = _compile(program)
     cfg.validate()
+    lit = literal_of(query, {})
+    if lit.pred not in program.tabled:  # a view tabled by compilation too
+        raise ProgramError(f"query predicate {pred_str(lit.pred)} is not tabled")
     table = Table(compiled.tabled, cfg.design, cfg.sync)
     n = cfg.threads
     results: list = [None] * n
@@ -639,7 +602,7 @@ def solve_parallel(program: Program, query: Term, cfg: EvalConfig, trace_factory
     def work(tid: int) -> None:
         try:
             trace = trace_factory(tid) if trace_factory is not None else None
-            results[tid] = _Eval(compiled, table, tid, trace).solve(query)
+            results[tid] = _Eval(compiled, table, tid, trace).solve(lit)
         except BaseException as exc:  # propagated after join
             failures.append(exc)
 

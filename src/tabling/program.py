@@ -159,7 +159,7 @@ class Program:
     def validate(self) -> None:
         """Reject clauses that are not range-restricted, and every cycle of
         calls made only of views, predicates with clauses that are not
-        tabled, which unfolding would never end; tabling ends the others."""
+        tabled: a recursive predicate must be declared tabled."""
         for pred, clauses in self.clauses.items():
             for cl in clauses:
                 body_vars = {a for lit in cl.body for a in lit.args if a & 7 == TAG_VAR}

@@ -213,11 +213,9 @@ class SubgoalFrame:
     and `leader` the lowest slot its SCC reaches; the engine sets both.
     """
 
-    __slots__ = ("pred", "tokens", "tid", "state", "entry",
-                 "answer_root", "answers", "pos", "leader")
+    __slots__ = ("tokens", "tid", "state", "entry", "answer_root", "answers", "pos", "leader")
 
-    def __init__(self, pred, tokens, tid, entry=None):
-        self.pred = pred
+    def __init__(self, tokens, tid, entry=None):
         self.tokens = tokens
         self.tid = tid
         self.state = EVALUATING
@@ -258,10 +256,9 @@ class SubgoalEntry:
 class TableEntry:
     """One per tabled predicate; every call enters the table space here."""
 
-    __slots__ = ("pred", "roots", "root")
+    __slots__ = ("roots", "root")
 
-    def __init__(self, pred, design: Design):
-        self.pred = pred
+    def __init__(self, design: Design):
         if design is Design.NS:
             self.roots = BucketArray()
             self.root = None
@@ -281,8 +278,7 @@ class Table:
         self.locks = None if design is Design.NS else trie.new_locks()
         self.answer_locks = self.locks if design is Design.FS else None
         self.blocking = sync is SyncMode.LOCK
-        self.entries: dict = {
-            pred: TableEntry(pred, design) for pred in tabled_preds}
+        self.entries: dict = {pred: TableEntry(design) for pred in tabled_preds}
         # each thread's allocation counts, made on its first subgoal call
         self._tallies: defaultdict[int, _Tally] = defaultdict(_Tally)
 
@@ -305,7 +301,7 @@ class Table:
             tally.ba += made_level
             tally.sts += created
             if made:
-                leaf.payload = SubgoalFrame(te.pred, toks, tid)
+                leaf.payload = SubgoalFrame(toks, tid)
                 tally.sf += 1
             return leaf.payload
         ss = self.design is Design.SS
@@ -320,7 +316,7 @@ class Table:
             cells = entry.frames
             tally.se += made
         frame, made_frame, made_level = cells.get_or_create(
-            tid, lambda: SubgoalFrame(te.pred, toks, tid, entry))
+            tid, lambda: SubgoalFrame(toks, tid, entry))
         tally.ba += made_level
         tally.sf += made_frame
         return frame

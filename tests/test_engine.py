@@ -1,5 +1,7 @@
 import gc
+import importlib.util
 import io
+import pathlib
 import random
 import re
 import sys
@@ -420,7 +422,7 @@ _HEADS_TEXT = (":- table p/2.\n:- table r/2.\n"
 _HEADS_QUERIES = ("p(X,Y)", "p(X,X)", "p(1,Y)", "p(X,hub)", "p(5,5)", "p(5,3)", "p(1,hub)")
 
 
-def test_unfolding_constants_and_repeated_head_vars():
+def test_views_with_head_constants_and_repeated_head_vars():
     program = parse_program(_HEADS_TEXT)
     for text in _HEADS_QUERIES:
         query = parse_query(text)
@@ -681,15 +683,17 @@ def test_sixty_thousand_call_chain_answers():
 @pytest.mark.parametrize("order", ["file", "reversed"])
 def test_deep_nontabled_chain_compiles_at_the_default_recursion_limit(order):
     # in file order the dependency search walks 1,500 predicates deep; in
-    # reverse order validation is shallow but unfolding t/1 is 1,500 deep
+    # reverse order validation is shallow, but either way compilation solves
+    # p0/1 through a chain of 1,500 calls
     n = 1_500
     assert sys.getrecursionlimit() < n
     rules = ["t(X) :- p0(X)."] + [f"p{i}(X) :- p{i + 1}(X)." for i in range(n)]
     if order == "reversed":
         rules.reverse()
     program = parse_program("\n".join([":- table t/1."] + rules + [f"p{n}(1)."]))
-    (clause,) = engine._unfold(program)[(intern_symbol("t"), 1)]
-    assert str(clause) == f"t(V0) :- p{n}(V0)."
+    compiled = engine._compile(program)
+    assert compiled.tabled == {(intern_symbol("t"), 1)}
+    assert compiled.rels[(intern_symbol("p0"), 1)].rows == ((int_tok(1),),)
     for design in (Design.NS, Design.FS):
         result = solve_parallel(program, parse_query("t(X)"),
                                 EvalConfig(design=design, threads=1))
@@ -697,32 +701,108 @@ def test_deep_nontabled_chain_compiles_at_the_default_recursion_limit(order):
 
 
 def view_program(k: int) -> str:
-    """t/1 over k levels of non-tabled views, each calling the next twice:
-    one clause of t/1 unfolds into c(0) clauses, c(k) = 1 and
-    c(i) = 1 + c(i + 1) ** 2."""
+    """t/1 over k levels of views, each calling the next twice: unfolding
+    would make one clause of t/1 into c(0) clauses, c(k) = 1 and
+    c(i) = 1 + c(i + 1) ** 2, so 458,330 at k = 5."""
     rules = [f"p{i}(X) :- e(X).\np{i}(X) :- p{i + 1}(X), p{i + 1}(X).\n" for i in range(k)]
     return f":- table t/1.\nt(X) :- p0(X).\n{''.join(rules)}p{k}(X) :- e(X).\ne(1). e(2).\n"
 
 
-def test_unfolding_that_multiplies_clauses_stops_with_a_diagnosis():
+def test_views_that_unfolding_would_multiply_are_solved_once():
     query = parse_query("t(X)")
-    program = parse_program(view_program(4))
-    assert len(engine._unfold(program)[(intern_symbol("t"), 1)]) == 677
+    program = parse_program(view_program(5))
     want = oracle_solve(program, query)
     assert want == {(Int(1),), (Int(2),)}
     for design in Design:
         for threads in (1, 2):
             result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
             assert result.answer_sets == [want] * threads, (design, threads)
-    # 458,330 clauses: the reference solver answers at once, unfolding stops
-    program = parse_program(view_program(5))
-    assert oracle_solve(program, query) == want
+    # t/1 keeps its one clause, and each view is a fact relation
+    compiled = program.compiled
+    assert compiled.tabled == {(intern_symbol("t"), 1)}
+    assert len(compiled.clauses[(intern_symbol("t"), 1)]) == 1
+    for i in range(6):
+        rows = compiled.rels[(intern_symbol(f"p{i}"), 1)].rows
+        assert sorted(rows) == [(int_tok(1),), (int_tok(2),)]
+
+
+def _counts(program, text, design, threads):
+    c = solve_parallel(program, parse_query(text),
+                       EvalConfig(design=design, threads=threads)).counters
+    return c.te, c.ba, c.sts, c.sf, c.se, c.ats
+
+
+def test_a_view_that_calls_back_counts_as_if_declared_tabled():
+    for name, views in (("view-of-t", "v"), ("views-of-t-and-s", "vw")):
+        text = _CALLBACK_PROGRAMS[name]
+        program = parse_program(text)
+        declared = parse_program("".join(f":- table {v}/2.\n" for v in views) + text)
+        for query in ("t(X,Y)", "t(1,Y)", "t(X,5)"):
+            for design in Design:
+                for threads in (1, 2):
+                    assert _counts(program, query, design, threads) == \
+                        _counts(declared, query, design, threads), (name, query, design)
+        assert program.compiled.tabled == declared.tabled
+    # one table entry each for t/2 and v/2, and one frame each for t(1,Y)
+    # and the v(1,Y) it calls
+    te, _, _, sf, _, _ = _counts(parse_program(_CALLBACK_PROGRAMS["view-of-t"]), "t(1,Y)",
+                                 Design.NS, 1)
+    assert (te, sf) == (2, 2)
+
+
+# step/2 is a view that reads only facts
+_STEP_TEXT = (":- table t/2.\nt(X,Y) :- step(X,Y).\nt(X,Z) :- t(X,Y), step(Y,Z).\n"
+              "step(X,Y) :- e(X,Z), e(Z,Y).\n" + _EDGES)
+
+
+def test_a_view_of_facts_counts_as_its_rows_given_as_facts():
+    program = parse_program(_STEP_TEXT)
+    rows = parse_program(_STEP_TEXT.replace(
+        "step(X,Y) :- e(X,Z), e(Z,Y).\n",
+        "step(1,3). step(2,1). step(2,4). step(3,2). step(3,5).\n"))
+    for text in ("t(X,Y)", "t(1,Y)", "t(2,1)"):
+        query = parse_query(text)
+        want = oracle_solve(program, query)
+        assert want and want == oracle_solve(rows, query), text
+        for design in Design:
+            for threads in (1, 2):
+                result = solve_parallel(program, query, EvalConfig(design=design, threads=threads))
+                assert result.answer_sets == [want] * threads, (text, design)
+                assert _counts(program, text, design, threads) == \
+                    _counts(rows, text, design, threads), (text, design)
+    step = (intern_symbol("step"), 2)
+    assert step not in program.compiled.tabled
+    assert sorted(program.compiled.rels[step].rows) == sorted(rows.facts[step])
+
+
+def test_the_tiny_query_batch_counts_as_when_its_view_was_unfolded(monkeypatch):
+    # query-batch's step/2 is a fact-only view; the totals over the tiny
+    # program's seven queries at 2 threads, as measured when it was unfolded
+    spec = importlib.util.spec_from_file_location(
+        "workloads", pathlib.Path(__file__).parents[1] / "tablebench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks it up
+    spec.loader.exec_module(workloads)
+    inputs = workloads.generate("query-batch", 1, tiny=True)
+    program = parse_program(inputs.text)
+    assert len(inputs.queries) == 7
+    want = {Design.NS: (21, 21, 282, 132, 0, 964), Design.SS: (21, 66, 141, 132, 0, 964),
+            Design.FS: (21, 66, 141, 132, 66, 482)}
     for design in Design:
-        with pytest.raises(ProgramError) as err:
-            solve_parallel(program, query, EvalConfig(design=design))
-        msg = str(err.value)
-        assert msg.startswith("unfolding a clause of t/1 made more than")
-        assert msg.endswith(" ".join(f":- table p{i}/1." for i in range(6)))
+        totals = [_counts(program, text, design, 2) for text in inputs.queries]
+        assert tuple(map(sum, zip(*totals))) == want[design], design
+
+
+def test_a_query_of_a_view_or_a_fact_is_refused():
+    # v/2 is tabled by compilation and step/2 solved by it, but neither is
+    # declared tabled
+    for text, query, pred in ((_CALLBACK_PROGRAMS["view-of-t"], "v(X,Y)", "v/2"),
+                              (_STEP_TEXT, "step(1,Y)", "step/2"),
+                              (_STEP_TEXT, "e(X,Y)", "e/2")):
+        program = parse_program(text)
+        for design in Design:
+            with pytest.raises(ProgramError, match=f"^query predicate {pred} is not tabled$"):
+                solve_parallel(program, parse_query(query), EvalConfig(design=design, threads=2))
 
 
 # ----------------------------------------------------------------------
@@ -751,7 +831,7 @@ def test_edits_after_a_solve_are_seen(design):
     assert answers() == {(Int(2),), (Int(3),)}
     program.add_fact(compound("edge", Int(3), Int(4)))
     assert answers() == {(Int(2),), (Int(3),), (Int(4),)}
-    # a new clause of the non-tabled hop/2, unfolded into path/2's clauses
+    # a new clause of the view hop/2, solved into one more row of it
     program.add_clause(compound("hop", Var(0), Var(1)), [compound("jump", Var(0), Var(1))])
     program.add_fact(compound("jump", Int(1), Int(9)))
     program.add_fact(compound("edge", Int(9), Int(10)))
@@ -806,8 +886,8 @@ def test_two_python_threads_solve_one_program(design):
 
 def test_many_solves_compile_once(monkeypatch):
     calls = []
-    real = engine._unfold
-    monkeypatch.setattr(engine, "_unfold", lambda program: calls.append(1) or real(program))
+    real = engine._Compiled
+    monkeypatch.setattr(engine, "_Compiled", lambda program: calls.append(1) or real(program))
     program = parse_program(_PATH_TEXT)
     for design in Design:
         for text in ("path(1,X)", "path(X,Y)", "path(2,3)"):
@@ -1199,13 +1279,12 @@ def _long_programs():
     tabled = parse_program(f":- table t/2.\nt(X0,X40) :- {chain}.\n"
                            f"t(X0,Y) :- {twenty}, t(X20,Y), e(Y,Z).\n"
                            f"t(X0,W20) :- t(X0,W0), {walk}.\n{ring}")
-    # six calls of a non-tabled 5-hop rule unfold into one 30-literal body
-    hops = ", ".join(f"hop(Y{i},Y{i + 1})" for i in range(6))
-    unfolded = parse_program(f":- table u/2.\nu(Y0,Y6) :- {hops}.\n"
-                             "hop(A,F) :- e(A,B), e(B,C), e(C,D), e(D,E), e(E,F).\n" + ring)
+    # and a 30-literal body of facts alone
+    hops = ", ".join(f"e(Y{i},Y{i + 1})" for i in range(30))
+    thirty = parse_program(f":- table u/2.\nu(Y0,Y30) :- {hops}.\n" + ring)
     # with the function that joins t's answers with the 20 fact literals
     return ((tabled, ("t(X,Y)", "t(3,Y)", "t(3,1)"), "r0("),
-            (unfolded, ("u(X,Y)", "u(2,Y)", "u(2,4)"), None))
+            (thirty, ("u(X,Y)", "u(2,Y)", "u(2,4)"), None))
 
 
 def _functions(source):

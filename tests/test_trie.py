@@ -555,7 +555,8 @@ def test_a_failed_fs_leaf_insert_leaves_no_lock_held(monkeypatch, mode, route):
         assert log == list(toks)
     else:
         events = []
-        frame, end = engine._Eval(engine._compile(program), table, 0, events.append).solve(query)
+        frame, end = engine._Eval(engine._compile(program), table, 0,
+                                  events.append).solve(literal_of(query, {}))
         assert [e[2] for e in events if e[0] == "new_answer"] == [True, True]
         assert log == [*toks, int_tok(1), int_tok(3)] and end == 4
     assert not any(lock.locked() for lock in table.locks)
